@@ -9,7 +9,6 @@ from .categorical import (
 )
 from .construct import (
     CostParams,
-    HeapEntry,
     build_tree_fixed,
     build_tree_threshold,
     estimate_latency,
@@ -55,6 +54,6 @@ from .oracle import (
     monte_carlo_output_distribution,
 )
 from .token_tree import ROOT, PositionState, TokenTree, TreeNode
-from .verify import VerifyResult, true_branch_acceptance, verify_tree
+from .verify import VerificationError, VerifyResult, true_branch_acceptance, verify_tree
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -131,7 +132,7 @@ def _bench_cell(payload: Dict) -> Dict:
     costs = CostParams(**payload["costs"])
     accepted, sizes, latencies, rates = [], [], [], []
     for seed in range(payload["seeds"]):
-        gen = GenConfig(**{**payload["gen"], "seed": seed})
+        gen = dataclasses.replace(payload["gen"], seed=seed)
         _, metrics = _run_single(models, gen, costs)
         accepted.append(metrics.mean_accepted)
         sizes.append(metrics.mean_tree_size)
@@ -186,6 +187,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     gen["k"] = args.k
                 if structure == "static_tree":
                     gen["branching"] = tuple(_csv_list(args.branching, int))
+                try:
+                    gen_config = GenConfig(**gen)
+                except ValueError as exc:
+                    raise ConfigError(f"bench cell {structure} {mode}={value}: {exc}") from exc
                 cell = {
                     "structure": structure,
                     "mode": mode,
@@ -197,7 +202,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 jobs.append(
                     {
                         "models": {**cfg.models.to_dict(), "target_temp": temp},
-                        "gen": gen,
+                        "gen": gen_config,
                         "costs": {
                             "draft_cost": cfg.costs.draft_cost,
                             "target_cost": cfg.costs.target_cost,
@@ -361,14 +366,7 @@ def cmd_hypothesis(args: argparse.Namespace) -> int:
         spec = ModelPairSpec(**{**models.to_dict(), "target_seed": derive_seed(models.target_seed, "hyp", run)})
         target, draft = make_model_pair(spec)
         prompt = make_prompt(target.with_temperature(1.0), cfg.generation.prefix_len, run)
-        gen = GenConfig(
-            prefix_len=cfg.generation.prefix_len,
-            gen_len=cfg.generation.gen_len,
-            budget=cfg.generation.budget or 64,
-            target_temp=cfg.generation.target_temp,
-            draft_temp=cfg.generation.draft_temp,
-            seed=run,
-        )
+        gen = dataclasses.replace(cfg.generation, seed=run)
         _, metrics = generate(target, draft, prompt, gen, cfg.costs)
         events.extend(metrics.branch_events)
         run += 1
@@ -411,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run-config path")
         p.add_argument("--seed", type=int, default=None, help="base seed override")
         p.add_argument("--out", help="output directory (default '.')")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("generate", help="run one generation benchmark")
     common(p)
@@ -437,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--branching", default="4,2,2,2")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oracle", help="run a ground-truth check suite")

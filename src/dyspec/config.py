@@ -55,10 +55,7 @@ _COST_KEYS = {
     "per_node_overhead": (int, float),
 }
 
-_OUTPUT_KEYS = {
-    "dir": str,
-    "format": str,
-}
+_OUTPUT_KEYS = {"dir": str}
 
 
 def _check_keys(section: str, data: Dict[str, Any], allowed: Dict[str, Any]) -> None:
@@ -85,7 +82,6 @@ class RunConfig:
     generation: GenConfig
     costs: CostParams
     output_dir: Optional[str]
-    output_format: str
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any], overrides: Optional[Dict[str, Any]] = None) -> "RunConfig":
@@ -131,10 +127,6 @@ class RunConfig:
         if "branching" in gen_raw:
             gen_raw["branching"] = tuple(int(b) for b in gen_raw["branching"])
 
-        fmt = out_raw.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
-
         try:
             models = ModelPairSpec(**models_raw)
             generation = GenConfig(**gen_raw)
@@ -146,7 +138,6 @@ class RunConfig:
             generation=generation,
             costs=costs,
             output_dir=out_raw.get("dir"),
-            output_format=fmt,
         )
 
     @classmethod

@@ -1,6 +1,10 @@
 """Dynamic token-tree construction.
 
-Two strategies build the same trees:
+Every builder repeats one step, :func:`sample_at`: draw the next token at a
+position from its residual, keyed by (seed, position path, sibling index),
+and append it as a node.  A position is opened from the draft model the
+first time it is sampled, so positions the builder never samples cost no
+draft query.  Each builder only decides the tree's shape:
 
 * :func:`build_tree_fixed` expands greedily, one sampling at a time, always
   popping the pending sampling with the highest estimated reach probability.
@@ -13,6 +17,8 @@ Two strategies build the same trees:
   threshold set to the smallest value the greedy run kept, both algorithms
   realize the identical sampling set because every uniform draw is keyed by
   (seed, position path, sibling index) rather than by visit order.
+
+The fixed-shape baselines in :mod:`dyspec.engine` use the same step.
 
 :func:`expected_accepted` evaluates the expected number of accepted tokens
 for a tree under arbitrary per-node acceptance probabilities, and
@@ -27,22 +33,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .categorical import Categorical, remove_and_renorm, sample
+from .categorical import remove_and_renorm, sample
 from .lm import LanguageModel
 from .rng import keyed_uniform
 from .token_tree import ROOT, TokenTree
 
 UniformFn = Callable[[Tuple[int, ...], int], float]
-
-
-@dataclass
-class HeapEntry:
-    """A pending sampling: where it would happen and how likely it is reached."""
-
-    value: float
-    residual: Categorical
-    position_owner: int
-    position_tag: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,39 @@ class CostParams:
             raise ValueError("cost parameters must be non-negative")
 
 
-def _construction_uniform(seed: int) -> UniformFn:
+def construction_uniform(seed: int) -> UniformFn:
+    """Keyed uniform for the sibling-index-th sampling at a position path."""
+
     def fn(tag: Tuple[int, ...], index: int) -> float:
         return keyed_uniform(seed, "construct", tag, index)
 
     return fn
+
+
+def sample_at(
+    tree: TokenTree,
+    draft: LanguageModel,
+    prefix: List[int],
+    owner: int,
+    value: float,
+    uniform: UniformFn,
+) -> Optional[Tuple[int, float]]:
+    """Draw the next token at ``owner``'s position and append it as a node.
+
+    The position is opened from the draft the first time it is sampled.
+    Returns the new node id and the residual probability its token was drawn
+    with, or None when the position's support is exhausted.  ``value`` is
+    the estimated probability that this sampling is reached.
+    """
+    state = tree.positions.get(owner)
+    if state is None:
+        context = prefix + list(tree.position_path(owner))
+        state = tree.open_position(owner, draft.dist(context))
+    if state.residual.is_zero:
+        return None
+    token = sample(state.residual, uniform(state.path, len(state.sampled)))
+    rate = state.residual[token]
+    return tree.add_node(owner, token, value), rate
 
 
 def build_tree_fixed(
@@ -78,51 +102,30 @@ def build_tree_fixed(
     Every step pops the maximum-value pending sampling, draws a token from
     its residual, and pushes the sibling continuation (value scaled by the
     rejection probability) and the child position (value scaled by the
-    sampled token's residual probability).  Exhausted residuals are dropped,
-    so the tree can only fall short of the budget when every position ran
-    out of support.  Ties in value break by push order, sibling entry first,
-    matching the listing order of the greedy algorithm.
+    sampled token's residual probability).  Exhausted positions yield no
+    node, so the tree can only fall short of the budget when every position
+    ran out of support.  Ties in value break by push order, sibling entry
+    first, matching the listing order of the greedy algorithm.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    uniform = uniform_fn or _construction_uniform(seed)
+    uniform = uniform_fn or construction_uniform(seed)
     prefix = list(prefix)
-
     tree = TokenTree(prefix_len=len(prefix))
-    tree.open_position(ROOT, draft.dist(prefix))
 
-    counter = 0
-    heap: List[Tuple[float, int, HeapEntry]] = []
-
-    def push(entry: HeapEntry) -> None:
-        nonlocal counter
-        heapq.heappush(heap, (-entry.value, counter, entry))
-        counter += 1
-
-    push(HeapEntry(1.0, tree.positions[ROOT].residual, ROOT, ()))
-
+    # (-value, push counter, position owner)
+    heap: List[Tuple[float, int, int]] = [(-1.0, 0, ROOT)]
+    counter = 1
     while len(tree) < budget and heap:
-        _, _, entry = heapq.heappop(heap)
-        state = tree.positions[entry.position_owner]
-        k = len(state.sampled)
-        token = sample(state.residual, uniform(state.path, k))
-        rate = state.residual[token]
-        node_id = tree.add_node(entry.position_owner, token, entry.value)
-
-        sibling_residual = tree.positions[entry.position_owner].residual
-        if not sibling_residual.is_zero:
-            push(
-                HeapEntry(
-                    entry.value * (1.0 - rate),
-                    sibling_residual,
-                    entry.position_owner,
-                    entry.position_tag,
-                )
-            )
-        child_dist = draft.dist(prefix + tree.token_path(node_id))
-        child_state = tree.open_position(node_id, child_dist)
-        push(HeapEntry(entry.value * rate, child_dist, node_id, child_state.path))
-
+        neg_value, _, owner = heapq.heappop(heap)
+        value = -neg_value
+        got = sample_at(tree, draft, prefix, owner, value, uniform)
+        if got is None:
+            continue
+        node_id, rate = got
+        heapq.heappush(heap, (-(value * (1.0 - rate)), counter, owner))
+        heapq.heappush(heap, (-(value * rate), counter + 1, node_id))
+        counter += 2
     return tree
 
 
@@ -132,45 +135,37 @@ def build_tree_threshold(
     threshold: float,
     size_cap: int,
     seed: int,
-    *,
-    uniform_fn: Optional[UniformFn] = None,
 ) -> TokenTree:
     """Layer-by-layer construction keeping samplings with value >= threshold.
 
-    Positions queue for the next layer only when the child entry clears the
-    threshold, so the draft model is invoked once per kept node rather than
-    once per heap operation.  Construction stops as soon as ``size_cap``
-    nodes exist; within a layer, positions are processed in descending entry
-    value so the cap discards the least valuable pending work first.
+    A node's position queues for the next layer only when its child entry
+    clears the threshold, so the draft model is queried only for positions
+    that get sampled.  Construction stops as soon as ``size_cap`` nodes
+    exist; within a layer, positions are processed in descending entry value
+    so the cap discards the least valuable pending work first.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
-    uniform = uniform_fn or _construction_uniform(seed)
+    uniform = construction_uniform(seed)
     prefix = list(prefix)
-
     tree = TokenTree(prefix_len=len(prefix))
-    tree.open_position(ROOT, draft.dist(prefix))
 
     layer: List[Tuple[float, int]] = [(1.0, ROOT)]
     while layer and len(tree) < size_cap:
         layer.sort(key=lambda item: (-item[0], item[1]))
         next_layer: List[Tuple[float, int]] = []
         for value, owner in layer:
-            state = tree.positions[owner]
-            while value >= threshold and not state.residual.is_zero:
+            while value >= threshold:
                 if len(tree) >= size_cap:
                     return tree
-                k = len(state.sampled)
-                token = sample(state.residual, uniform(state.path, k))
-                rate = state.residual[token]
-                node_id = tree.add_node(owner, token, value)
-                child_value = value * rate
-                if child_value >= threshold:
-                    child_dist = draft.dist(prefix + tree.token_path(node_id))
-                    tree.open_position(node_id, child_dist)
-                    next_layer.append((child_value, node_id))
+                got = sample_at(tree, draft, prefix, owner, value, uniform)
+                if got is None:
+                    break
+                node_id, rate = got
+                if value * rate >= threshold:
+                    next_layer.append((value * rate, node_id))
                 value *= 1.0 - rate
         layer = next_layer
     return tree

@@ -8,8 +8,10 @@ of tree speculation) and draft evaluations per node or per level depending
 on the construction mode.
 
 Baseline structures (single chain, k parallel chains, fixed-branching
-static tree) are built through the same sampling machinery so that equal
-budgets are genuinely comparable.
+static tree) are built through the same sampling step as the dynamic
+builders, :func:`dyspec.construct.sample_at`, which opens each position
+from the draft the first time it is sampled; only the shape differs, so
+equal budgets are genuinely comparable.
 """
 
 from __future__ import annotations
@@ -19,17 +21,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .categorical import sample
 from .construct import (
     CostParams,
     build_tree_fixed,
     build_tree_threshold,
+    construction_uniform,
     estimate_latency,
+    sample_at,
 )
 from .lm import LanguageModel, target_distributions_for_tree
 from .rng import derive_seed, keyed_uniform
-from .categorical import sample
 from .token_tree import ROOT, TokenTree
-from .verify import BranchTrace, VerifyResult, verify_tree
+from .verify import BranchTrace, VerificationError, VerifyResult, verify_tree
 
 STRUCTURES = ("dynamic", "chain", "k_chains", "static_tree")
 
@@ -64,12 +68,10 @@ class GenConfig:
                 raise ValueError("threshold mode requires size_cap >= 1")
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
-        if self.structure != "dynamic" and self.budget is None:
-            raise ValueError("baseline structures require a budget")
-        if self.structure == "k_chains" and (self.k is None or self.k < 1):
-            raise ValueError("k_chains requires k >= 1")
-        if self.structure == "static_tree" and not self.branching:
-            raise ValueError("static_tree requires a branching vector")
+        if self.structure != "dynamic":
+            if self.budget is None:
+                raise ValueError("baseline structures require a budget")
+            check_baseline_shape(self.structure, self.budget, self.k, self.branching)
 
     @property
     def latency_mode(self) -> str:
@@ -77,6 +79,28 @@ class GenConfig:
         if self.structure == "dynamic":
             return "greedy" if self.budget is not None else "layered"
         return "greedy" if self.structure == "chain" else "layered"
+
+
+def check_baseline_shape(
+    structure: str, budget: int, k: Optional[int], branching: Optional[Sequence[int]]
+) -> None:
+    """Raise ValueError unless the baseline structure is known and fits the budget."""
+    if structure == "k_chains":
+        if not k or k < 1:
+            raise ValueError("k_chains requires k >= 1")
+        if budget < k:
+            raise ValueError("budget too small for the requested chain count")
+    elif structure == "static_tree":
+        if not branching:
+            raise ValueError("static_tree requires a branching vector")
+        total, level_size = 0, 1
+        for b in branching:
+            level_size *= b
+            total += level_size
+        if total > budget:
+            raise ValueError(f"branching vector yields {total} nodes, exceeding budget {budget}")
+    elif structure != "chain":
+        raise ValueError(f"unknown baseline structure {structure!r}")
 
 
 @dataclass
@@ -149,77 +173,48 @@ def build_baseline_tree(
     ``chain`` samples one token per level; ``k_chains`` takes k successive
     samplings at the prompt position and extends each into an independent
     chain; ``static_tree`` samples a fixed number of children per level
-    without replacement.  All use the same keyed sampling as the dynamic
-    builder, and positions stop early if their support runs out.
+    without replacement.  All use the same keyed sampling step as the
+    dynamic builders, and positions stop early if their support runs out.
     """
+    check_baseline_shape(structure, budget, k, branching)
     prefix = list(prefix)
     tree = TokenTree(prefix_len=len(prefix))
-    tree.open_position(ROOT, draft.dist(prefix))
+    uniform = construction_uniform(seed)
 
-    def sample_next(owner: int, entry_value: float) -> Optional[Tuple[int, float]]:
-        """One more sampling at a position; returns (node id, next sibling value)."""
-        state = tree.positions[owner]
-        if state.residual.is_zero:
-            return None
-        u = keyed_uniform(seed, "construct", state.path, len(state.sampled))
-        token = sample(state.residual, u)
-        rate = state.residual[token]
-        node_id = tree.add_node(owner, token, entry_value)
-        tree.open_position(node_id, draft.dist(prefix + tree.token_path(node_id)))
-        return node_id, entry_value * (1.0 - rate)
-
-    def extend_chain(head: int, steps: int) -> None:
-        owner = head
+    def extend_chain(owner: int, value: float, steps: int) -> None:
         for _ in range(steps):
-            got = sample_next(owner, tree.nodes[owner].accept_weight)
+            got = sample_at(tree, draft, prefix, owner, value, uniform)
             if got is None:
                 break
-            owner = got[0]
+            owner, rate = got
+            value *= rate
 
     if structure == "chain":
-        got = sample_next(ROOT, 1.0)
-        if got is not None:
-            extend_chain(got[0], budget - 1)
+        extend_chain(ROOT, 1.0, budget)
     elif structure == "k_chains":
-        if not k or k < 1:
-            raise ValueError("k_chains requires k >= 1")
-        length = budget // k
-        if length < 1:
-            raise ValueError("budget too small for the requested chain count")
-        entry = 1.0
+        value = 1.0
         heads = []
         for _ in range(k):
-            got = sample_next(ROOT, entry)
+            got = sample_at(tree, draft, prefix, ROOT, value, uniform)
             if got is None:
                 break
             heads.append(got[0])
-            entry = got[1]
+            value *= 1.0 - got[1]
         for head in heads:
-            extend_chain(head, length - 1)
-    elif structure == "static_tree":
-        if not branching:
-            raise ValueError("static_tree requires a branching vector")
-        total, level_size = 0, 1
-        for b in branching:
-            level_size *= b
-            total += level_size
-        if total > budget:
-            raise ValueError(
-                f"branching vector yields {total} nodes, exceeding budget {budget}"
-            )
+            extend_chain(head, tree.nodes[head].accept_weight, budget // k - 1)
+    else:
         frontier: List[Tuple[int, float]] = [(ROOT, 1.0)]
         for b in branching:
             nxt: List[Tuple[int, float]] = []
-            for owner, entry in frontier:
+            for owner, value in frontier:
                 for _ in range(b):
-                    got = sample_next(owner, entry)
+                    got = sample_at(tree, draft, prefix, owner, value, uniform)
                     if got is None:
                         break
-                    node_id, entry = got
-                    nxt.append((node_id, tree.nodes[node_id].accept_weight))
+                    node_id, rate = got
+                    nxt.append((node_id, value * rate))
+                    value *= 1.0 - rate
             frontier = nxt
-    else:
-        raise ValueError(f"unknown baseline structure {structure!r}")
     return tree
 
 
@@ -289,7 +284,10 @@ def generate(
         outcome = generate_step(target, draft, tokens, config, step_seed)
         accepted = outcome.result.num_accepted
         depth = outcome.tree.depth()
-        assert 1 <= accepted <= depth + 1
+        if not 1 <= accepted <= depth + 1:
+            raise VerificationError(
+                f"step {step_idx} accepted {accepted} tokens from a tree of depth {depth}"
+            )
         tokens.extend(outcome.result.accepted)
         produced += accepted
         steps.append(

@@ -268,12 +268,15 @@ def target_distributions_for_tree(
     Emulates one batched target pass over the token tree: the result has
     exactly ``len(tree.nodes) + 1`` entries, keyed by the position owner
     (ROOT for the prompt position, node id for each node's child position),
-    each equal to a direct query on the linearized context.
+    each equal to a direct query on the linearized context.  Nodes come in
+    creation order, so each context extends its parent's.
     """
     from .token_tree import ROOT
 
-    prefix = list(prefix)
-    dists = {ROOT: target.dist(prefix)}
+    contexts = {ROOT: list(prefix)}
+    dists = {ROOT: target.dist(contexts[ROOT])}
     for node in tree.nodes:
-        dists[node.node_id] = target.dist(prefix + tree.token_path(node.node_id))
+        context = contexts[node.parent] + [node.token]
+        contexts[node.node_id] = context
+        dists[node.node_id] = target.dist(context)
     return dists

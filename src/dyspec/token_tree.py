@@ -78,17 +78,20 @@ class TokenTree:
     def node(self, node_id: int) -> TreeNode:
         return self.nodes[node_id]
 
+    def position_path(self, owner: int) -> Tuple[int, ...]:
+        """Tokens leading to a position: its parent position's path plus the owner's token."""
+        if owner == ROOT:
+            return ()
+        node = self.nodes[owner]
+        return self.positions[node.parent].path + (node.token,)
+
     def open_position(self, owner: int, draft_full: Categorical) -> PositionState:
         """Attach the draft distribution for the position owned by a node."""
         state = self.positions.get(owner)
-        if state is not None:
-            return state
-        if owner == ROOT:
-            path: Tuple[int, ...] = ()
-        else:
-            path = tuple(self.token_path(owner))
-        state = PositionState(owner=owner, draft_full=draft_full, path=path)
-        self.positions[owner] = state
+        if state is None:
+            path = self.position_path(owner)
+            state = PositionState(owner=owner, draft_full=draft_full, path=path)
+            self.positions[owner] = state
         return state
 
     def add_node(self, owner: int, token: int, value: float) -> int:

@@ -25,6 +25,10 @@ from .rng import UniformStream
 from .token_tree import ROOT, TokenTree
 
 
+class VerificationError(RuntimeError):
+    """Verification broke an invariant that exact rejection sampling keeps."""
+
+
 @dataclass(frozen=True)
 class BranchTrace:
     """One accept/reject decision on a sampled branch."""
@@ -121,8 +125,10 @@ def verify_tree(
                 break
             residual = residual_target(residual, draft)
             # A rejection is only possible when R[y] < D[y] somewhere, so the
-            # relu residual must retain mass; zero here means numerical drift.
-            assert not residual.is_zero, "target residual vanished after a rejection"
+            # relu residual must retain mass; zero here means numerical drift
+            # or a uniform outside [0, 1).
+            if residual.is_zero:
+                raise VerificationError(f"target residual vanished after rejecting node {node_id}")
             draft = remove_and_renorm(draft, token)
             if draft.is_zero:
                 break

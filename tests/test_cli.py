@@ -46,6 +46,15 @@ class TestConfig:
         assert cfg.generation.target_temp == 0.0
         assert cfg.models.target_temp == 0.0
 
+    def test_output_format_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'format'"):
+            RunConfig.from_dict({"models": {}, "output": {"format": "json"}})
+
+    def test_format_flag_only_on_bench(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--format", "json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_defaults_fill_missing_sections(self):
         cfg = RunConfig.from_dict({"models": {}})
         assert cfg.generation.budget == 64
@@ -76,6 +85,14 @@ class TestGenerateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"generation": {"budget": 4}}))
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_static_tree_over_budget_exits_2(self, config_path, tmp_path, capsys):
+        code = main(
+            ["generate", "--config", str(config_path), "--out", str(tmp_path),
+             "--structure", "static_tree", "--branching", "4,2,2,2", "--budget", "8"]
+        )
+        assert code == 2
+        assert "exceeding budget 8" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -109,6 +126,15 @@ class TestBenchCommand:
         cols = dict(zip(header.split(","), row.split(",")))
         assert cols["mode"] == "threshold"
         assert float(cols["mean_tree_size"]) <= 24.0
+
+    def test_static_tree_over_budget_exits_2(self, config_path, tmp_path):
+        # default branching 4,2,2,2 makes a 60-node tree
+        code = main(
+            ["bench", "--config", str(config_path), "--out", str(tmp_path),
+             "--budgets", "8", "--seeds", "1"]
+        )
+        assert code == 2
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_empty_sweep_is_usage_error(self, config_path, tmp_path):
         code = main(
@@ -187,6 +213,31 @@ class TestHypothesisCommand:
         assert len(lines) == 11
         stats = json.loads((tmp_path / "hypothesis_stats.json").read_text())
         assert stats["events"] >= 200
+
+    def test_threshold_config_runs_threshold_builder(self, tmp_path, monkeypatch):
+        import dyspec.engine as engine
+
+        sizes = []
+        original = engine.build_tree_threshold
+
+        def recording(*args, **kwargs):
+            tree = original(*args, **kwargs)
+            sizes.append(tree.size)
+            return tree
+
+        monkeypatch.setattr(engine, "build_tree_threshold", recording)
+        cfg = {
+            "models": {"vocab_size": 16, "markov_order": 1},
+            "generation": {"prefix_len": 8, "gen_len": 12, "threshold": 0.05, "size_cap": 5},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(
+            ["hypothesis", "--config", str(path), "--min-events", "50",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert sizes and max(sizes) <= 5
 
     def test_identical_models_rate_one(self, tmp_path):
         cfg = {

@@ -15,6 +15,7 @@ from dyspec.construct import (
     expected_accepted_draft_approx,
     node_sampling_keys,
     path_weight_sum,
+    sample_at,
 )
 from dyspec.lm import LanguageModel, ModelPairSpec, make_model_pair
 from dyspec.oracle import brute_force_optimal_subtree, realized_slot_tree
@@ -58,6 +59,36 @@ def model_draft(seed, vocab=8, sigma=1.0):
     )
     _, draft = make_model_pair(spec)
     return draft
+
+
+class TestSampleAt:
+    def test_positions_open_on_first_sampling(self):
+        # only sampled positions are opened, each with one draft query on
+        # the prefix plus the position's path
+        queried = []
+        draft = model_draft(3)
+        base_dist = draft.dist
+        object.__setattr__(draft, "dist", lambda ctx: queried.append(tuple(ctx)) or base_dist(ctx))
+        for build in (
+            lambda: build_tree_fixed(draft, [0], 12, seed=1),
+            lambda: build_tree_threshold(draft, [0], 0.05, 12, seed=1),
+        ):
+            queried.clear()
+            tree = build()
+            sampled = {n.parent for n in tree.nodes}
+            assert set(tree.positions) == sampled
+            assert sorted(queried) == sorted(
+                (0,) + tree.positions[owner].path for owner in sampled
+            )
+
+    def test_exhausted_position_returns_none(self):
+        draft = point_mass_draft(2)
+        tree = TokenTree()
+        uniform = lambda tag, k: 0.5
+        node_id, rate = sample_at(tree, draft, [], ROOT, 1.0, uniform)
+        assert (tree.nodes[node_id].token, rate) == (0, 1.0)
+        assert sample_at(tree, draft, [], ROOT, 0.0, uniform) is None
+        assert tree.size == 1
 
 
 class TestBuildTreeFixed:

@@ -13,7 +13,7 @@ from dyspec.engine import (
     make_prompt,
 )
 from dyspec.lm import ModelPairSpec, make_model_pair
-from dyspec.verify import BranchTrace
+from dyspec.verify import BranchTrace, VerificationError, VerifyResult
 
 
 def pair(seed=0, vocab=16, sigma=1.0, **kw):
@@ -41,6 +41,13 @@ class TestGenConfig:
             GenConfig(budget=8, structure="k_chains")
         with pytest.raises(ValueError):
             GenConfig(budget=8, structure="static_tree")
+
+    def test_baseline_shape_must_fit_budget(self):
+        with pytest.raises(ValueError, match="exceeding budget"):
+            GenConfig(budget=8, structure="static_tree", branching=(4, 2, 2, 2))
+        with pytest.raises(ValueError, match="chain count"):
+            GenConfig(budget=3, structure="k_chains", k=4)
+        GenConfig(budget=14, structure="static_tree", branching=(2, 2, 2))
 
     def test_latency_mode(self):
         assert GenConfig(budget=8).latency_mode == "greedy"
@@ -78,6 +85,18 @@ class TestGenerate:
             config = GenConfig(prefix_len=8, gen_len=gen_len, budget=6, seed=2)
             tokens, _ = generate(target, draft, prompt, config)
             assert len(tokens) == gen_len
+
+    def test_inconsistent_verify_result_raises(self, monkeypatch):
+        # a result longer than the tree's depth plus the bonus is impossible
+        import dyspec.engine as engine
+
+        monkeypatch.setattr(
+            engine, "verify_tree", lambda tree, dists, seed: VerifyResult([0] * 9, [], 0, False, [])
+        )
+        target, draft = pair(seed=2)
+        prompt = make_prompt(target.with_temperature(1.0), 4, seed=0)
+        with pytest.raises(VerificationError, match="depth"):
+            generate(target, draft, prompt, GenConfig(prefix_len=4, gen_len=8, budget=2))
 
     def test_prompt_length_checked(self):
         target, draft = pair()

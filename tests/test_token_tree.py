@@ -80,6 +80,7 @@ class TestAncestors:
         c = tree.add_node(b, 0, 0.25)
         assert tree.ancestors(c) == [a, b, c]
         assert tree.token_path(c) == [0, 1, 0]
+        assert tree.positions[b].path == (0, 1)
 
     def test_siblings_do_not_share_ancestry(self):
         tree = fresh_tree()

@@ -5,7 +5,12 @@ from dyspec.categorical import Categorical
 from dyspec.construct import build_tree_fixed
 from dyspec.lm import ModelPairSpec, make_model_pair, target_distributions_for_tree
 from dyspec.token_tree import ROOT, TokenTree
-from dyspec.verify import replay_trace, true_branch_acceptance, verify_tree
+from dyspec.verify import (
+    VerificationError,
+    replay_trace,
+    true_branch_acceptance,
+    verify_tree,
+)
 
 
 def single_branch_tree(draft_probs, token):
@@ -31,6 +36,16 @@ def built_case(seed, budget=10, vocab=8, temp=0.6):
     tree = build_tree_fixed(draft, prompt, budget, seed=seed)
     dists = target_distributions_for_tree(target, prompt, tree)
     return tree, dists
+
+
+class TestInvariantErrors:
+    def test_impossible_rejection_raises_typed_error(self):
+        # draft equals target, so every branch passes for uniforms in [0, 1);
+        # a uniform of 1.5 forces a rejection that leaves no residual mass
+        tree = single_branch_tree([0.6, 0.4], 0)
+        dists = {ROOT: Categorical([0.6, 0.4])}
+        with pytest.raises(VerificationError, match="residual vanished"):
+            verify_tree(tree, dists, 0, uniform_fn=lambda: 1.5)
 
 
 class TestSingleBranch:
