@@ -1,15 +1,30 @@
 """Command-line harness.
 
-Subcommands: ``generate`` (one benchmark run), ``bench`` (sweep over
-structures/budgets/temperatures), ``oracle`` (ground-truth check suites),
-``mask`` (block-occupancy analysis of tree-attention masks), and
-``hypothesis`` (acceptance-rate versus draft-probability bins).
+Each subcommand takes only the flags it reads; ``--out`` (output
+directory) is on every command:
 
-Flags override config-file values, which override defaults.  Exit codes:
-0 success, 1 a check suite failed, 2 usage or configuration error.  The
-environment variable ``DYSPEC_THREADS`` caps the worker count of sweep
-commands; every command is deterministic for a fixed config and seeds,
-regardless of worker count.
+- ``generate`` runs one benchmark: ``--config --seed --budget --threshold
+  --size-cap --structure --k --branching --gen-len --prefix-len
+  --target-temp --draft-temp``.
+- ``bench`` sweeps structures x budgets/thresholds x temperatures:
+  ``--config --structures --budgets --thresholds --size-cap --temps
+  --seeds --k --branching --format``.
+- ``oracle`` runs a ground-truth check suite: ``--seed --suite
+  --instances --trials``.
+- ``mask`` counts block occupancy of tree-attention masks: ``--config
+  --sizes --prefixes --block --orders --seeds --generator --per-seed
+  --dump-grids``.
+- ``hypothesis`` bins acceptance rate by draft probability: ``--config
+  --bins --min-events --max-runs``.
+
+Flags override config-file values, which override defaults.  Temperatures
+are set under ``generation`` in the config (or by ``generate``'s
+temperature flags); the model pair takes them from there.  Counts such as
+``--seeds`` must be at least 1.  Exit codes: 0 success, 1 a check suite
+failed, 2 usage or configuration error.  The environment variable
+``DYSPEC_THREADS`` sets the worker count of ``bench``, capped by the CPU
+count and the number of cells; every command is deterministic for a fixed
+config and seeds, regardless of worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import mask_opt, oracle
 from .config import ConfigError, RunConfig
@@ -39,22 +54,31 @@ from .rng import derive_seed
 DEFAULT_CONFIG: Dict = {"models": {}}
 
 
-def worker_count() -> int:
-    raw = os.environ.get("DYSPEC_THREADS", "1")
+def worker_count(jobs: int) -> int:
+    """Workers for ``jobs`` tasks: DYSPEC_THREADS (default 1), capped by CPUs and jobs."""
     try:
-        return max(1, int(raw))
+        requested = int(os.environ.get("DYSPEC_THREADS", "1"))
     except ValueError:
-        return 1
+        requested = 1
+    return max(1, min(requested, os.cpu_count() or 1, jobs))
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load_config(args: argparse.Namespace, overrides: Dict) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return RunConfig.load(args.config, overrides)
     return RunConfig.from_dict(dict(DEFAULT_CONFIG), overrides)
 
 
 def _out_dir(args: argparse.Namespace, cfg: Optional[RunConfig] = None) -> Path:
-    out = getattr(args, "out", None) or (cfg.output_dir if cfg else None) or "."
+    out = args.out or (cfg.output_dir if cfg else None) or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -127,32 +151,35 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _bench_cell(payload: Dict) -> Dict:
-    models = ModelPairSpec(**payload["models"])
-    costs = CostParams(**payload["costs"])
+def _bench_cell(job: Tuple[ModelPairSpec, GenConfig, CostParams, int]) -> Dict:
+    models, gen, costs, seeds = job
     accepted, sizes, latencies, rates = [], [], [], []
-    for seed in range(payload["seeds"]):
-        gen = dataclasses.replace(payload["gen"], seed=seed)
-        _, metrics = _run_single(models, gen, costs)
+    for seed in range(seeds):
+        _, metrics = _run_single(models, dataclasses.replace(gen, seed=seed), costs)
         accepted.append(metrics.mean_accepted)
         sizes.append(metrics.mean_tree_size)
         rates.append(metrics.tokens_per_modeled_second)
         total = sum(s.accepted for s in metrics.steps)
         cost = sum(s.modeled_latency * s.accepted for s in metrics.steps)
         latencies.append(cost / total)
-    n = payload["seeds"]
+    threshold_mode = gen.threshold is not None
     return {
-        **payload["cell"],
-        "seeds": n,
-        "mean_accepted": sum(accepted) / n,
-        "mean_tree_size": sum(sizes) / n,
-        "latency_per_token": sum(latencies) / n,
-        "tokens_per_modeled_sec": sum(rates) / n,
+        "structure": gen.structure,
+        "mode": "threshold" if threshold_mode else "budget",
+        "budget": "" if threshold_mode else gen.budget,
+        "threshold": gen.threshold if threshold_mode else "",
+        "size_cap": gen.size_cap if threshold_mode else "",
+        "target_temp": gen.target_temp,
+        "seeds": seeds,
+        "mean_accepted": sum(accepted) / seeds,
+        "mean_tree_size": sum(sizes) / seeds,
+        "latency_per_token": sum(latencies) / seeds,
+        "tokens_per_modeled_sec": sum(rates) / seeds,
     }
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, {"seed": args.seed})
+    cfg = _load_config(args, {})
     out = _out_dir(args, cfg)
     structures = _csv_list(args.structures, str)
     budgets = _csv_list(args.budgets, int) if args.budgets else []
@@ -163,11 +190,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    base_gen = {
-        "prefix_len": cfg.generation.prefix_len,
-        "gen_len": cfg.generation.gen_len,
-        "draft_temp": cfg.generation.draft_temp,
-    }
+    branching = tuple(_csv_list(args.branching, int))
     jobs = []
     for structure in structures:
         for temp in temps:
@@ -175,45 +198,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if structure == "dynamic":
                 points += [("threshold", c) for c in thresholds]
             for mode, value in points:
-                gen = dict(base_gen)
-                gen["structure"] = structure
-                gen["target_temp"] = temp
-                if mode == "budget":
-                    gen["budget"] = value
-                else:
-                    gen["threshold"] = value
-                    gen["size_cap"] = args.size_cap
-                if structure == "k_chains":
-                    gen["k"] = args.k
-                if structure == "static_tree":
-                    gen["branching"] = tuple(_csv_list(args.branching, int))
                 try:
-                    gen_config = GenConfig(**gen)
+                    gen = dataclasses.replace(
+                        cfg.generation,
+                        structure=structure,
+                        target_temp=temp,
+                        budget=value if mode == "budget" else None,
+                        threshold=value if mode == "threshold" else None,
+                        size_cap=args.size_cap if mode == "threshold" else None,
+                        k=args.k if structure == "k_chains" else None,
+                        branching=branching if structure == "static_tree" else None,
+                    )
                 except ValueError as exc:
                     raise ConfigError(f"bench cell {structure} {mode}={value}: {exc}") from exc
-                cell = {
-                    "structure": structure,
-                    "mode": mode,
-                    "budget": value if mode == "budget" else "",
-                    "threshold": value if mode == "threshold" else "",
-                    "size_cap": args.size_cap if mode == "threshold" else "",
-                    "target_temp": temp,
-                }
-                jobs.append(
-                    {
-                        "models": {**cfg.models.to_dict(), "target_temp": temp},
-                        "gen": gen_config,
-                        "costs": {
-                            "draft_cost": cfg.costs.draft_cost,
-                            "target_cost": cfg.costs.target_cost,
-                            "per_node_overhead": cfg.costs.per_node_overhead,
-                        },
-                        "seeds": args.seeds,
-                        "cell": cell,
-                    }
-                )
+                models = dataclasses.replace(cfg.models, target_temp=temp)
+                jobs.append((models, gen, cfg.costs, args.seeds))
 
-    workers = worker_count()
+    workers = worker_count(len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, jobs))
@@ -242,19 +243,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 _SUITES = {
     "unbiasedness": lambda args: [
-        oracle.suite_unbiasedness_exact(instances=args.instances, seed=args.seed or 0),
-        oracle.suite_unbiasedness_mc(trials=args.trials, seed=args.seed or 0),
+        oracle.suite_unbiasedness_exact(instances=args.instances, seed=args.seed),
+        oracle.suite_unbiasedness_mc(trials=args.trials, seed=args.seed),
     ],
     "optimality": lambda args: [
-        oracle.suite_optimality(instances=args.instances, seed=args.seed or 0)
+        oracle.suite_optimality(instances=args.instances, seed=args.seed)
     ],
     "expectation": lambda args: [
         oracle.suite_expectation(
-            configs=min(args.instances, 1000), trials=args.trials, seed=args.seed or 0
+            configs=min(args.instances, 1000), trials=args.trials, seed=args.seed
         )
     ],
     "threshold-equivalence": lambda args: [
-        oracle.suite_threshold_equivalence(configs=args.instances, seed=args.seed or 0)
+        oracle.suite_threshold_equivalence(configs=args.instances, seed=args.seed)
     ],
 }
 
@@ -287,7 +288,6 @@ def _mask_tree(generator: str, n: int, seed: int, cfg: Optional[RunConfig]) -> L
     if generator == "constructed":
         models = cfg.models if cfg else ModelPairSpec()
         target, draft = make_model_pair(models)
-        draft = draft.with_temperature(models.draft_temp)
         prompt = make_prompt(target.with_temperature(1.0), 16, seed)
         return build_tree_fixed(draft, prompt, n, seed).parent_array()
     raise ValueError(f"unknown tree generator {generator!r}")
@@ -357,13 +357,14 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 
 def cmd_hypothesis(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, {"seed": args.seed})
+    cfg = _load_config(args, {})
     out = _out_dir(args, cfg)
     events = []
     run = 0
     while len(events) < args.min_events and run < args.max_runs:
-        models = cfg.models
-        spec = ModelPairSpec(**{**models.to_dict(), "target_seed": derive_seed(models.target_seed, "hyp", run)})
+        spec = dataclasses.replace(
+            cfg.models, target_seed=derive_seed(cfg.models.target_seed, "hyp", run)
+        )
         target, draft = make_model_pair(spec)
         prompt = make_prompt(target.with_temperature(1.0), cfg.generation.prefix_len, run)
         gen = dataclasses.replace(cfg.generation, seed=run)
@@ -397,21 +398,35 @@ def cmd_hypothesis(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyspec",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description=(
-            "Dynamic token-tree speculative decoding simulator. "
-            "Precedence: command-line flags > config file > defaults. "
-            "Set DYSPEC_THREADS to cap sweep workers."
+            "Dynamic token-tree speculative decoding simulator.\n"
+            "Precedence: command-line flags > config file > defaults. Temperatures\n"
+            "are set under 'generation' in the config. DYSPEC_THREADS sets the bench\n"
+            "workers (capped by CPUs and cells). Flags per command:\n"
+            "  generate    --out --config --seed --budget --threshold --size-cap\n"
+            "              --structure --k --branching --gen-len --prefix-len\n"
+            "              --target-temp --draft-temp\n"
+            "  bench       --out --config --structures --budgets --thresholds\n"
+            "              --size-cap --temps --seeds --k --branching --format\n"
+            "  oracle      --out --seed --suite --instances --trials\n"
+            "  mask        --out --config --sizes --prefixes --block --orders --seeds\n"
+            "              --generator --per-seed --dump-grids\n"
+            "  hypothesis  --out --config --bins --min-events --max-runs"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON run-config path")
-        p.add_argument("--seed", type=int, default=None, help="base seed override")
+    def command(name: str, help: str, func) -> argparse.ArgumentParser:
+        # No prefix matching: a removed flag must not turn into a longer one.
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--out", help="output directory (default '.')")
+        return p
 
-    p = sub.add_parser("generate", help="run one generation benchmark")
-    common(p)
+    p = command("generate", "run one generation benchmark", cmd_generate)
+    p.add_argument("--config", help="JSON run-config path")
+    p.add_argument("--seed", type=int, help="run seed (overrides generation.seed)")
     p.add_argument("--budget", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--size-cap", dest="size_cap", type=int)
@@ -422,47 +437,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix-len", dest="prefix_len", type=int)
     p.add_argument("--target-temp", dest="target_temp", type=float)
     p.add_argument("--draft-temp", dest="draft_temp", type=float)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("bench", help="sweep structures x budgets x temps")
-    common(p)
+    p = command("bench", "sweep structures x budgets x temps", cmd_bench)
+    p.add_argument("--config", help="JSON run-config path")
     p.add_argument("--structures", default="dynamic,chain,k_chains,static_tree")
     p.add_argument("--budgets", default="64")
     p.add_argument("--thresholds", default="", help="dynamic-only threshold points")
     p.add_argument("--size-cap", dest="size_cap", type=int, default=768)
     p.add_argument("--temps", default="0.0,0.6")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=positive_int, default=3)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--branching", default="4,2,2,2")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("oracle", help="run a ground-truth check suite")
-    common(p)
+    p = command("oracle", "run a ground-truth check suite", cmd_oracle)
+    p.add_argument("--seed", type=int, default=0, help="suite seed")
     p.add_argument("--suite", required=True)
-    p.add_argument("--instances", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=20000)
-    p.set_defaults(func=cmd_oracle)
+    p.add_argument("--instances", type=positive_int, default=1000)
+    p.add_argument("--trials", type=positive_int, default=20000)
 
-    p = sub.add_parser("mask", help="block-occupancy of tree-attention masks")
-    common(p)
+    p = command("mask", "block-occupancy of tree-attention masks", cmd_mask)
+    p.add_argument("--config", help="JSON run-config path")
     p.add_argument("--sizes", default="256")
     p.add_argument("--prefixes", default="0")
-    p.add_argument("--block", type=int, default=32)
+    p.add_argument("--block", type=positive_int, default=32)
     p.add_argument("--orders", default="original,dfs,hpd")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=positive_int, default=20)
     p.add_argument("--generator", choices=("random", "chain", "constructed"),
                    default="random")
     p.add_argument("--per-seed", dest="per_seed", action="store_true")
     p.add_argument("--dump-grids", dest="dump_grids", action="store_true")
-    p.set_defaults(func=cmd_mask)
 
-    p = sub.add_parser("hypothesis", help="acceptance rate vs draft probability")
-    common(p)
-    p.add_argument("--bins", type=int, default=10)
+    p = command("hypothesis", "acceptance rate vs draft probability", cmd_hypothesis)
+    p.add_argument("--config", help="JSON run-config path")
+    p.add_argument("--bins", type=positive_int, default=10)
     p.add_argument("--min-events", dest="min_events", type=int, default=20000)
     p.add_argument("--max-runs", dest="max_runs", type=int, default=2000)
-    p.set_defaults(func=cmd_hypothesis)
 
     return parser
 

@@ -3,7 +3,8 @@
 The config is a JSON document with four sections (``models``,
 ``generation``, ``costs``, ``output``).  Unknown sections or keys are
 rejected with a message naming the offender, so typos fail loudly instead
-of silently running defaults.
+of silently running defaults.  Temperatures are generation keys only; the
+model pair takes them from the validated ``generation`` section.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ _MODEL_KEYS = {
     "noise_sigma": (int, float),
     "concentration": (int, float),
     "entropy_spread": (int, float),
-    "draft_temp": (int, float),
-    "target_temp": (int, float),
 }
 
 _GENERATION_KEYS = {
@@ -85,6 +84,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any], overrides: Optional[Dict[str, Any]] = None) -> "RunConfig":
+        """Validate ``raw``; ``overrides`` maps generation keys to flag values."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         unknown = set(raw) - _SECTIONS
@@ -102,25 +102,8 @@ class RunConfig:
         _check_keys("costs", costs_raw, _COST_KEYS)
         _check_keys("output", out_raw, _OUTPUT_KEYS)
 
-        # Command-line flags take precedence over file values.
-        for key, value in (overrides or {}).items():
-            if value is None:
-                continue
-            if key in _GENERATION_KEYS:
-                gen_raw[key] = value
-            elif key in _MODEL_KEYS:
-                models_raw[key] = value
-            elif key in _COST_KEYS:
-                costs_raw[key] = value
-            elif key in _OUTPUT_KEYS:
-                out_raw[key] = value
-
-        # Temperatures live with the models but the generation loop applies
-        # them; mirror model temps into generation unless set explicitly.
-        gen_raw.setdefault("draft_temp", models_raw.get("draft_temp", 0.6))
-        gen_raw.setdefault("target_temp", models_raw.get("target_temp", 0.6))
-        models_raw["draft_temp"] = gen_raw["draft_temp"]
-        models_raw["target_temp"] = gen_raw["target_temp"]
+        # Command-line flags override generation keys of the file.
+        gen_raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
 
         if "budget" not in gen_raw and "threshold" not in gen_raw:
             gen_raw["budget"] = 64
@@ -128,8 +111,12 @@ class RunConfig:
             gen_raw["branching"] = tuple(int(b) for b in gen_raw["branching"])
 
         try:
-            models = ModelPairSpec(**models_raw)
             generation = GenConfig(**gen_raw)
+            models = ModelPairSpec(
+                **models_raw,
+                draft_temp=generation.draft_temp,
+                target_temp=generation.target_temp,
+            )
             costs = CostParams(**costs_raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc

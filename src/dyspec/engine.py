@@ -40,7 +40,12 @@ STRUCTURES = ("dynamic", "chain", "k_chains", "static_tree")
 
 @dataclass(frozen=True)
 class GenConfig:
-    """One generation run: budget or threshold, temperatures, structure."""
+    """One generation run: budget or threshold, temperatures, structure.
+
+    Shape fields are rejected where the shape ignores them: ``size_cap``
+    outside threshold mode, ``k`` outside ``k_chains`` and ``branching``
+    outside ``static_tree``.
+    """
 
     prefix_len: int = 128
     gen_len: int = 128
@@ -66,8 +71,14 @@ class GenConfig:
                 raise ValueError("threshold must be in (0, 1]")
             if self.size_cap is None or self.size_cap < 1:
                 raise ValueError("threshold mode requires size_cap >= 1")
+        elif self.size_cap is not None:
+            raise ValueError("size_cap applies only in threshold mode")
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
+        if self.k is not None and self.structure != "k_chains":
+            raise ValueError("k applies only to the k_chains structure")
+        if self.branching is not None and self.structure != "static_tree":
+            raise ValueError("branching applies only to the static_tree structure")
         if self.structure != "dynamic":
             if self.budget is None:
                 raise ValueError("baseline structures require a budget")

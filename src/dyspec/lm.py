@@ -10,7 +10,7 @@ entirely through ``noise_sigma``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -24,8 +24,9 @@ TokenSeq = Sequence[int]
 class LanguageModel:
     """Conditional next-token distribution, deterministic given its seed.
 
-    Subclasses implement :meth:`next_logits` as a pure function of the
-    context.  ``temperature`` is applied at query time by :meth:`dist`.
+    Subclasses are frozen dataclasses with a ``temperature`` field and
+    implement :meth:`next_logits` as a pure function of the context.
+    ``temperature`` is applied at query time by :meth:`dist`.
     Instances are immutable after construction and safe to query from
     multiple threads.
     """
@@ -50,7 +51,12 @@ class LanguageModel:
         return hit
 
     def with_temperature(self, temp: float) -> "LanguageModel":
-        raise NotImplementedError
+        """The same model at another temperature.
+
+        Generated tables (Markov rows, draft noise) stay shared with this
+        instance; the distribution cache starts fresh.
+        """
+        return replace(self, temperature=temp)
 
     def _dist_cache(self) -> Dict[Tuple[int, ...], Categorical]:
         cache = getattr(self, "_dists", None)
@@ -86,16 +92,7 @@ class ModelPairSpec:
             raise ValueError("entropy_spread must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "markov_order": self.markov_order,
-            "target_seed": self.target_seed,
-            "noise_sigma": self.noise_sigma,
-            "concentration": self.concentration,
-            "entropy_spread": self.entropy_spread,
-            "draft_temp": self.draft_temp,
-            "target_temp": self.target_temp,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -141,17 +138,6 @@ class MarkovModel(LanguageModel):
             row = np.log(np.maximum(gammas, 1e-300))
             self._rows[key] = row
         return row
-
-    def with_temperature(self, temp: float) -> "MarkovModel":
-        return MarkovModel(
-            vocab_size=self.vocab_size,
-            order=self.order,
-            seed=self.seed,
-            concentration=self.concentration,
-            temperature=temp,
-            entropy_spread=self.entropy_spread,
-            _rows=self._rows,
-        )
 
 
 # How strongly the draft's entropy rises with the noise scale.  Calibrated
@@ -209,15 +195,6 @@ class NoisyDraftModel(LanguageModel):
             perturbed = shifted / flatten + noise
             self._noise[key] = perturbed
         return perturbed
-
-    def with_temperature(self, temp: float) -> "NoisyDraftModel":
-        return NoisyDraftModel(
-            base=self.base,
-            sigma=self.sigma,
-            seed=self.seed,
-            temperature=temp,
-            _noise=self._noise,
-        )
 
 
 def make_markov_lm(spec: ModelPairSpec) -> MarkovModel:

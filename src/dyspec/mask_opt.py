@@ -201,15 +201,6 @@ def random_tree(n: int, seed: int) -> List[int]:
     return parents
 
 
-def tree_depth(parents_like) -> int:
-    parents = _parents_of(parents_like)
-    depth = np.zeros(parents.size, dtype=np.int64)
-    for i in range(parents.size):
-        p = int(parents[i])
-        depth[i] = 1 if p < 0 else depth[p] + 1
-    return int(depth.max())
-
-
 def dense_masked_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: TreeMask
 ) -> np.ndarray:

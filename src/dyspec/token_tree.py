@@ -9,7 +9,6 @@ operate on this structure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -162,18 +161,3 @@ class TokenTree:
                 raise AssertionError(f"residual flag drifted at position {state.owner}")
             if not acc.is_zero and np.max(np.abs(acc.probs - state.residual.probs)) > tol:
                 raise AssertionError(f"residual drifted at position {state.owner}")
-
-    def to_json_obj(self) -> list:
-        return [
-            {
-                "id": n.node_id,
-                "parent": n.parent,
-                "token": n.token,
-                "sibling_index": n.sibling_index,
-                "value": n.value,
-            }
-            for n in self.nodes
-        ]
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=None, separators=(",", ":"))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dyspec.cli import main
+from dyspec.cli import build_parser, main
 from dyspec.config import ConfigError, RunConfig
 
 
@@ -55,10 +55,94 @@ class TestConfig:
             main(["generate", "--format", "json", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_temperatures_only_under_generation(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key 'target_temp' in section 'models'"):
+            RunConfig.from_dict({"models": {"target_temp": 0.0}})
+        cfg = RunConfig.from_dict(
+            {"models": {}, "generation": {"draft_temp": 0.3, "target_temp": 0.9}}
+        )
+        assert (cfg.models.draft_temp, cfg.models.target_temp) == (0.3, 0.9)
+        path = tmp_path / "temps.json"
+        path.write_text(json.dumps(
+            {"models": {"target_temp": 0.0}, "generation": {"target_temp": 0.9}}
+        ))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path)]) == 2
+
     def test_defaults_fill_missing_sections(self):
         cfg = RunConfig.from_dict({"models": {}})
         assert cfg.generation.budget == 64
         assert cfg.costs.target_cost == 2000.0
+
+
+class TestFlagSurface:
+    """Every flag a command accepts takes effect; the rest exit 2 before any run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--seed", "5"],
+            ["hypothesis", "--seed", "5"],
+            ["mask", "--seed", "5"],
+            ["oracle", "--suite", "optimality", "--config", "x.json"],
+        ],
+    )
+    def test_removed_flags_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--seeds", "0"],
+            ["bench", "--seeds", "-1"],
+            ["hypothesis", "--bins", "0"],
+            ["mask", "--seeds", "0"],
+            ["mask", "--block", "0"],
+            ["oracle", "--suite", "optimality", "--trials", "0"],
+            ["oracle", "--suite", "optimality", "--instances", "0"],
+        ],
+    )
+    def test_counts_must_be_positive(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "3"], "k applies only"),
+            (["--size-cap", "5"], "size_cap applies only"),
+            (["--branching", "2,2"], "branching applies only"),
+        ],
+    )
+    def test_generate_shape_flags_must_match_structure(
+        self, flags, message, config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(config_path), "--budget", "16"]
+        assert main(argv + flags + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_description_lists_each_command_flags(self):
+        parser = build_parser()
+        listed = {}
+        for line in parser.description.splitlines():
+            if line.startswith("   "):
+                listed[name] += line.split()
+            elif line.startswith("  "):
+                name, *flags = line.split()
+                listed[name] = flags
+        commands = parser._subparsers._group_actions[0].choices
+        assert set(listed) == set(commands)
+        for name, sub in commands.items():
+            flags = [opt for action in sub._actions for opt in action.option_strings
+                     if opt not in ("-h", "--help")]
+            assert listed[name] == flags, name
 
 
 class TestGenerateCommand:
@@ -262,12 +346,31 @@ class TestWorkerCount:
     def test_env_variable_caps_workers(self, monkeypatch):
         from dyspec.cli import worker_count
 
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
         monkeypatch.setenv("DYSPEC_THREADS", "4")
-        assert worker_count() == 4
+        assert worker_count(100) == 4
         monkeypatch.setenv("DYSPEC_THREADS", "junk")
-        assert worker_count() == 1
+        assert worker_count(100) == 1
         monkeypatch.delenv("DYSPEC_THREADS")
-        assert worker_count() == 1
+        assert worker_count(100) == 1
+
+    @pytest.mark.parametrize(
+        "threads, cpus, jobs, expected",
+        [
+            ("16", 2, 100, 2),
+            ("16", None, 100, 1),
+            ("16", 8, 3, 3),
+            ("0", 8, 100, 1),
+            ("-3", 8, 100, 1),
+            ("4", 8, 0, 1),
+        ],
+    )
+    def test_cap_is_min_of_threads_cpus_and_jobs(self, threads, cpus, jobs, expected, monkeypatch):
+        from dyspec.cli import worker_count
+
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setenv("DYSPEC_THREADS", threads)
+        assert worker_count(jobs) == expected
 
     def test_bench_parallel_matches_serial(self, config_path, tmp_path, monkeypatch):
         args = ["bench", "--config", str(config_path), "--structures", "dynamic,chain",

@@ -16,11 +16,18 @@ from dyspec.mask_opt import (
     min_block_count_exhaustive,
     random_tree,
     subtree_sizes,
-    tree_depth,
 )
 
 CHAIN3 = [-1, 0, 1]
 STAR3 = [-1, 0, 0]
+
+
+def tree_depth(parents):
+    """Node count on the longest root-to-leaf path (parents precede children)."""
+    depth = []
+    for p in parents:
+        depth.append(1 if p < 0 else depth[p] + 1)
+    return max(depth)
 
 
 def built_tree_parents(seed, budget=64):

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -132,11 +131,3 @@ class TestInvariantsOnBuiltTrees:
         total = sum(len(p.sampled) for p in tree.positions.values())
         assert total == len(tree.nodes)
 
-
-class TestDumpFormat:
-    def test_json_fields(self):
-        tree = random_built_tree(1, budget=5)
-        data = json.loads(tree.dumps())
-        assert len(data) == 5
-        assert set(data[0]) == {"id", "parent", "token", "sibling_index", "value"}
-        assert [d["id"] for d in data] == list(range(5))
