@@ -94,8 +94,14 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_list(text: str, cast):
-    return [cast(part) for part in text.split(",") if part != ""]
+def csv_list(cast):
+    """argparse type for comma-separated ``cast`` values; empty elements are skipped."""
+
+    def parse(text: str) -> list:
+        return [cast(part) for part in text.split(",") if part != ""]
+
+    parse.__name__ = f"comma-separated {cast.__name__}"  # argparse names it on error
+    return parse
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +123,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "size_cap": args.size_cap,
         "structure": args.structure,
         "k": args.k,
-        "branching": _csv_list(args.branching, int) if args.branching else None,
+        "branching": args.branching,
         "gen_len": args.gen_len,
         "prefix_len": args.prefix_len,
         "target_temp": args.target_temp,
@@ -181,16 +187,13 @@ def _bench_cell(job: Tuple[ModelPairSpec, GenConfig, CostParams, int]) -> Dict:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _load_config(args, {})
     out = _out_dir(args, cfg)
-    structures = _csv_list(args.structures, str)
-    budgets = _csv_list(args.budgets, int) if args.budgets else []
-    thresholds = _csv_list(args.thresholds, float) if args.thresholds else []
-    temps = _csv_list(args.temps, float)
+    structures, budgets, thresholds, temps = args.structures, args.budgets, args.thresholds, args.temps
     if not structures or (not budgets and not thresholds) or not temps:
         print("bench: sweep needs at least one structure, budget/threshold, and temp",
               file=sys.stderr)
         return 2
 
-    branching = tuple(_csv_list(args.branching, int))
+    branching = tuple(args.branching)
     jobs = []
     for structure in structures:
         for temp in temps:
@@ -296,9 +299,7 @@ def _mask_tree(generator: str, n: int, seed: int, cfg: Optional[RunConfig]) -> L
 def cmd_mask(args: argparse.Namespace) -> int:
     cfg = _load_config(args, {}) if args.config else None
     out = _out_dir(args, cfg)
-    orders = _csv_list(args.orders, str)
-    sizes = _csv_list(args.sizes, int)
-    prefixes = _csv_list(args.prefixes, int)
+    orders, sizes, prefixes = args.orders, args.sizes, args.prefixes
     if any(n < 1 for n in sizes):
         print("mask: sizes must be >= 1", file=sys.stderr)
         return 2
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-cap", dest="size_cap", type=int)
     p.add_argument("--structure", choices=("dynamic", "chain", "k_chains", "static_tree"))
     p.add_argument("--k", type=int)
-    p.add_argument("--branching", help="comma-separated static-tree branching")
+    p.add_argument("--branching", type=csv_list(int), help="comma-separated static-tree branching")
     p.add_argument("--gen-len", dest="gen_len", type=int)
     p.add_argument("--prefix-len", dest="prefix_len", type=int)
     p.add_argument("--target-temp", dest="target_temp", type=float)
@@ -440,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bench", "sweep structures x budgets x temps", cmd_bench)
     p.add_argument("--config", help="JSON run-config path")
-    p.add_argument("--structures", default="dynamic,chain,k_chains,static_tree")
-    p.add_argument("--budgets", default="64")
-    p.add_argument("--thresholds", default="", help="dynamic-only threshold points")
+    p.add_argument("--structures", type=csv_list(str), default="dynamic,chain,k_chains,static_tree")
+    p.add_argument("--budgets", type=csv_list(int), default="64")
+    p.add_argument("--thresholds", type=csv_list(float), default="", help="dynamic-only threshold points")
     p.add_argument("--size-cap", dest="size_cap", type=int, default=768)
-    p.add_argument("--temps", default="0.0,0.6")
+    p.add_argument("--temps", type=csv_list(float), default="0.0,0.6")
     p.add_argument("--seeds", type=positive_int, default=3)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--branching", default="4,2,2,2")
+    p.add_argument("--branching", type=csv_list(int), default="4,2,2,2")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = command("oracle", "run a ground-truth check suite", cmd_oracle)
@@ -458,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("mask", "block-occupancy of tree-attention masks", cmd_mask)
     p.add_argument("--config", help="JSON run-config path")
-    p.add_argument("--sizes", default="256")
-    p.add_argument("--prefixes", default="0")
+    p.add_argument("--sizes", type=csv_list(int), default="256")
+    p.add_argument("--prefixes", type=csv_list(int), default="0")
     p.add_argument("--block", type=positive_int, default=32)
-    p.add_argument("--orders", default="original,dfs,hpd")
+    p.add_argument("--orders", type=csv_list(str), default="original,dfs,hpd")
     p.add_argument("--seeds", type=positive_int, default=20)
     p.add_argument("--generator", choices=("random", "chain", "constructed"),
                    default="random")

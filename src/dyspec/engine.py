@@ -1,7 +1,7 @@
 """End-to-end generation loop and benchmark metrics.
 
 One decoding step is: build a token tree from the current context, fetch
-the target's distribution for every tree position in one logical batch,
+the target's distribution for every tree position in one batched softmax,
 verify, and append the accepted tokens plus the bonus.  The latency model
 charges one target evaluation per step regardless of tree size (the premise
 of tree speculation) and draft evaluations per node or per level depending

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .categorical import Categorical, softmax_with_temperature
+from .categorical import Categorical, softmax_rows, softmax_with_temperature
 from .rng import derive_seed
 
 TokenSeq = Sequence[int]
@@ -49,6 +49,17 @@ class LanguageModel:
             hit = softmax_with_temperature(self.next_logits(context), self.temperature)
             cache[key] = hit
         return hit
+
+    def dists(self, contexts: Sequence[TokenSeq]) -> List[Categorical]:
+        """:meth:`dist` of every context, in input order, with one softmax
+        over the stacked logits of the distinct keys the cache lacks."""
+        keys = [self.context_key(context) for context in contexts]
+        cache = self._dist_cache()
+        misses = {key: context for key, context in zip(keys, contexts) if key not in cache}
+        if misses:
+            block = np.stack([self.next_logits(context) for context in misses.values()])
+            cache.update(zip(misses, softmax_rows(block, self.temperature)))
+        return [cache[key] for key in keys]
 
     def with_temperature(self, temp: float) -> "LanguageModel":
         """The same model at another temperature.
@@ -179,12 +190,12 @@ class NoisyDraftModel(LanguageModel):
         return self.base.context_key(context)
 
     def next_logits(self, context: TokenSeq) -> np.ndarray:
-        base_logits = self.base.next_logits(context)
         if self.sigma == 0.0:
-            return base_logits
+            return self.base.next_logits(context)
         key = self.context_key(context)
         perturbed = self._noise.get(key)
         if perturbed is None:
+            base_logits = self.base.next_logits(context)
             rng = np.random.default_rng(derive_seed(self.seed, "draft-noise", *key))
             shifted = base_logits - base_logits.max()
             base_probs = np.exp(shifted)
@@ -242,18 +253,15 @@ def target_distributions_for_tree(
 ) -> Mapping[int, Categorical]:
     """Target next-token distribution for the root position and every node.
 
-    Emulates one batched target pass over the token tree: the result has
-    exactly ``len(tree.nodes) + 1`` entries, keyed by the position owner
-    (ROOT for the prompt position, node id for each node's child position),
-    each equal to a direct query on the linearized context.  Nodes come in
+    One batched softmax over the tree's positions (one :meth:`dists` call):
+    exactly ``len(tree.nodes) + 1`` entries keyed by position owner (ROOT
+    for the prompt position, node id for each node's child position), each
+    equal to a direct query on the linearized context.  Nodes come in
     creation order, so each context extends its parent's.
     """
     from .token_tree import ROOT
 
     contexts = {ROOT: list(prefix)}
-    dists = {ROOT: target.dist(contexts[ROOT])}
     for node in tree.nodes:
-        context = contexts[node.parent] + [node.token]
-        contexts[node.node_id] = context
-        dists[node.node_id] = target.dist(context)
-    return dists
+        contexts[node.node_id] = contexts[node.parent] + [node.token]
+    return dict(zip(contexts, target.dists(list(contexts.values()))))

@@ -12,19 +12,27 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import lru_cache
 from typing import Iterable
 
 _SCALE = 2.0 ** -64
 
 
+@lru_cache(maxsize=None)
+def _domain_hash(domain: str):
+    """blake2b state that has absorbed ``domain`` and a NUL; only ever copied."""
+    return hashlib.blake2b(domain.encode("utf-8") + b"\x00", digest_size=8)
+
+
+@lru_cache(maxsize=None)
+def _int64s(n: int):
+    return struct.Struct(f"<{n}q").pack
+
+
 def _digest(seed: int, domain: str, ints: Iterable[int], index: int) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(domain.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(struct.pack("<q", seed))
-    for v in ints:
-        h.update(struct.pack("<q", int(v)))
-    h.update(struct.pack("<q", index))
+    ints = tuple(ints)
+    h = _domain_hash(domain).copy()
+    h.update(_int64s(len(ints) + 2)(seed, *ints, index))
     return int.from_bytes(h.digest(), "little")
 
 

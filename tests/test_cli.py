@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dyspec.cli import build_parser, main
+from dyspec.cli import build_parser, csv_list, main
 from dyspec.config import ConfigError, RunConfig
 
 
@@ -110,6 +110,30 @@ class TestFlagSurface:
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--budgets", "x"],
+            ["bench", "--thresholds", "0.1,q"],
+            ["bench", "--temps", "hot"],
+            ["bench", "--branching", "2,a"],
+            ["mask", "--sizes", "4,y"],
+            ["mask", "--prefixes", "1.5"],
+            ["generate", "--structure", "static_tree", "--branching", "2,x"],
+        ],
+    )
+    def test_comma_lists_must_parse(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid comma-separated" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_comma_list_skips_empty_elements(self):
+        assert csv_list(int)("4,,2,") == [4, 2]
+        assert csv_list(float)("") == []
+        assert build_parser().parse_args(["bench", "--temps", "0.6,"]).temps == [0.6]
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -86,6 +86,29 @@ class TestDeriveDraft:
         d2 = derive_draft(target, 0.7, seed=2)
         np.testing.assert_array_equal(d1.next_logits([3]), d2.next_logits([3]))
 
+    def test_warm_draft_makes_no_base_call(self, monkeypatch):
+        target = small_model(vocab=8)
+        draft = derive_draft(target, 0.7, seed=2)
+        cold = draft.next_logits([3])
+        calls = []
+        monkeypatch.setattr(MarkovModel, "next_logits", lambda self, ctx: calls.append(ctx))
+        np.testing.assert_array_equal(draft.next_logits([5, 3]), cold)
+        assert calls == []
+
+
+class TestDists:
+    def test_equals_dist_in_input_order(self):
+        contexts = [[1, 2], [3], [0, 3], [2], [1, 2]]
+        batched = small_model(vocab=8, temperature=0.6).dists(contexts)
+        single = small_model(vocab=8, temperature=0.6)
+        assert batched == [single.dist(c) for c in contexts]
+
+    def test_hits_come_from_the_cache(self):
+        model = small_model(vocab=8)
+        warm = model.dist([4])
+        assert model.dists([[4], [0, 4]])[0] is warm
+        assert model.dists([[5, 4]])[0] is warm
+
 
 class TestKLDivergence:
     def test_identity_is_zero(self):

@@ -1,12 +1,22 @@
-"""Property-based tests of the numeric core: Categorical and exact verification."""
+"""Property-based tests of the numeric core: Categorical, softmax, the batched
+target pass and exact verification."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dyspec.categorical import SUM_TOL, Categorical, sample
+from dyspec.categorical import (
+    SUM_TOL,
+    Categorical,
+    sample,
+    softmax_rows,
+    softmax_with_temperature,
+)
+from dyspec.construct import build_tree_fixed
+from dyspec.lm import MarkovModel, ModelPairSpec, make_model_pair, target_distributions_for_tree
 from dyspec.oracle import exact_verify_distribution
+from dyspec.token_tree import ROOT
 
 # Weight vectors with zeros allowed anywhere (leading, inner, trailing) and
 # at least one positive entry.
@@ -96,3 +106,70 @@ class TestExactVerifyNearEqual:
         k = data.draw(st.integers(min_value=0, max_value=draft.support_size))
         law = exact_verify_distribution(draft, target, k)
         np.testing.assert_allclose(law.probs, target.probs, atol=1e-12)
+
+
+# Logit blocks: up to 12 rows over up to 16 tokens.  Integer-valued logits
+# make tied maxima common, which exercises the temperature-0 tie break.
+block_shapes = st.tuples(st.integers(1, 12), st.integers(1, 16))
+logit_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+temperatures = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=4.0))
+
+
+@st.composite
+def logit_blocks(draw):
+    rows, vocab = draw(block_shapes)
+    values = draw(st.lists(logit_values, min_size=rows * vocab, max_size=rows * vocab))
+    return np.array(values, dtype=np.float64).reshape(rows, vocab)
+
+
+class TestSoftmaxRows:
+    @given(logit_blocks(), temperatures)
+    def test_rows_equal_per_row_softmax_bit_for_bit(self, block, temp):
+        rows = softmax_rows(block, temp)
+        assert len(rows) == block.shape[0]
+        for row, logits in zip(rows, block):
+            assert row == softmax_with_temperature(logits, temp)
+
+    @given(logit_blocks(), temperatures, st.data())
+    def test_one_non_finite_entry_rejects_the_block(self, block, temp, data):
+        i = data.draw(st.integers(0, block.shape[0] - 1))
+        j = data.draw(st.integers(0, block.shape[1] - 1))
+        block[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            softmax_rows(block, temp)
+
+
+class CountingMarkov(MarkovModel):
+    """Records the context key of every ``next_logits`` call."""
+
+    def next_logits(self, context):
+        self.__dict__.setdefault("keys", []).append(self.context_key(context))
+        return super().next_logits(context)
+
+
+class TestTargetPass:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.lists(st.integers(0, 11), min_size=0, max_size=4),
+        st.sampled_from([0.0, 0.6, 1.0]),
+        st.integers(0, 2**16),
+    )
+    def test_batched_pass_equals_fresh_dist(self, vocab, order, budget, prompt, temp, seed):
+        prompt = [t % vocab for t in prompt]
+        spec = ModelPairSpec(vocab_size=vocab, markov_order=order, target_seed=seed, target_temp=temp)
+        _, draft = make_model_pair(spec)
+        tree = build_tree_fixed(draft, prompt, budget, seed=seed)
+        target = CountingMarkov(vocab_size=vocab, order=order, seed=seed, temperature=temp)
+        dists = target_distributions_for_tree(target, prompt, tree)
+
+        assert len(target.keys) == len(set(target.keys))
+        fresh = CountingMarkov(vocab_size=vocab, order=order, seed=seed, temperature=temp)
+        assert dists[ROOT] == fresh.dist(prompt)
+        for node in tree.nodes:
+            assert dists[node.node_id] == fresh.dist(prompt + tree.token_path(node.node_id))
