@@ -296,35 +296,41 @@ def _mask_tree(generator: str, n: int, seed: int, cfg: Optional[RunConfig]) -> L
     raise ValueError(f"unknown tree generator {generator!r}")
 
 
+# Node order -> the original node ids in their new positions.
+_ORDERS = {
+    "original": lambda parents: list(range(len(parents))),
+    "dfs": mask_opt.dfs_order,
+    "hpd": mask_opt.hpd_order,
+}
+
+
 def cmd_mask(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, {}) if args.config else None
-    out = _out_dir(args, cfg)
     orders, sizes, prefixes = args.orders, args.sizes, args.prefixes
     if any(n < 1 for n in sizes):
         print("mask: sizes must be >= 1", file=sys.stderr)
         return 2
+    if any(p < 0 for p in prefixes):
+        print("mask: prefixes must be >= 0", file=sys.stderr)
+        return 2
+    unknown = [name for name in orders if name not in _ORDERS]
+    if unknown:
+        print(f"mask: unknown order {unknown[0]!r}", file=sys.stderr)
+        return 2
+    cfg = _load_config(args, {}) if args.config else None
+    out = _out_dir(args, cfg)
 
     per_seed_rows = []
     agg_rows = []
     for n in sizes:
+        trees = [_mask_tree(args.generator, n, derive_seed(seed, "mask", n), cfg)
+                 for seed in range(args.seeds)]
+        permutations = {name: [_ORDERS[name](parents) for parents in trees] for name in orders}
         for prefix in prefixes:
             for order_name in orders:
                 counts = []
-                for seed in range(args.seeds):
-                    parents = _mask_tree(args.generator, n, derive_seed(seed, "mask", n), cfg)
-                    if order_name == "original":
-                        mask = mask_opt.mask_from_tree(parents, prefix)
-                    elif order_name == "dfs":
-                        mask = mask_opt.apply_permutation(
-                            parents, mask_opt.dfs_order(parents), prefix
-                        )
-                    elif order_name == "hpd":
-                        mask = mask_opt.apply_permutation(
-                            parents, mask_opt.hpd_order(parents), prefix
-                        )
-                    else:
-                        print(f"mask: unknown order {order_name!r}", file=sys.stderr)
-                        return 2
+                for seed, parents in enumerate(trees):
+                    order = permutations[order_name][seed]
+                    mask = mask_opt.apply_permutation(parents, order, prefix)
                     count = mask_opt.count_nonzero_blocks(mask, args.block)
                     counts.append(count)
                     per_seed_rows.append([n, prefix, args.block, order_name, count])

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .categorical import remove_and_renorm, sample
+from .categorical import sample
 from .lm import LanguageModel
 from .rng import keyed_uniform
 from .token_tree import ROOT, TokenTree
@@ -82,11 +82,11 @@ def sample_at(
     if state is None:
         context = prefix + list(tree.position_path(owner))
         state = tree.open_position(owner, draft.dist(context))
-    if state.residual.is_zero:
+    residual = state.residual
+    if residual.is_zero:
         return None
-    token = sample(state.residual, uniform(state.path, len(state.sampled)))
-    rate = state.residual[token]
-    return tree.add_node(owner, token, value), rate
+    token = sample(residual, uniform(state.path, len(state.sampled)))
+    return tree.add_node(owner, token, value), residual[token]
 
 
 def build_tree_fixed(
@@ -111,7 +111,7 @@ def build_tree_fixed(
         raise ValueError("budget must be >= 1")
     uniform = uniform_fn or construction_uniform(seed)
     prefix = list(prefix)
-    tree = TokenTree(prefix_len=len(prefix))
+    tree = TokenTree()
 
     # (-value, push counter, position owner)
     heap: List[Tuple[float, int, int]] = [(-1.0, 0, ROOT)]
@@ -150,7 +150,7 @@ def build_tree_threshold(
         raise ValueError("size_cap must be >= 1")
     uniform = construction_uniform(seed)
     prefix = list(prefix)
-    tree = TokenTree(prefix_len=len(prefix))
+    tree = TokenTree()
 
     layer: List[Tuple[float, int]] = [(1.0, ROOT)]
     while layer and len(tree) < size_cap:
@@ -218,10 +218,8 @@ def draft_conditional_probs(tree: TokenTree) -> Dict[int, float]:
     """
     probs: Dict[int, float] = {}
     for state in tree.positions.values():
-        residual = state.draft_full
-        for token, node_id in zip(state.sampled, state.node_ids):
+        for token, node_id, residual in zip(state.sampled, state.node_ids, state.residuals):
             probs[node_id] = residual[token]
-            residual = remove_and_renorm(residual, token)
     return probs
 
 

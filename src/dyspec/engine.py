@@ -62,6 +62,8 @@ class GenConfig:
     def __post_init__(self):
         if self.gen_len < 1:
             raise ValueError("gen_len must be >= 1")
+        if self.draft_temp < 0 or self.target_temp < 0:
+            raise ValueError("temperatures must be >= 0")
         if (self.budget is None) == (self.threshold is None):
             raise ValueError("exactly one of budget/threshold must be set")
         if self.budget is not None and self.budget < 1:
@@ -189,7 +191,7 @@ def build_baseline_tree(
     """
     check_baseline_shape(structure, budget, k, branching)
     prefix = list(prefix)
-    tree = TokenTree(prefix_len=len(prefix))
+    tree = TokenTree()
     uniform = construction_uniform(seed)
 
     def extend_chain(owner: int, value: float, steps: int) -> None:

@@ -15,7 +15,7 @@ All operations accept either a parent-id array (``parents[i] < i``, root
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -52,16 +52,23 @@ def _top_level(parents: np.ndarray) -> List[int]:
     return [i for i in range(parents.size) if parents[i] < 0]
 
 
-def ancestor_self_matrix(parents: np.ndarray) -> np.ndarray:
-    """Boolean matrix: row i marks i itself and every ancestor of i."""
-    n = parents.size
-    m = np.zeros((n, n), dtype=bool)
-    for i in range(n):
+def _mask_bits(parents: np.ndarray, prefix_len: int) -> np.ndarray:
+    """Prompt block of ones, then row i marks i itself and every ancestor of i."""
+    if prefix_len < 0:
+        raise ValueError("prefix_len must be >= 0")
+    bits = np.zeros((parents.size, prefix_len + parents.size), dtype=bool)
+    bits[:, :prefix_len] = True
+    for i in range(parents.size):
         p = int(parents[i])
         if p >= 0:
-            m[i] = m[p]
-        m[i, i] = True
-    return m
+            bits[i] = bits[p]
+        bits[i, prefix_len + i] = True
+    return bits
+
+
+def ancestor_self_matrix(parents: np.ndarray) -> np.ndarray:
+    """Boolean matrix: row i marks i itself and every ancestor of i."""
+    return _mask_bits(np.asarray(parents, dtype=np.int64), 0)
 
 
 @dataclass
@@ -78,10 +85,6 @@ class TreeMask:
     prefix_len: int
     bits: np.ndarray
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.n, self.prefix_len + self.n)
-
     def set_bit_count(self) -> int:
         return int(self.bits.sum())
 
@@ -96,10 +99,7 @@ class TreeMask:
 def mask_from_tree(tree_or_parents, prefix_len: int = 0) -> TreeMask:
     """Tree-attention mask in the given node order."""
     parents = _parents_of(tree_or_parents)
-    n = parents.size
-    bits = np.ones((n, prefix_len + n), dtype=bool)
-    bits[:, prefix_len:] = ancestor_self_matrix(parents)
-    return TreeMask(n=n, prefix_len=prefix_len, bits=bits)
+    return TreeMask(n=parents.size, prefix_len=prefix_len, bits=_mask_bits(parents, prefix_len))
 
 
 def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
@@ -121,17 +121,21 @@ def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
     return int(tiles.any(axis=(1, 3)).sum())
 
 
-def dfs_order(tree_or_parents) -> List[int]:
-    """Depth-first preorder, children visited in sampling (creation) order."""
-    parents = _parents_of(tree_or_parents)
+def _preorder(parents: np.ndarray, rank=None) -> List[int]:
+    """Depth-first preorder visiting siblings in ascending ``rank`` (node id by default)."""
     children = _children_lists(parents)
     order: List[int] = []
-    stack = list(reversed(_top_level(parents)))
+    stack = sorted(_top_level(parents), key=rank)[::-1]
     while stack:
         u = stack.pop()
         order.append(u)
-        stack.extend(reversed(children[u]))
+        stack.extend(sorted(children[u], key=rank)[::-1])
     return order
+
+
+def dfs_order(tree_or_parents) -> List[int]:
+    """Depth-first preorder, children visited in sampling (creation) order."""
+    return _preorder(_parents_of(tree_or_parents))
 
 
 def subtree_sizes(parents: np.ndarray) -> np.ndarray:
@@ -149,17 +153,8 @@ def hpd_order(tree_or_parents) -> List[int]:
     to plain depth-first order.
     """
     parents = _parents_of(tree_or_parents)
-    children = _children_lists(parents)
     sizes = subtree_sizes(parents)
-    order: List[int] = []
-    top = sorted(_top_level(parents), key=lambda c: (-int(sizes[c]), c))
-    stack = list(reversed(top))
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        ranked = sorted(children[u], key=lambda c: (-int(sizes[c]), c))
-        stack.extend(reversed(ranked))
-    return order
+    return _preorder(parents, lambda c: (-int(sizes[c]), c))
 
 
 def is_topological(parents: np.ndarray, order: Sequence[int]) -> bool:
@@ -172,22 +167,24 @@ def is_topological(parents: np.ndarray, order: Sequence[int]) -> bool:
 def apply_permutation(tree_or_parents, order: Sequence[int], prefix_len: int = 0) -> TreeMask:
     """Mask of the tree with nodes relabeled along ``order``.
 
-    ``order`` lists original node ids in their new positions and must keep
-    every parent ahead of its children (otherwise the mask would lose
-    causality).  Relabeling permutes bits, so the set-bit count is
-    unchanged.
+    ``order[i]`` is the original id of new node ``i``; it must be a
+    permutation that keeps every parent ahead of its children (otherwise
+    the mask would lose causality), else ValueError.  The parent array is
+    relabeled (``new_parent[i]`` is the new id of ``order[i]``'s parent, a
+    root stays -1) and its mask built directly; the bits equal the original
+    mask with rows and tree columns permuted along ``order``.
     """
     parents = _parents_of(tree_or_parents)
     if sorted(order) != list(range(parents.size)):
         raise ValueError("order must be a permutation of the node ids")
     if not is_topological(parents, order):
         raise ValueError("permutation must keep parents before children")
-    base = ancestor_self_matrix(parents)
     idx = np.asarray(order, dtype=np.int64)
-    n = parents.size
-    bits = np.ones((n, prefix_len + n), dtype=bool)
-    bits[:, prefix_len:] = base[np.ix_(idx, idx)]
-    return TreeMask(n=n, prefix_len=prefix_len, bits=bits)
+    new_id = np.empty_like(idx)
+    new_id[idx] = np.arange(idx.size)
+    old_parent = parents[idx]
+    relabeled = np.where(old_parent >= 0, new_id[old_parent], -1)
+    return TreeMask(n=idx.size, prefix_len=prefix_len, bits=_mask_bits(relabeled, prefix_len))
 
 
 def random_tree(n: int, seed: int) -> List[int]:

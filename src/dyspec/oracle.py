@@ -411,7 +411,6 @@ def suite_unbiasedness_mc(
             target_temp=temp,
         )
         target, draft = make_model_pair(spec)
-        target = target.with_temperature(temp)
         prompt = make_prompt(target.with_temperature(1.0), 8, seed=seed)
         config = GenConfig(
             prefix_len=8,
@@ -421,9 +420,7 @@ def suite_unbiasedness_mc(
             draft_temp=spec.draft_temp,
             seed=seed,
         )
-        _, tv = monte_carlo_output_distribution(
-            target, draft.with_temperature(spec.draft_temp), prompt, config, trials, seed
-        )
+        _, tv = monte_carlo_output_distribution(target, draft, prompt, config, trials, seed)
         results.append({"target_temp": temp, "tv_distance": tv, "pass": tv < tv_limit})
     return {
         "suite": "unbiasedness-mc",
@@ -484,8 +481,6 @@ def suite_expectation(
             entropy_spread=1.0,
         )
         target, draft = make_model_pair(spec)
-        target = target.with_temperature(spec.target_temp)
-        draft = draft.with_temperature(spec.draft_temp)
         prompt = make_prompt(target.with_temperature(1.0), 4, seed=i)
         tree = build_tree_fixed(draft, prompt, 6, derive_seed(seed, "expect-tree", i))
         dists = target_distributions_for_tree(target, prompt, tree)
@@ -523,7 +518,6 @@ def suite_threshold_equivalence(configs: int = 100, seed: int = 0, max_budget: i
             noise_sigma=float(rng.uniform(0.2, 1.5)),
         )
         target, draft = make_model_pair(spec)
-        draft = draft.with_temperature(spec.draft_temp)
         prompt = make_prompt(target.with_temperature(1.0), 4, seed=i)
         budget = int(rng.integers(2, max_budget + 1))
         cseed = derive_seed(seed, "thr-build", i)

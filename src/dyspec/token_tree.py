@@ -2,15 +2,17 @@
 
 Nodes record the order in which samplings happened: children of one parent
 are successive samplings at the same position, and each position keeps the
-original draft distribution alongside the residual left after the tokens
-already drawn there.  Construction, verification, and mask analysis all
-operate on this structure.
+chain of draft residuals its samplings were drawn from, starting at the
+original draft distribution.  Construction, verification, and mask analysis
+all operate on this structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .categorical import Categorical, remove_and_renorm
 
@@ -42,25 +44,33 @@ class TreeNode:
 
 @dataclass
 class PositionState:
-    """Sampling state at one tree position (owned by a node or ROOT)."""
+    """Sampling state at one tree position (owned by a node or ROOT).
+
+    ``residuals[k]`` is ``draft_full`` with the first k sampled tokens
+    removed and renormalized: the k-th sampling was drawn from it, and the
+    last entry is what the next sampling draws from.
+    """
 
     owner: int
     draft_full: Categorical
     path: Tuple[int, ...]
     sampled: List[int] = field(default_factory=list)
     node_ids: List[int] = field(default_factory=list)
-    residual: Categorical = None  # type: ignore[assignment]
+    residuals: List[Categorical] = field(init=False)
 
     def __post_init__(self):
-        if self.residual is None:
-            self.residual = self.draft_full
+        self.residuals = [self.draft_full]
+
+    @property
+    def residual(self) -> Categorical:
+        """Residual left after the tokens already drawn here."""
+        return self.residuals[-1]
 
 
 class TokenTree:
     """Rooted tree of drafted tokens plus per-position sampling state."""
 
-    def __init__(self, prefix_len: int = 0):
-        self.prefix_len = prefix_len
+    def __init__(self):
         self.nodes: List[TreeNode] = []
         self.positions: Dict[int, PositionState] = {}
 
@@ -103,9 +113,9 @@ class TokenTree:
         state = self.positions[owner]
         if token in state.sampled:
             raise ValueError(f"token {token} already sampled at position {owner}")
-        if state.residual.is_zero:
+        residual = state.residual
+        if residual.is_zero:
             raise ValueError(f"position {owner} is exhausted")
-        rate = state.residual[token]
         node_id = len(self.nodes)
         depth = 1 if owner == ROOT else self.nodes[owner].depth + 1
         node = TreeNode(
@@ -115,12 +125,12 @@ class TokenTree:
             sibling_index=len(state.sampled),
             depth=depth,
             value=value,
-            accept_weight=value * rate,
+            accept_weight=value * residual[token],
         )
         self.nodes.append(node)
         state.sampled.append(token)
         state.node_ids.append(node_id)
-        state.residual = remove_and_renorm(state.residual, token)
+        state.residuals.append(remove_and_renorm(residual, token))
         return node_id
 
     def ancestors(self, node_id: int) -> List[int]:
@@ -150,14 +160,15 @@ class TokenTree:
         return [n.parent for n in self.nodes]
 
     def check_residuals(self, tol: float = RESIDUAL_TOL) -> None:
-        """Assert each residual equals draft_full folded over the samplings."""
-        import numpy as np
-
+        """Assert each stored residual equals draft_full folded over the samplings before it."""
         for state in self.positions.values():
+            if len(state.residuals) != len(state.sampled) + 1:
+                raise AssertionError(f"residual chain length drifted at position {state.owner}")
             acc = state.draft_full
-            for token in state.sampled:
-                acc = remove_and_renorm(acc, token)
-            if acc.is_zero != state.residual.is_zero:
-                raise AssertionError(f"residual flag drifted at position {state.owner}")
-            if not acc.is_zero and np.max(np.abs(acc.probs - state.residual.probs)) > tol:
-                raise AssertionError(f"residual drifted at position {state.owner}")
+            for k, stored in enumerate(state.residuals):
+                if k:
+                    acc = remove_and_renorm(acc, state.sampled[k - 1])
+                if acc.is_zero != stored.is_zero:
+                    raise AssertionError(f"residual flag drifted at position {state.owner}")
+                if not acc.is_zero and np.max(np.abs(acc.probs - stored.probs)) > tol:
+                    raise AssertionError(f"residual drifted at position {state.owner}")

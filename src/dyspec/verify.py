@@ -5,8 +5,9 @@ sampling order: branch ``y`` is accepted when a uniform draw falls below
 ``min(1, R[y]/D[y])``, where ``R`` starts as the target distribution and
 ``D`` as the position's original draft distribution.  Each rejection folds
 the draft mass out of both: ``R <- norm(relu(R - D))`` and ``D`` drops the
-rejected token.  An accepted branch descends the walk to its node; if no
-branch survives, a corrective token is drawn from the final ``R``.
+rejected token, becoming the stored draft residual the next branch was
+drawn from.  An accepted branch descends the walk to its node; if no branch
+survives, a corrective token is drawn from the final ``R``.
 
 A bonus token is always emitted: from the residual after total rejection,
 or from the raw target distribution at the deepest accepted node.  This
@@ -94,24 +95,20 @@ def verify_tree(
     owner = ROOT
 
     while True:
+        target = target_dists.get(owner)
+        if target is None:
+            raise KeyError(f"missing target distribution for position {owner}")
         state = tree.positions.get(owner)
         if state is None or not state.node_ids:
             # No samplings here: bonus from the raw target at this position.
-            target = target_dists.get(owner)
-            if target is None:
-                raise KeyError(f"missing target distribution for position {owner}")
             bonus = sample(target, uniform_fn())
             accepted_tokens.append(bonus)
             return VerifyResult(accepted_tokens, accepted_ids, bonus, False, trace)
 
-        target = target_dists.get(owner)
-        if target is None:
-            raise KeyError(f"missing target distribution for position {owner}")
-        draft = state.draft_full
+        # Branch k was drawn from draft residual k; a chain ends at the
+        # sampling that exhausted it, so no branch follows a zero draft.
         residual = target
-
-        descended = False
-        for node_id, token in zip(state.node_ids, state.sampled):
+        for node_id, token, draft in zip(state.node_ids, state.sampled, state.residuals):
             d_prob = draft[token]
             threshold = min(1.0, residual[token] / d_prob) if d_prob > 0 else 1.0
             u = uniform_fn()
@@ -121,7 +118,6 @@ def verify_tree(
                 accepted_tokens.append(token)
                 accepted_ids.append(node_id)
                 owner = node_id
-                descended = True
                 break
             residual = residual_target(residual, draft)
             # A rejection is only possible when R[y] < D[y] somewhere, so the
@@ -129,11 +125,7 @@ def verify_tree(
             # or a uniform outside [0, 1).
             if residual.is_zero:
                 raise VerificationError(f"target residual vanished after rejecting node {node_id}")
-            draft = remove_and_renorm(draft, token)
-            if draft.is_zero:
-                break
-
-        if not descended:
+        else:
             bonus = sample(residual, uniform_fn())
             accepted_tokens.append(bonus)
             return VerifyResult(accepted_tokens, accepted_ids, bonus, True, trace)

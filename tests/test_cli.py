@@ -202,6 +202,15 @@ class TestGenerateCommand:
         assert code == 2
         assert "exceeding budget 8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--target-temp", "--draft-temp"])
+    def test_negative_temperature_exits_2(self, config_path, tmp_path, capsys, flag):
+        code = main(
+            ["generate", "--config", str(config_path), "--out", str(tmp_path), flag, "-1"]
+        )
+        assert code == 2
+        assert "temperatures must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run_metrics.json").exists()
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["generate", "--config", str(config_path), "--out", str(out_a)])
@@ -242,6 +251,15 @@ class TestBenchCommand:
              "--budgets", "8", "--seeds", "1"]
         )
         assert code == 2
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_negative_temperature_exits_2(self, config_path, tmp_path, capsys):
+        code = main(
+            ["bench", "--config", str(config_path), "--out", str(tmp_path),
+             "--structures", "chain", "--budgets", "8", "--temps", "0.6,-1", "--seeds", "1"]
+        )
+        assert code == 2
+        assert "temperatures must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
     def test_empty_sweep_is_usage_error(self, config_path, tmp_path):
@@ -307,6 +325,42 @@ class TestMaskCommand:
 
     def test_bad_size_is_usage_error(self, tmp_path):
         assert main(["mask", "--sizes", "0", "--out", str(tmp_path)]) == 2
+
+    def test_negative_prefix_is_usage_error(self, tmp_path, capsys):
+        argv = ["mask", "--prefixes", "-3", "--sizes", "8", "--seeds", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "prefixes must be >= 0" in capsys.readouterr().err
+
+    def test_one_tree_per_size_and_seed(self, tmp_path, monkeypatch):
+        import dyspec.cli as cli
+
+        built = []
+        real = cli._mask_tree
+
+        def counting(generator, n, seed, cfg):
+            built.append((n, seed))
+            return real(generator, n, seed, cfg)
+
+        monkeypatch.setattr(cli, "_mask_tree", counting)
+        code = main(
+            ["mask", "--sizes", "16,24", "--prefixes", "0,5", "--seeds", "3",
+             "--orders", "original,dfs,hpd", "--block", "4", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(built) == 2 * 3 and len(set(built)) == 2 * 3
+        rows = (tmp_path / "mask_counts.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 2 * 3
+
+    def test_unknown_order_exits_before_any_tree(self, tmp_path, monkeypatch, capsys):
+        import dyspec.cli as cli
+
+        def fail(*args):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(cli, "_mask_tree", fail)
+        argv = ["mask", "--orders", "dfs,bogus", "--sizes", "8", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "unknown order 'bogus'" in capsys.readouterr().err
 
 
 class TestHypothesisCommand:

@@ -128,14 +128,14 @@ class TestKLDivergence:
 class TestTargetDistributionsForTree:
     def test_empty_tree_gives_root_only(self):
         target = small_model()
-        tree = TokenTree(prefix_len=2)
+        tree = TokenTree()
         dists = target_distributions_for_tree(target, [0, 1], tree)
         assert set(dists) == {ROOT}
         np.testing.assert_array_equal(dists[ROOT].probs, target.dist([0, 1]).probs)
 
     def test_chain_contexts(self):
         target = small_model(vocab=6)
-        tree = TokenTree(prefix_len=1)
+        tree = TokenTree()
         tree.open_position(ROOT, target.dist([5]))
         a = tree.add_node(ROOT, 2, 1.0)
         tree.open_position(a, target.dist([5, 2]))
@@ -147,7 +147,7 @@ class TestTargetDistributionsForTree:
 
     def test_siblings_share_prefix_not_extension(self):
         target = small_model(vocab=6)
-        tree = TokenTree(prefix_len=1)
+        tree = TokenTree()
         tree.open_position(ROOT, target.dist([3]))
         a = tree.add_node(ROOT, 0, 1.0)
         b = tree.add_node(ROOT, 1, 0.5)

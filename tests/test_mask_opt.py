@@ -6,11 +6,13 @@ from dyspec.engine import make_prompt
 from dyspec.lm import ModelPairSpec, make_model_pair
 from dyspec.mask_opt import (
     TreeMask,
+    ancestor_self_matrix,
     apply_permutation,
     blocked_masked_attention_reference,
     count_nonzero_blocks,
     dense_masked_attention,
     dfs_order,
+    enumerate_topological_orders,
     hpd_order,
     mask_from_tree,
     min_block_count_exhaustive,
@@ -51,7 +53,7 @@ class TestMaskFromTree:
     def test_prefix_columns_are_dense(self):
         mask = mask_from_tree(STAR3, 2)
         assert mask.bits[:, :2].all()
-        assert mask.shape == (3, 5)
+        assert mask.bits.shape == (3, 5)
 
     def test_triangular_under_creation_order(self):
         for seed in range(5):
@@ -127,6 +129,30 @@ class TestHpdOrder:
         assert hpd_order(parents) == dfs_order(parents)
 
 
+def recursive_preorder(parents, rank):
+    """Reference walk: siblings (top-level nodes too) in ascending ``rank``."""
+    order = []
+
+    def visit(u):
+        order.append(u)
+        for c in sorted((c for c, p in enumerate(parents) if p == u), key=rank):
+            visit(c)
+
+    for top in sorted((i for i, p in enumerate(parents) if p < 0), key=rank):
+        visit(top)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_orders_match_recursive_reference_on_forests(seed):
+    parents = random_tree(40, seed)
+    for i in range(5, 40, 9):
+        parents[i] = -1  # token trees are forests under the prompt
+    sizes = subtree_sizes(np.asarray(parents))
+    assert dfs_order(parents) == recursive_preorder(parents, lambda c: c)
+    assert hpd_order(parents) == recursive_preorder(parents, lambda c: (-int(sizes[c]), c))
+
+
 class TestApplyPermutation:
     def test_identity_perm(self):
         parents = random_tree(20, 3)
@@ -141,6 +167,36 @@ class TestApplyPermutation:
             for order_fn in (dfs_order, hpd_order):
                 permuted = apply_permutation(parents, order_fn(parents), 3)
                 assert permuted.set_bit_count() == base.set_bit_count()
+
+    @staticmethod
+    def gathered(parents, order, prefix):
+        """Reference: the original ancestor matrix with rows and columns gathered along ``order``."""
+        tree_block = ancestor_self_matrix(np.asarray(parents))[np.ix_(order, order)]
+        return np.hstack([np.ones((len(parents), prefix), dtype=bool), tree_block])
+
+    @pytest.mark.parametrize("prefix", [0, 3])
+    def test_every_order_of_tiny_trees_matches_gather(self, prefix):
+        tiny = [[-1], CHAIN3, STAR3, [-1, 0, 0, 1, 1], [-1, -1, 0, 1, 0], [-1, 0, 1, 0, 3, 3]]
+        for parents in tiny:
+            for order in enumerate_topological_orders(parents):
+                mask = apply_permutation(parents, order, prefix)
+                assert mask.bits.shape == (len(parents), prefix + len(parents))
+                np.testing.assert_array_equal(mask.bits, self.gathered(parents, order, prefix))
+
+    @pytest.mark.parametrize("prefix", [0, 7])
+    def test_dfs_and_hpd_orders_match_gather(self, prefix):
+        for seed in range(20):
+            parents = random_tree(60, seed)
+            for order_fn in (dfs_order, hpd_order):
+                order = order_fn(parents)
+                mask = apply_permutation(parents, order, prefix)
+                np.testing.assert_array_equal(mask.bits, self.gathered(parents, order, prefix))
+
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ValueError):
+            apply_permutation(CHAIN3, [0, 1, 2], -1)
+        with pytest.raises(ValueError):
+            mask_from_tree(CHAIN3, -1)
 
     def test_non_topological_rejected(self):
         parents = [-1, 0, 1]

@@ -9,7 +9,7 @@ from dyspec.token_tree import ROOT, TokenTree
 
 
 def fresh_tree(root_probs=(0.5, 0.3, 0.2)):
-    tree = TokenTree(prefix_len=0)
+    tree = TokenTree()
     tree.open_position(ROOT, Categorical(list(root_probs)))
     return tree
 
@@ -107,6 +107,24 @@ class TestInvariantsOnBuiltTrees:
     def test_residual_fold_invariant(self):
         for seed in range(10):
             random_built_tree(seed).check_residuals()
+
+    def test_residual_chain_keeps_every_sampling_residual(self):
+        tree = fresh_tree((0.5, 0.3, 0.2))
+        tree.add_node(ROOT, 0, 1.0)
+        tree.add_node(ROOT, 1, 0.5)
+        state = tree.positions[ROOT]
+        assert len(state.residuals) == len(state.sampled) + 1
+        assert state.residuals[0] is state.draft_full
+        np.testing.assert_allclose(state.residuals[1].probs, [0.0, 0.6, 0.4])
+        np.testing.assert_allclose(state.residuals[2].probs, [0.0, 0.0, 1.0])
+        assert state.residual is state.residuals[-1]
+
+    def test_check_residuals_catches_a_drifted_middle_entry(self):
+        tree = random_built_tree(3)
+        state = next(s for s in tree.positions.values() if len(s.sampled) >= 2)
+        state.residuals[1] = state.draft_full
+        with pytest.raises(AssertionError, match="residual drifted"):
+            tree.check_residuals()
 
     def test_values_in_unit_interval_and_monotone(self):
         for seed in range(10):

@@ -165,6 +165,19 @@ class TestVerifyTreeOnBuiltTrees:
             res = verify_tree(tree, dists, seed)
             assert replay_trace(tree, dists, res)
 
+    def test_draft_side_read_from_residual_chain(self, monkeypatch):
+        import dyspec.verify as verify_mod
+
+        def no_renorm(*args):
+            raise AssertionError("verify_tree refolded a draft residual")
+
+        for seed in range(10):
+            tree, dists = built_case(seed)
+            monkeypatch.setattr(verify_mod, "remove_and_renorm", no_renorm)
+            res = verify_tree(tree, dists, seed)
+            monkeypatch.undo()
+            assert replay_trace(tree, dists, res)
+
     def test_missing_distribution_raises(self):
         tree, dists = built_case(1)
         incomplete = {k: v for k, v in dists.items() if k != ROOT}
