@@ -48,7 +48,7 @@ from .engine import (
     generate,
     make_prompt,
 )
-from .lm import ModelPairSpec, make_model_pair
+from .lm import LanguageModel, ModelPairSpec, make_model_pair
 from .rng import derive_seed
 
 DEFAULT_CONFIG: Dict = {"models": {}}
@@ -116,19 +116,8 @@ def _run_single(models: ModelPairSpec, gen: GenConfig, costs: CostParams):
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    overrides = {
-        "seed": args.seed,
-        "budget": args.budget,
-        "threshold": args.threshold,
-        "size_cap": args.size_cap,
-        "structure": args.structure,
-        "k": args.k,
-        "branching": args.branching,
-        "gen_len": args.gen_len,
-        "prefix_len": args.prefix_len,
-        "target_temp": args.target_temp,
-        "draft_temp": args.draft_temp,
-    }
+    # generate has one flag per GenConfig field, with the field's name as dest.
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(GenConfig)}
     cfg = _load_config(args, overrides)
     out = _out_dir(args, cfg)
     tokens, metrics = _run_single(cfg.models, cfg.generation, cfg.costs)
@@ -283,14 +272,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _mask_tree(generator: str, n: int, seed: int, cfg: Optional[RunConfig]) -> List[int]:
+def _mask_tree(
+    generator: str, n: int, seed: int, pair: Optional[Tuple[LanguageModel, LanguageModel]]
+) -> List[int]:
+    """Parent array of one tree; ``pair`` is the (target, draft) the
+    ``constructed`` generator builds with, made once per run."""
     if generator == "random":
         return mask_opt.random_tree(n, seed)
     if generator == "chain":
         return [-1] + list(range(n - 1))
     if generator == "constructed":
-        models = cfg.models if cfg else ModelPairSpec()
-        target, draft = make_model_pair(models)
+        target, draft = pair
         prompt = make_prompt(target.with_temperature(1.0), 16, seed)
         return build_tree_fixed(draft, prompt, n, seed).parent_array()
     raise ValueError(f"unknown tree generator {generator!r}")
@@ -318,11 +310,14 @@ def cmd_mask(args: argparse.Namespace) -> int:
         return 2
     cfg = _load_config(args, {}) if args.config else None
     out = _out_dir(args, cfg)
+    pair = None
+    if args.generator == "constructed":
+        pair = make_model_pair(cfg.models if cfg else ModelPairSpec())
 
     per_seed_rows = []
     agg_rows = []
     for n in sizes:
-        trees = [_mask_tree(args.generator, n, derive_seed(seed, "mask", n), cfg)
+        trees = [_mask_tree(args.generator, n, derive_seed(seed, "mask", n), pair)
                  for seed in range(args.seeds)]
         permutations = {name: [_ORDERS[name](parents) for parents in trees] for name in orders}
         for prefix in prefixes:

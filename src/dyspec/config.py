@@ -9,7 +9,9 @@ model pair takes them from the validated ``generation`` section.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -23,38 +25,33 @@ class ConfigError(ValueError):
     """Invalid run configuration; message carries the diagnostics."""
 
 
-_SECTIONS = {"models", "generation", "costs", "output"}
+def _json_types(cls, skip=()) -> Dict[str, Any]:
+    """Key -> accepted JSON type(s) for the fields of a config dataclass.
 
-_MODEL_KEYS = {
-    "vocab_size": int,
-    "markov_order": int,
-    "target_seed": int,
-    "noise_sigma": (int, float),
-    "concentration": (int, float),
-    "entropy_spread": (int, float),
+    ``Optional[X]`` accepts X, a float also accepts an int, and a tuple is
+    written as a JSON list.
+    """
+    hints = typing.get_type_hints(cls)
+    schema: Dict[str, Any] = {}
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        hint = hints[f.name]
+        if typing.get_origin(hint) is typing.Union:
+            (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        hint = typing.get_origin(hint) or hint
+        schema[f.name] = {float: (int, float), tuple: list}.get(hint, hint)
+    return schema
+
+
+# Section -> key -> accepted JSON type(s).  The model pair's temperatures
+# are generation keys.
+_SCHEMA = {
+    "models": _json_types(ModelPairSpec, skip=("draft_temp", "target_temp")),
+    "generation": _json_types(GenConfig),
+    "costs": _json_types(CostParams),
+    "output": {"dir": str},
 }
-
-_GENERATION_KEYS = {
-    "prefix_len": int,
-    "gen_len": int,
-    "budget": int,
-    "threshold": (int, float),
-    "size_cap": int,
-    "draft_temp": (int, float),
-    "target_temp": (int, float),
-    "seed": int,
-    "structure": str,
-    "k": int,
-    "branching": list,
-}
-
-_COST_KEYS = {
-    "draft_cost": (int, float),
-    "target_cost": (int, float),
-    "per_node_overhead": (int, float),
-}
-
-_OUTPUT_KEYS = {"dir": str}
 
 
 def _check_keys(section: str, data: Dict[str, Any], allowed: Dict[str, Any]) -> None:
@@ -87,20 +84,18 @@ class RunConfig:
         """Validate ``raw``; ``overrides`` maps generation keys to flag values."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - _SECTIONS
+        unknown = set(raw) - set(_SCHEMA)
         if unknown:
             raise ConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
         if "models" not in raw:
             raise ConfigError("missing required section 'models'")
 
+        for section, allowed in _SCHEMA.items():
+            _check_keys(section, raw.get(section, {}), allowed)
         models_raw = dict(raw.get("models", {}))
         gen_raw = dict(raw.get("generation", {}))
         costs_raw = dict(raw.get("costs", {}))
         out_raw = dict(raw.get("output", {}))
-        _check_keys("models", models_raw, _MODEL_KEYS)
-        _check_keys("generation", gen_raw, _GENERATION_KEYS)
-        _check_keys("costs", costs_raw, _COST_KEYS)
-        _check_keys("output", out_raw, _OUTPUT_KEYS)
 
         # Command-line flags override generation keys of the file.
         gen_raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)

@@ -1,10 +1,10 @@
 """Dynamic token-tree construction.
 
-Every builder repeats one step, :func:`sample_at`: draw the next token at a
+Every tree is grown by one step, :func:`sample_at`: draw the next token at a
 position from its residual, keyed by (seed, position path, sibling index),
 and append it as a node.  A position is opened from the draft model the
-first time it is sampled, so positions the builder never samples cost no
-draft query.  Each builder only decides the tree's shape:
+first time it is sampled, so positions that are never sampled cost no draft
+query.  Two walks repeat the step:
 
 * :func:`build_tree_fixed` expands greedily, one sampling at a time, always
   popping the pending sampling with the highest estimated reach probability.
@@ -12,13 +12,15 @@ draft query.  Each builder only decides the tree's shape:
   same position (reached if this token is rejected) and the first child of
   the new node (reached if it is accepted).
 
-* :func:`build_tree_threshold` expands layer by layer, keeping every
-  sampling whose estimated reach probability clears a threshold.  With the
-  threshold set to the smallest value the greedy run kept, both algorithms
-  realize the identical sampling set because every uniform draw is keyed by
-  (seed, position path, sibling index) rather than by visit order.
-
-The fixed-shape baselines in :mod:`dyspec.engine` use the same step.
+* :func:`grow_layers` visits positions layer by layer and samples each while
+  a rule ``keep(value, depth, count)`` allows, up to a size cap.  The rule is
+  the tree's shape: :func:`build_tree_threshold` keeps every sampling whose
+  estimated reach probability clears a threshold, and the fixed shapes of
+  :mod:`dyspec.engine` (chain, k chains, static tree) count samplings per
+  depth.  With the threshold set to the smallest value the greedy run kept,
+  the heap and the threshold walk realize the identical sampling set because
+  every uniform draw is keyed by (seed, position path, sibling index) rather
+  than by visit order.
 
 :func:`expected_accepted` evaluates the expected number of accepted tokens
 for a tree under arbitrary per-node acceptance probabilities, and
@@ -39,6 +41,10 @@ from .rng import keyed_uniform
 from .token_tree import ROOT, TokenTree
 
 UniformFn = Callable[[Tuple[int, ...], int], float]
+# keep(value, depth, count) is True when a position ``depth`` tokens into the
+# tree takes its next sampling, ``count`` samplings already drawn there and
+# the next one reached with estimated probability ``value``.
+KeepRule = Callable[[float, int, int], bool]
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,53 @@ def build_tree_fixed(
     return tree
 
 
+def grow_layers(
+    draft: LanguageModel,
+    prefix: Sequence[int],
+    seed: int,
+    size_cap: int,
+    keep: KeepRule,
+) -> TokenTree:
+    """Layer-by-layer construction: sample each position while ``keep`` allows.
+
+    Within a layer, positions are visited in descending value (ties by node
+    id) so the cap discards the least valuable pending work first, and
+    construction stops as soon as ``size_cap`` nodes exist.  Each sampling
+    gives the new node's position the value ``value * rate`` and the next
+    sibling ``value * (1 - rate)``.  A new position queues for the next
+    layer only when ``keep`` would take its first sampling, so the draft is
+    queried only for positions that get sampled.
+    """
+    uniform = construction_uniform(seed)
+    prefix = list(prefix)
+    tree = TokenTree()
+
+    # (-value, position owner): sorting visits a layer in (-value, id) order.
+    layer: List[Tuple[float, int]] = [(-1.0, ROOT)]
+    depth = 0
+    while layer:
+        layer.sort()
+        next_layer: List[Tuple[float, int]] = []
+        for neg_value, owner in layer:
+            value = -neg_value
+            count = 0
+            while keep(value, depth, count):
+                if len(tree.nodes) >= size_cap:
+                    return tree
+                got = sample_at(tree, draft, prefix, owner, value, uniform)
+                if got is None:
+                    break
+                node_id, rate = got
+                child = value * rate
+                if keep(child, depth + 1, 0):
+                    next_layer.append((-child, node_id))
+                value *= 1.0 - rate
+                count += 1
+        layer = next_layer
+        depth += 1
+    return tree
+
+
 def build_tree_threshold(
     draft: LanguageModel,
     prefix: Sequence[int],
@@ -138,37 +191,15 @@ def build_tree_threshold(
 ) -> TokenTree:
     """Layer-by-layer construction keeping samplings with value >= threshold.
 
-    A node's position queues for the next layer only when its child entry
-    clears the threshold, so the draft model is queried only for positions
-    that get sampled.  Construction stops as soon as ``size_cap`` nodes
-    exist; within a layer, positions are processed in descending entry value
-    so the cap discards the least valuable pending work first.
+    Stops as soon as ``size_cap`` nodes exist (see :func:`grow_layers`).
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
-    uniform = construction_uniform(seed)
-    prefix = list(prefix)
-    tree = TokenTree()
-
-    layer: List[Tuple[float, int]] = [(1.0, ROOT)]
-    while layer and len(tree) < size_cap:
-        layer.sort(key=lambda item: (-item[0], item[1]))
-        next_layer: List[Tuple[float, int]] = []
-        for value, owner in layer:
-            while value >= threshold:
-                if len(tree) >= size_cap:
-                    return tree
-                got = sample_at(tree, draft, prefix, owner, value, uniform)
-                if got is None:
-                    break
-                node_id, rate = got
-                if value * rate >= threshold:
-                    next_layer.append((value * rate, node_id))
-                value *= 1.0 - rate
-        layer = next_layer
-    return tree
+    return grow_layers(
+        draft, prefix, seed, size_cap, lambda value, depth, count: value >= threshold
+    )
 
 
 def node_sampling_keys(tree: TokenTree) -> set:

@@ -7,32 +7,34 @@ charges one target evaluation per step regardless of tree size (the premise
 of tree speculation) and draft evaluations per node or per level depending
 on the construction mode.
 
-Baseline structures (single chain, k parallel chains, fixed-branching
-static tree) are built through the same sampling step as the dynamic
-builders, :func:`dyspec.construct.sample_at`, which opens each position
-from the draft the first time it is sampled; only the shape differs, so
-equal budgets are genuinely comparable.
+Trees come from the two walks of :mod:`dyspec.construct`: the greedy heap
+(DySpec at a fixed budget) and the layer walk, which grows the threshold
+tree and every fixed shape.  A fixed shape (single chain, k parallel
+chains, fixed-branching static tree) is only a rule for how many times each
+position is sampled, defined in :func:`check_baseline_shape`; the samplings
+themselves are the dynamic builders' keyed step, so equal budgets are
+genuinely comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .categorical import sample
 from .construct import (
     CostParams,
+    KeepRule,
     build_tree_fixed,
     build_tree_threshold,
-    construction_uniform,
     estimate_latency,
-    sample_at,
+    grow_layers,
 )
 from .lm import LanguageModel, target_distributions_for_tree
 from .rng import derive_seed, keyed_uniform
-from .token_tree import ROOT, TokenTree
+from .token_tree import TokenTree
 from .verify import BranchTrace, VerificationError, VerifyResult, verify_tree
 
 STRUCTURES = ("dynamic", "chain", "k_chains", "static_tree")
@@ -88,22 +90,32 @@ class GenConfig:
 
     @property
     def latency_mode(self) -> str:
-        """Draft-call accounting: one per node (greedy) or one per level."""
-        if self.structure == "dynamic":
-            return "greedy" if self.budget is not None else "layered"
-        return "greedy" if self.structure == "chain" else "layered"
+        """Draft-call accounting of the builder: one per node for the greedy
+        heap, one per level for the layer walk."""
+        return "greedy" if self.structure == "dynamic" and self.budget is not None else "layered"
 
 
 def check_baseline_shape(
     structure: str, budget: int, k: Optional[int], branching: Optional[Sequence[int]]
-) -> None:
-    """Raise ValueError unless the baseline structure is known and fits the budget."""
+) -> KeepRule:
+    """Validate a fixed shape against the budget; return its sampling rule.
+
+    ``chain`` samples once per level, ``budget`` levels deep; ``k_chains``
+    samples k times at the prompt position and once below it, ``budget // k``
+    levels deep; ``static_tree`` samples ``branching[d]`` times at each
+    position of depth d.  Raises ValueError for an unknown structure or a
+    shape that does not fit the budget.
+    """
+    if structure == "chain":
+        return lambda value, depth, count: count < 1 and depth < budget
     if structure == "k_chains":
         if not k or k < 1:
             raise ValueError("k_chains requires k >= 1")
         if budget < k:
             raise ValueError("budget too small for the requested chain count")
-    elif structure == "static_tree":
+        length = budget // k
+        return lambda value, depth, count: count < (k if depth == 0 else 1) and depth < length
+    if structure == "static_tree":
         if not branching:
             raise ValueError("static_tree requires a branching vector")
         total, level_size = 0, 1
@@ -112,8 +124,9 @@ def check_baseline_shape(
             total += level_size
         if total > budget:
             raise ValueError(f"branching vector yields {total} nodes, exceeding budget {budget}")
-    elif structure != "chain":
-        raise ValueError(f"unknown baseline structure {structure!r}")
+        levels = tuple(branching)
+        return lambda value, depth, count: depth < len(levels) and count < levels[depth]
+    raise ValueError(f"unknown baseline structure {structure!r}")
 
 
 @dataclass
@@ -123,15 +136,6 @@ class StepMetrics:
     tree_depth: int
     accepted: int
     modeled_latency: float
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "tree_size": self.tree_size,
-            "tree_depth": self.tree_depth,
-            "accepted": self.accepted,
-            "modeled_latency": self.modeled_latency,
-        }
 
 
 @dataclass
@@ -149,7 +153,7 @@ class RunMetrics:
             "mean_accepted": self.mean_accepted,
             "mean_tree_size": self.mean_tree_size,
             "tokens_per_modeled_second": self.tokens_per_modeled_second,
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": [asdict(s) for s in self.steps],
         }
 
     @classmethod
@@ -183,52 +187,12 @@ def build_baseline_tree(
 ) -> TokenTree:
     """Fixed-shape trees for comparison at equal budget.
 
-    ``chain`` samples one token per level; ``k_chains`` takes k successive
-    samplings at the prompt position and extends each into an independent
-    chain; ``static_tree`` samples a fixed number of children per level
-    without replacement.  All use the same keyed sampling step as the
-    dynamic builders, and positions stop early if their support runs out.
+    The layer walk samples each position as often as the shape's rule from
+    :func:`check_baseline_shape` allows, capped at ``budget`` nodes; a
+    position whose support runs out stops early.
     """
-    check_baseline_shape(structure, budget, k, branching)
-    prefix = list(prefix)
-    tree = TokenTree()
-    uniform = construction_uniform(seed)
-
-    def extend_chain(owner: int, value: float, steps: int) -> None:
-        for _ in range(steps):
-            got = sample_at(tree, draft, prefix, owner, value, uniform)
-            if got is None:
-                break
-            owner, rate = got
-            value *= rate
-
-    if structure == "chain":
-        extend_chain(ROOT, 1.0, budget)
-    elif structure == "k_chains":
-        value = 1.0
-        heads = []
-        for _ in range(k):
-            got = sample_at(tree, draft, prefix, ROOT, value, uniform)
-            if got is None:
-                break
-            heads.append(got[0])
-            value *= 1.0 - got[1]
-        for head in heads:
-            extend_chain(head, tree.nodes[head].accept_weight, budget // k - 1)
-    else:
-        frontier: List[Tuple[int, float]] = [(ROOT, 1.0)]
-        for b in branching:
-            nxt: List[Tuple[int, float]] = []
-            for owner, value in frontier:
-                for _ in range(b):
-                    got = sample_at(tree, draft, prefix, owner, value, uniform)
-                    if got is None:
-                        break
-                    node_id, rate = got
-                    nxt.append((node_id, value * rate))
-                    value *= 1.0 - rate
-            frontier = nxt
-    return tree
+    keep = check_baseline_shape(structure, budget, k, branching)
+    return grow_layers(draft, prefix, seed, budget, keep)
 
 
 def build_tree_for_config(

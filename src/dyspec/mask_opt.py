@@ -158,8 +158,9 @@ def hpd_order(tree_or_parents) -> List[int]:
 
 
 def is_topological(parents: np.ndarray, order: Sequence[int]) -> bool:
+    """True when ``order`` holds every node and puts each parent ahead of its children."""
     position = {node: idx for idx, node in enumerate(order)}
-    return all(
+    return all(i in position for i in range(parents.size)) and all(
         position[int(parents[i])] < position[i] for i in range(1, parents.size) if parents[i] >= 0
     )
 

@@ -143,11 +143,6 @@ class TokenTree:
         path.reverse()
         return path
 
-    def previous_siblings(self, node_id: int) -> List[int]:
-        """Earlier samplings at the same position, in sampling order."""
-        node = self.nodes[node_id]
-        return list(self.positions[node.parent].node_ids[: node.sibling_index])
-
     def token_path(self, node_id: int) -> List[int]:
         return [self.nodes[i].token for i in self.ancestors(node_id)]
 

@@ -40,15 +40,6 @@ class BranchTrace:
     threshold: float
     draft_prob: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "accepted": self.accepted,
-            "uniform": self.uniform,
-            "threshold": self.threshold,
-            "draft_prob": self.draft_prob,
-        }
-
 
 @dataclass
 class VerifyResult:
@@ -64,11 +55,6 @@ class VerifyResult:
     def num_accepted(self) -> int:
         """Tokens emitted this pass, bonus included."""
         return len(self.accepted)
-
-    def trace_jsonl(self) -> str:
-        import json
-
-        return "\n".join(json.dumps(t.to_json_obj()) for t in self.trace)
 
 
 def verify_tree(

@@ -68,6 +68,39 @@ class TestConfig:
         ))
         assert main(["generate", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"models": {"vocab_size": 8.5}}, "key models.vocab_size has wrong type float"),
+            ({"models": {}, "generation": {"threshold": "x"}},
+             "key generation.threshold has wrong type str"),
+            ({"models": {}, "generation": {"budget": True}}, "key generation.budget has wrong type bool"),
+            ({"models": {}, "generation": {"branching": (2,)}},
+             "key generation.branching has wrong type tuple"),
+            ({"models": {}, "costs": {"target_cost": None}}, "key costs.target_cost has wrong type NoneType"),
+            ({"models": {}, "output": {"dir": 3}}, "key output.dir has wrong type int"),
+            ({"models": []}, "section 'models' must be an object"),
+            ({"models": {}, "generation": None}, "section 'generation' must be an object"),
+            ({"models": {"vocab": 8}},
+             "(allowed: concentration, entropy_spread, markov_order, noise_sigma, target_seed, vocab_size)"),
+        ],
+    )
+    def test_key_type_messages(self, raw, message):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(raw)
+        assert message in str(exc.value)
+
+    def test_json_types_accepted(self):
+        cfg = RunConfig.from_dict({
+            "models": {"noise_sigma": 1, "vocab_size": 8},
+            "generation": {"structure": "static_tree", "branching": [2, 2], "budget": 8,
+                           "draft_temp": 1},
+            "costs": {"target_cost": 100},
+            "output": {"dir": "x"},
+        })
+        assert cfg.generation.branching == (2, 2)
+        assert cfg.models.noise_sigma == 1
+
     def test_defaults_fill_missing_sections(self):
         cfg = RunConfig.from_dict({"models": {}})
         assert cfg.generation.budget == 64
@@ -151,6 +184,15 @@ class TestFlagSurface:
         assert main(argv + flags + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_generate_has_a_flag_per_generation_field(self):
+        import dataclasses
+
+        from dyspec.engine import GenConfig
+
+        args = build_parser().parse_args(["generate"])
+        for f in dataclasses.fields(GenConfig):
+            assert getattr(args, f.name) is None, f.name
 
     def test_description_lists_each_command_flags(self):
         parser = build_parser()
@@ -350,6 +392,24 @@ class TestMaskCommand:
         assert len(built) == 2 * 3 and len(set(built)) == 2 * 3
         rows = (tmp_path / "mask_counts.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 2 * 3
+
+    def test_constructed_trees_share_one_model_pair(self, tmp_path, monkeypatch):
+        import dyspec.cli as cli
+
+        made = []
+        real = cli.make_model_pair
+
+        def counting(spec):
+            made.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(cli, "make_model_pair", counting)
+        code = main(
+            ["mask", "--generator", "constructed", "--sizes", "64,128", "--seeds", "4",
+             "--orders", "original", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(made) == 1
 
     def test_unknown_order_exits_before_any_tree(self, tmp_path, monkeypatch, capsys):
         import dyspec.cli as cli

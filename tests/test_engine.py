@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyspec.construct import CostParams
+from dyspec.construct import CostParams, estimate_latency
 from dyspec.engine import (
     GenConfig,
     RunMetrics,
@@ -52,8 +52,14 @@ class TestGenConfig:
     def test_latency_mode(self):
         assert GenConfig(budget=8).latency_mode == "greedy"
         assert GenConfig(threshold=0.1, size_cap=8).latency_mode == "layered"
-        assert GenConfig(budget=8, structure="chain").latency_mode == "greedy"
+        # every fixed shape comes from the layer walk; a chain has size ==
+        # depth, so its modeled latency is the same in either mode
+        assert GenConfig(budget=8, structure="chain").latency_mode == "layered"
         assert GenConfig(budget=8, structure="k_chains", k=2).latency_mode == "layered"
+        costs = CostParams(per_node_overhead=0.5)
+        assert estimate_latency(8, 8, 3.0, costs, "greedy") == estimate_latency(
+            8, 8, 3.0, costs, "layered"
+        )
 
 
 class TestGenerate:
@@ -110,7 +116,7 @@ class TestGenerate:
         tokens_a, metrics_a = generate(target, draft, prompt, config)
         tokens_b, metrics_b = generate(target, draft, prompt, config)
         assert tokens_a == tokens_b
-        assert [s.to_dict() for s in metrics_a.steps] == [s.to_dict() for s in metrics_b.steps]
+        assert metrics_a.steps == metrics_b.steps
 
     def test_aggregates_match_recomputation(self):
         target, draft = pair(seed=2)

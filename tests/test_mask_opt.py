@@ -111,6 +111,12 @@ class TestDfsOrder:
             parents = np.asarray(random_tree(30, seed))
             assert is_topological(parents, dfs_order(parents))
 
+    def test_order_missing_a_node_is_not_topological(self):
+        from dyspec.mask_opt import is_topological
+
+        assert not is_topological(np.array([-1, 0, 0]), [0, 2])
+        assert not is_topological(np.array([-1, 0, 0]), [1, 2])
+
 
 class TestHpdOrder:
     def test_chain_is_identity(self):

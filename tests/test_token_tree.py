@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from dyspec.categorical import Categorical
-from dyspec.construct import build_tree_fixed, closed_form_values
+from dyspec.construct import build_tree_fixed, build_tree_threshold, closed_form_values
+from dyspec.engine import build_baseline_tree
 from dyspec.lm import ModelPairSpec, make_model_pair
 from dyspec.token_tree import ROOT, TokenTree
 
@@ -14,12 +15,35 @@ def fresh_tree(root_probs=(0.5, 0.3, 0.2)):
     return tree
 
 
-def random_built_tree(seed, budget=12, vocab=8):
+def random_draft(seed, vocab=8):
     spec = ModelPairSpec(
         vocab_size=vocab, markov_order=1, target_seed=seed, noise_sigma=1.0
     )
     _, draft = make_model_pair(spec)
-    return build_tree_fixed(draft.with_temperature(0.6), [0, 1], budget, seed)
+    return draft.with_temperature(0.6)
+
+
+def random_built_tree(seed, budget=12, vocab=8):
+    return build_tree_fixed(random_draft(seed, vocab), [0, 1], budget, seed)
+
+
+# One tree per walk and shape: the heap, and the layer walk with the
+# threshold rule and each fixed shape's rule.
+BUILDERS = {
+    "fixed": lambda draft, seed: build_tree_fixed(draft, [0, 1], 12, seed),
+    "threshold": lambda draft, seed: build_tree_threshold(draft, [0, 1], 0.02, 40, seed),
+    "chain": lambda draft, seed: build_baseline_tree("chain", draft, [0, 1], 6, seed),
+    "k_chains": lambda draft, seed: build_baseline_tree("k_chains", draft, [0, 1], 12, seed, k=3),
+    "static_tree": lambda draft, seed: build_baseline_tree(
+        "static_tree", draft, [0, 1], 30, seed, branching=(3, 2, 2)
+    ),
+}
+
+
+def previous_siblings(tree, node_id):
+    """Earlier samplings at the same position, in sampling order."""
+    node = tree.nodes[node_id]
+    return list(tree.positions[node.parent].node_ids[: node.sibling_index])
 
 
 class TestAddNode:
@@ -92,15 +116,15 @@ class TestPreviousSiblings:
     def test_first_sampling_has_none(self):
         tree = fresh_tree()
         a = tree.add_node(ROOT, 0, 1.0)
-        assert tree.previous_siblings(a) == []
+        assert previous_siblings(tree, a) == []
 
     def test_order_preserved(self):
         tree = fresh_tree()
         a = tree.add_node(ROOT, 0, 1.0)
         b = tree.add_node(ROOT, 1, 0.5)
         c = tree.add_node(ROOT, 2, 0.2)
-        assert tree.previous_siblings(c) == [a, b]
-        assert tree.previous_siblings(b) == [a]
+        assert previous_siblings(tree, c) == [a, b]
+        assert previous_siblings(tree, b) == [a]
 
 
 class TestInvariantsOnBuiltTrees:
@@ -133,16 +157,24 @@ class TestInvariantsOnBuiltTrees:
                 assert 0.0 < node.value <= 1.0
                 if node.parent != ROOT:
                     assert node.value <= tree.node(node.parent).value + 1e-12
-                sibs = tree.previous_siblings(node.node_id)
+                sibs = previous_siblings(tree, node.node_id)
                 if sibs:
                     assert node.value < tree.node(sibs[-1]).value
 
-    def test_value_recurrence_matches_closed_form(self):
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_value_recurrence_matches_closed_form(self, builder):
         for seed in range(10):
-            tree = random_built_tree(seed)
+            tree = BUILDERS[builder](random_draft(seed), seed)
+            assert tree.size > 0
             closed = closed_form_values(tree)
             for node in tree.nodes:
                 assert node.value == pytest.approx(closed[node.node_id], abs=1e-9)
+
+    @pytest.mark.parametrize("builder", ["threshold", "static_tree"])
+    def test_layer_walk_creates_nodes_in_depth_order(self, builder):
+        for seed in range(10):
+            depths = [n.depth for n in BUILDERS[builder](random_draft(seed), seed).nodes]
+            assert depths == sorted(depths)
 
     def test_node_count_matches_sampled_totals(self):
         tree = random_built_tree(3)

@@ -184,16 +184,6 @@ class TestVerifyTreeOnBuiltTrees:
         with pytest.raises(KeyError):
             verify_tree(tree, incomplete, 0)
 
-    def test_trace_jsonl_round_trip(self):
-        import json
-
-        tree, dists = built_case(2)
-        res = verify_tree(tree, dists, 5)
-        lines = res.trace_jsonl().splitlines()
-        assert len(lines) == len(res.trace)
-        first = json.loads(lines[0])
-        assert set(first) == {"node_id", "accepted", "uniform", "threshold", "draft_prob"}
-
 
 class TestTrueBranchAcceptance:
     def test_matches_manual_two_branch_fold(self):
