@@ -1,30 +1,38 @@
-"""Command-line harness.
+"""Command-line harness of the dyspec simulator.
 
-Each subcommand takes only the flags it reads; ``--out`` (output
-directory) is on every command:
+Each command takes only the flags and config keys it reads; any other
+flag or key exits 2.  Flags override config-file values, which override
+defaults.  A config key is section.key, and a bare section name stands
+for all of its keys.  Flags and config keys per command (--out, the
+output directory, overrides output.dir):
 
-- ``generate`` runs one benchmark: ``--config --seed --budget --threshold
-  --size-cap --structure --k --branching --gen-len --prefix-len
-  --target-temp --draft-temp``.
-- ``bench`` sweeps structures x budgets/thresholds x temperatures:
-  ``--config --structures --budgets --thresholds --size-cap --temps
-  --seeds --k --branching --format``.
-- ``oracle`` runs a ground-truth check suite: ``--seed --suite
-  --instances --trials``.
-- ``mask`` counts block occupancy of tree-attention masks: ``--config
-  --sizes --prefixes --block --orders --seeds --generator --per-seed
-  --dump-grids``.
-- ``hypothesis`` bins acceptance rate by draft probability: ``--config
-  --bins --min-events --max-runs``.
+  generate    --out --config --seed --budget --threshold --size-cap
+              --structure --k --branching --gen-len --prefix-len
+              --target-temp --draft-temp
+              config: every key
+  bench       --out --config --structures --budgets --thresholds
+              --size-cap --temps --seeds --k --branching --format
+              config: models, costs, output, generation.prefix_len,
+              generation.gen_len and generation.draft_temp
+  oracle      --out --seed --suite --instances --trials
+              config: none
+  mask        --out --config --sizes --prefixes --block --orders --seeds
+              --generator --per-seed --dump-grids
+              config: output; with --generator constructed also models
+              and generation.draft_temp
+  hypothesis  --out --config --bins --min-events --max-runs
+              config: every key but generation.seed and costs
 
-Flags override config-file values, which override defaults.  Temperatures
-are set under ``generation`` in the config (or by ``generate``'s
-temperature flags); the model pair takes them from there.  Counts such as
-``--seeds`` must be at least 1.  Exit codes: 0 success, 1 a check suite
-failed, 2 usage or configuration error.  The environment variable
-``DYSPEC_THREADS`` sets the worker count of ``bench``, capped by the CPU
-count and the number of cells; every command is deterministic for a fixed
-config and seeds, regardless of worker count.
+bench sweeps structures x budgets/thresholds x temperatures.  Its
+--thresholds apply to dynamic, --k to k_chains, --branching to
+static_tree and --size-cap to threshold cells; a sweep flag that reaches
+no cell exits 2.  Temperatures are generation keys (bench sweeps the
+target's with --temps); the model pair takes them from there.  Counts
+such as --seeds must be at least 1.  Exit codes: 0 success, 1 a check
+suite failed, 2 usage or configuration error.  DYSPEC_THREADS sets the
+worker count of bench, capped by the CPU count and the number of cells;
+every command is deterministic for a fixed config and seeds, regardless
+of worker count.
 """
 
 from __future__ import annotations
@@ -71,10 +79,17 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _load_config(args: argparse.Namespace, overrides: Dict) -> RunConfig:
+def _load_config(
+    args: argparse.Namespace,
+    overrides: Dict,
+    reads: Optional[Sequence[str]] = None,
+    command: Optional[str] = None,
+) -> RunConfig:
+    """The run config; a key outside ``reads`` (None: every key) exits 2."""
+    command = command or args.command
     if args.config:
-        return RunConfig.load(args.config, overrides)
-    return RunConfig.from_dict(dict(DEFAULT_CONFIG), overrides)
+        return RunConfig.load(args.config, overrides, reads, command)
+    return RunConfig.from_dict(dict(DEFAULT_CONFIG), overrides, reads, command)
 
 
 def _out_dir(args: argparse.Namespace, cfg: Optional[RunConfig] = None) -> Path:
@@ -174,15 +189,29 @@ def _bench_cell(job: Tuple[ModelPairSpec, GenConfig, CostParams, int]) -> Dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, {})
-    out = _out_dir(args, cfg)
-    structures, budgets, thresholds, temps = args.structures, args.budgets, args.thresholds, args.temps
-    if not structures or (not budgets and not thresholds) or not temps:
-        print("bench: sweep needs at least one structure, budget/threshold, and temp",
-              file=sys.stderr)
-        return 2
+    cfg = _load_config(args, {}, BENCH_READS)
+    structures, budgets, temps = args.structures, args.budgets, args.temps
+    thresholds = args.thresholds or []
+    usage_errors = [
+        (not structures or (not budgets and not thresholds) or not temps,
+         "sweep needs at least one structure, budget/threshold, and temp"),
+        (not budgets and any(s != "dynamic" for s in structures),
+         "structures other than dynamic need --budgets"),
+        (thresholds and "dynamic" not in structures, "--thresholds needs the dynamic structure"),
+        (args.k is not None and "k_chains" not in structures, "--k needs the k_chains structure"),
+        (args.branching is not None and "static_tree" not in structures,
+         "--branching needs the static_tree structure"),
+        (args.size_cap is not None and not thresholds, "--size-cap needs --thresholds"),
+    ]
+    for failed, message in usage_errors:
+        if failed:
+            print(f"bench: {message}", file=sys.stderr)
+            return 2
 
-    branching = tuple(args.branching)
+    # The documented flag defaults, applied only to the cells that use them.
+    k = 4 if args.k is None else args.k
+    branching = (4, 2, 2, 2) if args.branching is None else tuple(args.branching)
+    size_cap = 768 if args.size_cap is None else args.size_cap
     jobs = []
     for structure in structures:
         for temp in temps:
@@ -197,14 +226,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         target_temp=temp,
                         budget=value if mode == "budget" else None,
                         threshold=value if mode == "threshold" else None,
-                        size_cap=args.size_cap if mode == "threshold" else None,
-                        k=args.k if structure == "k_chains" else None,
+                        size_cap=size_cap if mode == "threshold" else None,
+                        k=k if structure == "k_chains" else None,
                         branching=branching if structure == "static_tree" else None,
                     )
                 except ValueError as exc:
                     raise ConfigError(f"bench cell {structure} {mode}={value}: {exc}") from exc
-                models = dataclasses.replace(cfg.models, target_temp=temp)
-                jobs.append((models, gen, cfg.costs, args.seeds))
+                jobs.append((cfg.models, gen, cfg.costs, args.seeds))
+    out = _out_dir(args, cfg)
 
     workers = worker_count(len(jobs))
     if workers > 1:
@@ -308,11 +337,9 @@ def cmd_mask(args: argparse.Namespace) -> int:
     if unknown:
         print(f"mask: unknown order {unknown[0]!r}", file=sys.stderr)
         return 2
-    cfg = _load_config(args, {}) if args.config else None
+    cfg = _load_config(args, {}, MASK_READS[args.generator], f"mask --generator {args.generator}")
     out = _out_dir(args, cfg)
-    pair = None
-    if args.generator == "constructed":
-        pair = make_model_pair(cfg.models if cfg else ModelPairSpec())
+    pair = make_model_pair(cfg.models) if args.generator == "constructed" else None
 
     per_seed_rows = []
     agg_rows = []
@@ -359,7 +386,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 
 def cmd_hypothesis(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, {})
+    cfg = _load_config(args, {}, HYPOTHESIS_READS)
     out = _out_dir(args, cfg)
     events = []
     run = 0
@@ -367,10 +394,7 @@ def cmd_hypothesis(args: argparse.Namespace) -> int:
         spec = dataclasses.replace(
             cfg.models, target_seed=derive_seed(cfg.models.target_seed, "hyp", run)
         )
-        target, draft = make_model_pair(spec)
-        prompt = make_prompt(target.with_temperature(1.0), cfg.generation.prefix_len, run)
-        gen = dataclasses.replace(cfg.generation, seed=run)
-        _, metrics = generate(target, draft, prompt, gen, cfg.costs)
+        _, metrics = _run_single(spec, dataclasses.replace(cfg.generation, seed=run), cfg.costs)
         events.extend(metrics.branch_events)
         run += 1
     if not events:
@@ -397,25 +421,27 @@ def cmd_hypothesis(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+# Config keys each command reads, as section names (every key of the
+# section) and section.key names; any other key exits 2.  generate reads
+# every key; mask's keys depend on --generator.
+BENCH_READS = (
+    "models", "costs", "output",
+    "generation.prefix_len", "generation.gen_len", "generation.draft_temp",
+)
+HYPOTHESIS_READS = (
+    "models", "output",
+    *(f"generation.{f.name}" for f in dataclasses.fields(GenConfig) if f.name != "seed"),
+)
+MASK_READS = {
+    "random": ("output",),
+    "chain": ("output",),
+    "constructed": ("models", "generation.draft_temp", "output"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dyspec",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        description=(
-            "Dynamic token-tree speculative decoding simulator.\n"
-            "Precedence: command-line flags > config file > defaults. Temperatures\n"
-            "are set under 'generation' in the config. DYSPEC_THREADS sets the bench\n"
-            "workers (capped by CPUs and cells). Flags per command:\n"
-            "  generate    --out --config --seed --budget --threshold --size-cap\n"
-            "              --structure --k --branching --gen-len --prefix-len\n"
-            "              --target-temp --draft-temp\n"
-            "  bench       --out --config --structures --budgets --thresholds\n"
-            "              --size-cap --temps --seeds --k --branching --format\n"
-            "  oracle      --out --seed --suite --instances --trials\n"
-            "  mask        --out --config --sizes --prefixes --block --orders --seeds\n"
-            "              --generator --per-seed --dump-grids\n"
-            "  hypothesis  --out --config --bins --min-events --max-runs"
-        ),
+        prog="dyspec", formatter_class=argparse.RawDescriptionHelpFormatter, description=__doc__
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -444,12 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run-config path")
     p.add_argument("--structures", type=csv_list(str), default="dynamic,chain,k_chains,static_tree")
     p.add_argument("--budgets", type=csv_list(int), default="64")
-    p.add_argument("--thresholds", type=csv_list(float), default="", help="dynamic-only threshold points")
-    p.add_argument("--size-cap", dest="size_cap", type=int, default=768)
+    p.add_argument("--thresholds", type=csv_list(float), help="dynamic-only threshold points")
+    p.add_argument("--size-cap", dest="size_cap", type=int,
+                   help="threshold cells only (default 768)")
     p.add_argument("--temps", type=csv_list(float), default="0.0,0.6")
     p.add_argument("--seeds", type=positive_int, default=3)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--branching", type=csv_list(int), default="4,2,2,2")
+    p.add_argument("--k", type=int, help="k_chains only (default 4)")
+    p.add_argument("--branching", type=csv_list(int), help="static_tree only (default 4,2,2,2)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = command("oracle", "run a ground-truth check suite", cmd_oracle)

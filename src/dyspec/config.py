@@ -3,7 +3,9 @@
 The config is a JSON document with four sections (``models``,
 ``generation``, ``costs``, ``output``).  Unknown sections or keys are
 rejected with a message naming the offender, so typos fail loudly instead
-of silently running defaults.  Temperatures are generation keys only; the
+of silently running defaults.  A command may declare the keys it reads;
+every other key is then rejected too, so a config never looks as if it
+set something the run ignores.  Temperatures are generation keys only; the
 model pair takes them from the validated ``generation`` section.
 """
 
@@ -14,7 +16,7 @@ import json
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from .construct import CostParams
 from .engine import GenConfig
@@ -80,18 +82,35 @@ class RunConfig:
     output_dir: Optional[str]
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any], overrides: Optional[Dict[str, Any]] = None) -> "RunConfig":
-        """Validate ``raw``; ``overrides`` maps generation keys to flag values."""
+    def from_dict(
+        cls,
+        raw: Dict[str, Any],
+        overrides: Optional[Dict[str, Any]] = None,
+        reads: Optional[Sequence[str]] = None,
+        command: str = "this command",
+    ) -> "RunConfig":
+        """Validate ``raw``; ``overrides`` maps generation keys to flag values.
+
+        ``reads`` declares what ``command`` reads, as section names and
+        ``section.key`` names; any other key is rejected, and the
+        ``models`` section is required only where a models key is read.
+        None reads everything.
+        """
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         unknown = set(raw) - set(_SCHEMA)
         if unknown:
             raise ConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
-        if "models" not in raw:
+        reads_models = reads is None or any(r.split(".")[0] == "models" for r in reads)
+        if "models" not in raw and reads_models:
             raise ConfigError("missing required section 'models'")
 
         for section, allowed in _SCHEMA.items():
             _check_keys(section, raw.get(section, {}), allowed)
+        for section in _SCHEMA if reads is not None else ():
+            for key in raw.get(section, {}):
+                if section not in reads and f"{section}.{key}" not in reads:
+                    raise ConfigError(f"{command} does not read config key {section}.{key}")
         models_raw = dict(raw.get("models", {}))
         gen_raw = dict(raw.get("generation", {}))
         costs_raw = dict(raw.get("costs", {}))
@@ -123,11 +142,17 @@ class RunConfig:
         )
 
     @classmethod
-    def load(cls, path: str | Path, overrides: Optional[Dict[str, Any]] = None) -> "RunConfig":
+    def load(
+        cls,
+        path: str | Path,
+        overrides: Optional[Dict[str, Any]] = None,
+        reads: Optional[Sequence[str]] = None,
+        command: str = "this command",
+    ) -> "RunConfig":
         try:
             raw = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw, overrides)
+        return cls.from_dict(raw, overrides, reads, command)

@@ -118,6 +118,8 @@ def check_baseline_shape(
     if structure == "static_tree":
         if not branching:
             raise ValueError("static_tree requires a branching vector")
+        if min(branching) < 1:
+            raise ValueError("static_tree branching entries must be >= 1")
         total, level_size = 0, 1
         for b in branching:
             level_size *= b
@@ -326,14 +328,13 @@ def acceptance_vs_draft_bins(
 
 
 def bin_rank_correlation(rows: Sequence[Tuple[float, float, float, int]]) -> float:
-    """Spearman correlation between bin index and acceptance rate."""
-    from scipy import stats
-
-    populated = [(i, r[2]) for i, r in enumerate(rows) if r[3] > 0]
-    if len(populated) < 2:
+    """Spearman correlation between bin index and acceptance rate: the
+    Pearson correlation of their ranks, NaN for a constant input."""
+    rates = np.array([r[2] for r in rows if r[3] > 0])
+    if rates.size < 2 or np.all(rates == rates[0]):
         return float("nan")
-    idx, rates = zip(*populated)
-    if len(set(rates)) == 1:
-        return float("nan")
-    rho, _ = stats.spearmanr(idx, rates)
-    return float(rho)
+    # Tied rates share the mean of the 1-based ranks they span.
+    ordered = np.sort(rates)
+    first, end = np.searchsorted(ordered, rates, "left"), np.searchsorted(ordered, rates, "right")
+    rate_ranks = (first + end + 1) / 2
+    return float(np.corrcoef(np.arange(1.0, rates.size + 1), rate_ranks)[1, 0])

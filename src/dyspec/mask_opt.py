@@ -8,8 +8,8 @@ paths into contiguous index ranges and usually cuts the tile count by a
 large factor.  A tile-skipping attention reference shows the saving is
 exact, not approximate.
 
-All operations accept either a parent-id array (``parents[i] < i``, root
-``-1``) or anything with a ``parent_array()`` method.
+All operations take a parent-id array: ``parents[i] < i``, and ``-1`` for
+a node hanging off the prompt (node 0 always does).
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 
-def _parents_of(tree_or_parents) -> np.ndarray:
-    if hasattr(tree_or_parents, "parent_array"):
-        parents = tree_or_parents.parent_array()
-    else:
-        parents = tree_or_parents
+def _parents_of(parents: Sequence[int]) -> np.ndarray:
     arr = np.asarray(parents, dtype=np.int64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("tree must have at least one node")
@@ -96,9 +92,9 @@ class TreeMask:
         return "\n".join(lines) + "\n"
 
 
-def mask_from_tree(tree_or_parents, prefix_len: int = 0) -> TreeMask:
+def mask_from_tree(parents: Sequence[int], prefix_len: int = 0) -> TreeMask:
     """Tree-attention mask in the given node order."""
-    parents = _parents_of(tree_or_parents)
+    parents = _parents_of(parents)
     return TreeMask(n=parents.size, prefix_len=prefix_len, bits=_mask_bits(parents, prefix_len))
 
 
@@ -133,9 +129,9 @@ def _preorder(parents: np.ndarray, rank=None) -> List[int]:
     return order
 
 
-def dfs_order(tree_or_parents) -> List[int]:
+def dfs_order(parents: Sequence[int]) -> List[int]:
     """Depth-first preorder, children visited in sampling (creation) order."""
-    return _preorder(_parents_of(tree_or_parents))
+    return _preorder(_parents_of(parents))
 
 
 def subtree_sizes(parents: np.ndarray) -> np.ndarray:
@@ -146,13 +142,13 @@ def subtree_sizes(parents: np.ndarray) -> np.ndarray:
     return sizes
 
 
-def hpd_order(tree_or_parents) -> List[int]:
+def hpd_order(parents: Sequence[int]) -> List[int]:
     """Heavy-path preorder: children visited in descending subtree size.
 
     Ties fall back to sampling order, so chains and balanced trees reduce
     to plain depth-first order.
     """
-    parents = _parents_of(tree_or_parents)
+    parents = _parents_of(parents)
     sizes = subtree_sizes(parents)
     return _preorder(parents, lambda c: (-int(sizes[c]), c))
 
@@ -165,7 +161,9 @@ def is_topological(parents: np.ndarray, order: Sequence[int]) -> bool:
     )
 
 
-def apply_permutation(tree_or_parents, order: Sequence[int], prefix_len: int = 0) -> TreeMask:
+def apply_permutation(
+    parents: Sequence[int], order: Sequence[int], prefix_len: int = 0
+) -> TreeMask:
     """Mask of the tree with nodes relabeled along ``order``.
 
     ``order[i]`` is the original id of new node ``i``; it must be a
@@ -175,7 +173,7 @@ def apply_permutation(tree_or_parents, order: Sequence[int], prefix_len: int = 0
     root stays -1) and its mask built directly; the bits equal the original
     mask with rows and tree columns permuted along ``order``.
     """
-    parents = _parents_of(tree_or_parents)
+    parents = _parents_of(parents)
     if sorted(order) != list(range(parents.size)):
         raise ValueError("order must be a permutation of the node ids")
     if not is_topological(parents, order):
@@ -267,9 +265,9 @@ def blocked_masked_attention_reference(
     return out
 
 
-def enumerate_topological_orders(parents_like):
+def enumerate_topological_orders(parents: Sequence[int]):
     """All parents-before-children orders; factorial, so tiny trees only."""
-    parents = _parents_of(parents_like)
+    parents = _parents_of(parents)
     if parents.size > 10:
         raise ValueError("exhaustive order enumeration is limited to n <= 10")
     children = _children_lists(parents)
@@ -287,11 +285,11 @@ def enumerate_topological_orders(parents_like):
     yield from recurse([], _top_level(parents))
 
 
-def min_block_count_exhaustive(parents_like, prefix_len: int, block: int) -> int:
+def min_block_count_exhaustive(parents: Sequence[int], prefix_len: int, block: int) -> int:
     """Minimum tile count over every legal order; ground truth for tiny trees."""
     best = None
-    for order in enumerate_topological_orders(parents_like):
-        count = count_nonzero_blocks(apply_permutation(parents_like, order, prefix_len), block)
+    for order in enumerate_topological_orders(parents):
+        count = count_nonzero_blocks(apply_permutation(parents, order, prefix_len), block)
         if best is None or count < best:
             best = count
     return int(best)

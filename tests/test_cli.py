@@ -2,25 +2,43 @@ import json
 
 import pytest
 
+import dyspec.cli as cli
 from dyspec.cli import build_parser, csv_list, main
-from dyspec.config import ConfigError, RunConfig
+from dyspec.config import _SCHEMA, ConfigError, RunConfig
+
+MODELS = {"vocab_size": 32, "markov_order": 1, "target_seed": 5, "noise_sigma": 0.8}
+COSTS = {"draft_cost": 1.0, "target_cost": 200.0}
+
+
+def write_config(tmp_path, name, cfg):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 @pytest.fixture
 def config_path(tmp_path):
-    cfg = {
-        "models": {
-            "vocab_size": 32,
-            "markov_order": 1,
-            "target_seed": 5,
-            "noise_sigma": 0.8,
-        },
+    return write_config(tmp_path, "config.json", {
+        "models": MODELS,
         "generation": {"prefix_len": 12, "gen_len": 16, "budget": 8, "seed": 3},
-        "costs": {"draft_cost": 1.0, "target_cost": 200.0},
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    return path
+        "costs": COSTS,
+    })
+
+
+# Configs holding only keys the command reads, so that a test expecting
+# exit 2 cannot pass on a rejected key.
+@pytest.fixture
+def bench_config_path(tmp_path):
+    return write_config(tmp_path, "bench.json", {
+        "models": MODELS, "generation": {"prefix_len": 12, "gen_len": 16}, "costs": COSTS,
+    })
+
+
+@pytest.fixture
+def hypothesis_config_path(tmp_path):
+    return write_config(tmp_path, "hypothesis.json", {
+        "models": MODELS, "generation": {"prefix_len": 12, "gen_len": 16, "budget": 8},
+    })
 
 
 class TestConfig:
@@ -196,19 +214,107 @@ class TestFlagSurface:
 
     def test_description_lists_each_command_flags(self):
         parser = build_parser()
-        listed = {}
-        for line in parser.description.splitlines():
-            if line.startswith("   "):
-                listed[name] += line.split()
-            elif line.startswith("  "):
+        assert parser.description == cli.__doc__
+        listed, name = {}, None
+        for line in cli.__doc__.splitlines():
+            if line.startswith("  ") and not line.startswith("   "):
                 name, *flags = line.split()
                 listed[name] = flags
+            elif line.strip().startswith("config:"):
+                name = None
+            elif name and line.startswith("   "):
+                listed[name] += line.split()
         commands = parser._subparsers._group_actions[0].choices
         assert set(listed) == set(commands)
         for name, sub in commands.items():
             flags = [opt for action in sub._actions for opt in action.option_strings
                      if opt not in ("-h", "--help")]
             assert listed[name] == flags, name
+
+
+# One valid value per schema key.  Keys that need a partner to make a valid
+# generation config bring it along; every command reading such a key reads
+# its partner too.
+KEY_SAMPLES = {
+    "models.vocab_size": 8, "models.markov_order": 1, "models.target_seed": 4,
+    "models.noise_sigma": 0.3, "models.concentration": 0.5, "models.entropy_spread": 1.0,
+    "generation.prefix_len": 3, "generation.gen_len": 3, "generation.budget": 4,
+    "generation.threshold": 0.5, "generation.size_cap": 4, "generation.draft_temp": 0.3,
+    "generation.target_temp": 0.3, "generation.seed": 2, "generation.structure": "chain",
+    "generation.k": 2, "generation.branching": [2],
+    "costs.draft_cost": 2.0, "costs.target_cost": 100.0, "costs.per_node_overhead": 0.5,
+    "output.dir": None,  # a path under tmp_path
+}
+PARTNERS = {
+    "generation.threshold": {"size_cap": 4},
+    "generation.size_cap": {"threshold": 0.5},
+    "generation.k": {"structure": "k_chains"},
+    "generation.branching": {"structure": "static_tree"},
+}
+MODEL_KEYS = {key for key in KEY_SAMPLES if key.startswith("models.")}
+COST_KEYS = {key for key in KEY_SAMPLES if key.startswith("costs.")}
+# command label -> (argv of a small run, the keys it reads)
+COMMAND_READS = {
+    "generate": (["generate"], set(KEY_SAMPLES)),
+    "bench": (
+        ["bench", "--structures", "chain", "--budgets", "2", "--temps", "0", "--seeds", "1"],
+        MODEL_KEYS | COST_KEYS | {"generation.prefix_len", "generation.gen_len",
+                                  "generation.draft_temp", "output.dir"},
+    ),
+    "hypothesis": (
+        ["hypothesis", "--min-events", "1", "--max-runs", "1"],
+        set(KEY_SAMPLES) - COST_KEYS - {"generation.seed"},
+    ),
+    "mask --generator constructed": (
+        ["mask", "--generator", "constructed", "--sizes", "4", "--seeds", "1"],
+        MODEL_KEYS | {"generation.draft_temp", "output.dir"},
+    ),
+    "mask --generator random": (
+        ["mask", "--generator", "random", "--sizes", "4", "--seeds", "1"], {"output.dir"},
+    ),
+    "mask --generator chain": (
+        ["mask", "--generator", "chain", "--sizes", "4", "--seeds", "1"], {"output.dir"},
+    ),
+}
+
+
+class TestConfigKeysPerCommand:
+    """Each command accepts exactly the config keys it reads."""
+
+    def test_samples_cover_the_schema(self):
+        schema = {f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys}
+        assert set(KEY_SAMPLES) == schema
+
+    def test_read_counts(self):
+        counts = {label: len(reads) for label, (_, reads) in COMMAND_READS.items()}
+        assert counts == {
+            "generate": 21, "bench": 13, "hypothesis": 17, "mask --generator constructed": 8,
+            "mask --generator random": 1, "mask --generator chain": 1,
+        }
+
+    @pytest.mark.parametrize("key", sorted(KEY_SAMPLES))
+    @pytest.mark.parametrize("label", sorted(COMMAND_READS))
+    def test_key_accepted_only_where_read(self, label, key, tmp_path, capsys):
+        argv, reads = COMMAND_READS[label]
+        section, name = key.split(".")
+        # Small runs: shorten prompt and output where the command reads them.
+        cfg = {"models": {}}
+        if "generation.gen_len" in reads:
+            cfg["generation"] = {"prefix_len": 3, "gen_len": 3}
+        value = KEY_SAMPLES[key] if key != "output.dir" else str(tmp_path / "from-config")
+        cfg.setdefault(section, {})[name] = value
+        if key in reads:
+            cfg[section].update(PARTNERS.get(key, {}))
+        path = write_config(tmp_path, "cfg.json", cfg)
+        out = tmp_path / "out"
+        code = main(argv + ["--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if key in reads:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert f"{label} does not read config key {key}" in err
+            assert not out.exists()
 
 
 class TestGenerateCommand:
@@ -244,6 +350,15 @@ class TestGenerateCommand:
         assert code == 2
         assert "exceeding budget 8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--branching=-1", "--budget", "8"],
+                                       ["--branching", "2,0,3", "--budget", "16"]])
+    def test_static_tree_branching_below_one_exits_2(self, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["generate", "--structure", "static_tree", "--gen-len", "4", "--prefix-len", "4"]
+        assert main(argv + flags + ["--out", str(out)]) == 2
+        assert "branching entries must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--target-temp", "--draft-temp"])
     def test_negative_temperature_exits_2(self, config_path, tmp_path, capsys, flag):
         code = main(
@@ -262,10 +377,10 @@ class TestGenerateCommand:
 
 
 class TestBenchCommand:
-    def test_two_structures_two_temps(self, config_path, tmp_path):
+    def test_two_structures_two_temps(self, bench_config_path, tmp_path):
         out = tmp_path / "bench"
         code = main(
-            ["bench", "--config", str(config_path), "--out", str(out),
+            ["bench", "--config", str(bench_config_path), "--out", str(out),
              "--structures", "dynamic,chain", "--budgets", "8",
              "--temps", "0.0,0.6", "--seeds", "2"]
         )
@@ -273,10 +388,10 @@ class TestBenchCommand:
         lines = (out / "bench.csv").read_text().splitlines()
         assert len(lines) == 1 + 4  # header + 2 structures x 2 temps
 
-    def test_threshold_mode_reports_realized_tree_size(self, config_path, tmp_path):
+    def test_threshold_mode_reports_realized_tree_size(self, bench_config_path, tmp_path):
         out = tmp_path / "bench-thr"
         code = main(
-            ["bench", "--config", str(config_path), "--out", str(out),
+            ["bench", "--config", str(bench_config_path), "--out", str(out),
              "--structures", "dynamic", "--budgets", "", "--thresholds", "0.05",
              "--size-cap", "24", "--temps", "0.6", "--seeds", "2"]
         )
@@ -286,30 +401,77 @@ class TestBenchCommand:
         assert cols["mode"] == "threshold"
         assert float(cols["mean_tree_size"]) <= 24.0
 
-    def test_static_tree_over_budget_exits_2(self, config_path, tmp_path):
+    def test_static_tree_over_budget_exits_2(self, bench_config_path, tmp_path, capsys):
         # default branching 4,2,2,2 makes a 60-node tree
         code = main(
-            ["bench", "--config", str(config_path), "--out", str(tmp_path),
+            ["bench", "--config", str(bench_config_path), "--out", str(tmp_path),
              "--budgets", "8", "--seeds", "1"]
         )
         assert code == 2
+        assert "yields 60 nodes, exceeding budget 8" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
-    def test_negative_temperature_exits_2(self, config_path, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [["--branching=-1", "--budgets", "8"],
+                                       ["--branching", "2,0,3", "--budgets", "16"]])
+    def test_static_tree_branching_below_one_exits_2(
+        self, flags, bench_config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = main(["bench", "--config", str(bench_config_path), "--out", str(out),
+                     "--structures", "static_tree", "--seeds", "1"] + flags)
+        assert code == 2
+        assert "branching entries must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_temperature_exits_2(self, bench_config_path, tmp_path, capsys):
         code = main(
-            ["bench", "--config", str(config_path), "--out", str(tmp_path),
+            ["bench", "--config", str(bench_config_path), "--out", str(tmp_path),
              "--structures", "chain", "--budgets", "8", "--temps", "0.6,-1", "--seeds", "1"]
         )
         assert code == 2
         assert "temperatures must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
-    def test_empty_sweep_is_usage_error(self, config_path, tmp_path):
+    def test_empty_sweep_is_usage_error(self, bench_config_path, tmp_path, capsys):
         code = main(
-            ["bench", "--config", str(config_path), "--out", str(tmp_path),
+            ["bench", "--config", str(bench_config_path), "--out", str(tmp_path),
              "--structures", "", "--budgets", "8", "--temps", "0.6"]
         )
         assert code == 2
+        assert "sweep needs at least one structure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--structures", "chain", "--thresholds", "0.1"],
+             "--thresholds needs the dynamic structure"),
+            (["--structures", "chain", "--k", "2"], "--k needs the k_chains structure"),
+            (["--structures", "k_chains", "--branching", "2"],
+             "--branching needs the static_tree structure"),
+            (["--structures", "dynamic", "--size-cap", "24"], "--size-cap needs --thresholds"),
+            (["--structures", "dynamic,chain", "--budgets", "", "--thresholds", "0.1"],
+             "structures other than dynamic need --budgets"),
+        ],
+    )
+    def test_sweep_flag_reaching_no_cell_exits_2(
+        self, flags, message, bench_config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = main(["bench", "--config", str(bench_config_path), "--out", str(out),
+                     "--seeds", "1"] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_seed_is_rejected(self, bench_config_path, tmp_path, capsys):
+        # bench runs seeds 0..--seeds-1, so generation.seed had no effect.
+        cfg = json.loads(bench_config_path.read_text())
+        cfg["generation"]["seed"] = 5
+        path = write_config(tmp_path, "seeded.json", cfg)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+        assert "bench does not read config key generation.seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCommand:
@@ -411,6 +573,12 @@ class TestMaskCommand:
         assert code == 0
         assert len(made) == 1
 
+    def test_random_trees_need_no_models_section(self, tmp_path):
+        out = tmp_path / "from-config"
+        path = write_config(tmp_path, "cfg.json", {"output": {"dir": str(out)}})
+        assert main(["mask", "--config", str(path), "--sizes", "8", "--seeds", "1"]) == 0
+        assert (out / "mask_counts.csv").exists()
+
     def test_unknown_order_exits_before_any_tree(self, tmp_path, monkeypatch, capsys):
         import dyspec.cli as cli
 
@@ -424,9 +592,9 @@ class TestMaskCommand:
 
 
 class TestHypothesisCommand:
-    def test_bins_csv_shape(self, config_path, tmp_path):
+    def test_bins_csv_shape(self, hypothesis_config_path, tmp_path):
         code = main(
-            ["hypothesis", "--config", str(config_path), "--min-events", "200",
+            ["hypothesis", "--config", str(hypothesis_config_path), "--min-events", "200",
              "--bins", "10", "--out", str(tmp_path)]
         )
         assert code == 0
@@ -510,8 +678,8 @@ class TestWorkerCount:
         monkeypatch.setenv("DYSPEC_THREADS", threads)
         assert worker_count(jobs) == expected
 
-    def test_bench_parallel_matches_serial(self, config_path, tmp_path, monkeypatch):
-        args = ["bench", "--config", str(config_path), "--structures", "dynamic,chain",
+    def test_bench_parallel_matches_serial(self, bench_config_path, tmp_path, monkeypatch):
+        args = ["bench", "--config", str(bench_config_path), "--structures", "dynamic,chain",
                 "--budgets", "6", "--temps", "0.6", "--seeds", "2"]
         monkeypatch.setenv("DYSPEC_THREADS", "1")
         main(args + ["--out", str(tmp_path / "serial")])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyspec.construct import CostParams, estimate_latency
 from dyspec.engine import (
@@ -14,6 +16,12 @@ from dyspec.engine import (
 )
 from dyspec.lm import ModelPairSpec, make_model_pair
 from dyspec.verify import BranchTrace, VerificationError, VerifyResult
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    """scipy is a test-only dependency: the reference for Spearman's rho."""
+    return pytest.importorskip("scipy.stats")
 
 
 def pair(seed=0, vocab=16, sigma=1.0, **kw):
@@ -48,6 +56,11 @@ class TestGenConfig:
         with pytest.raises(ValueError, match="chain count"):
             GenConfig(budget=3, structure="k_chains", k=4)
         GenConfig(budget=14, structure="static_tree", branching=(2, 2, 2))
+
+    @pytest.mark.parametrize("branching", [(-1,), (2, 0, 3)])
+    def test_static_tree_branching_entries_at_least_one(self, branching):
+        with pytest.raises(ValueError, match="branching entries must be >= 1"):
+            GenConfig(budget=16, structure="static_tree", branching=branching)
 
     def test_latency_mode(self):
         assert GenConfig(budget=8).latency_mode == "greedy"
@@ -222,6 +235,18 @@ class TestAcceptanceBins:
     def test_rank_correlation_on_monotone_rows(self):
         rows = [(i / 10, (i + 1) / 10, i / 10, 100) for i in range(10)]
         assert bin_rank_correlation(rows) == pytest.approx(1.0)
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1 / 3]),
+                              st.integers(0, 3)), min_size=2, max_size=12))
+    def test_rank_correlation_matches_scipy(self, scipy_stats, bins):
+        rows = [(0.0, 1.0, rate, count) for rate, count in bins]
+        rates = [rate for rate, count in bins if count]
+        rho = bin_rank_correlation(rows)
+        if len(rates) < 2 or len(set(rates)) == 1:
+            assert np.isnan(rho)
+        else:
+            expected = scipy_stats.spearmanr(range(len(rates)), rates)[0]
+            assert rho == expected  # bit for bit
 
 
 class TestGenerateStep:

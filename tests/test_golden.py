@@ -19,6 +19,10 @@ from dyspec.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIG = str(GOLDEN / "config.json")
+# config.json without the keys a command does not read (it would exit 2).
+BENCH_CONFIG = str(GOLDEN / "config-bench.json")
+HYPOTHESIS_CONFIG = str(GOLDEN / "config-hypothesis.json")
+MASK_CONFIG = str(GOLDEN / "config-mask.json")
 
 CASES = {
     "generate-budget": ["generate", "--config", CONFIG, "--budget", "16"],
@@ -34,13 +38,15 @@ CASES = {
         "--branching", "3,2", "--budget", "10", "--target-temp", "0",
     ],
     "bench-json": [
-        "bench", "--config", CONFIG, "--format", "json", "--budgets", "16",
+        "bench", "--config", BENCH_CONFIG, "--format", "json", "--budgets", "16",
         "--thresholds", "0.1", "--size-cap", "24", "--k", "2", "--branching", "2,2,2",
         "--seeds", "2",
     ],
-    "hypothesis": ["hypothesis", "--config", CONFIG, "--min-events", "300", "--bins", "5"],
+    "hypothesis": [
+        "hypothesis", "--config", HYPOTHESIS_CONFIG, "--min-events", "300", "--bins", "5",
+    ],
     "mask-constructed": [
-        "mask", "--config", CONFIG, "--generator", "constructed", "--sizes", "48",
+        "mask", "--config", MASK_CONFIG, "--generator", "constructed", "--sizes", "48",
         "--block", "8", "--seeds", "2", "--per-seed",
     ],
     "oracle-threshold-equivalence": [
