@@ -113,8 +113,7 @@ def sample(dist: Categorical, u: float) -> int:
     """Inverse-CDF sample over the stored order using one uniform in [0, 1)."""
     if dist.is_zero:
         raise ValueError("cannot sample from an exhausted (zero) distribution")
-    cdf = np.cumsum(dist.probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    idx = int(dist.probs.cumsum().searchsorted(u, "right"))
     if idx >= dist.size or dist.probs[idx] == 0.0:
         # u landed past the last positive entry by rounding; clamp to it.
         idx = int(np.flatnonzero(dist.probs > 0.0)[-1])

@@ -27,12 +27,12 @@ bench sweeps structures x budgets/thresholds x temperatures.  Its
 --thresholds apply to dynamic, --k to k_chains, --branching to
 static_tree and --size-cap to threshold cells; a sweep flag that reaches
 no cell exits 2.  Temperatures are generation keys (bench sweeps the
-target's with --temps); the model pair takes them from there.  Counts
-such as --seeds must be at least 1.  Exit codes: 0 success, 1 a check
-suite failed, 2 usage or configuration error.  DYSPEC_THREADS sets the
-worker count of bench, capped by the CPU count and the number of cells;
-every command is deterministic for a fixed config and seeds, regardless
-of worker count.
+target's with --temps); the model pair takes them from there.  A sweep
+value may not repeat, and counts such as --seeds must be at least 1.
+Exit codes: 0 success, 1 a check suite failed, 2 usage or configuration
+error.  DYSPEC_THREADS sets the worker count of bench, capped by the CPU
+count and the number of cells; every command is deterministic for a
+fixed config and seeds, regardless of worker count.
 """
 
 from __future__ import annotations
@@ -203,6 +203,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
          "--branching needs the static_tree structure"),
         (args.size_cap is not None and not thresholds, "--size-cap needs --thresholds"),
     ]
+    # A repeated sweep value would run one cell twice; --branching is a shape, not a sweep.
+    sweeps = {"--structures": structures, "--budgets": budgets,
+              "--thresholds": thresholds, "--temps": temps}
+    usage_errors += [(True, f"{flag} repeats {value}") for flag, values in sweeps.items()
+                     for i, value in enumerate(values) if value in values[:i]]
     for failed, message in usage_errors:
         if failed:
             print(f"bench: {message}", file=sys.stderr)
@@ -500,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("hypothesis", "acceptance rate vs draft probability", cmd_hypothesis)
     p.add_argument("--config", help="JSON run-config path")
     p.add_argument("--bins", type=positive_int, default=10)
-    p.add_argument("--min-events", dest="min_events", type=int, default=20000)
-    p.add_argument("--max-runs", dest="max_runs", type=int, default=2000)
+    p.add_argument("--min-events", dest="min_events", type=positive_int, default=20000)
+    p.add_argument("--max-runs", dest="max_runs", type=positive_int, default=2000)
 
     return parser
 

@@ -243,7 +243,8 @@ def generate(
     """Generate ``config.gen_len`` tokens; returns them plus run metrics.
 
     Fully deterministic given the models and config seed.  The prompt must
-    match the configured prefix length.
+    match the configured prefix length.  The draft's dist cache carries
+    across calls on one pair at the same draft temperature.
     """
     if len(prompt) != config.prefix_len:
         raise ValueError(

@@ -26,9 +26,10 @@ class LanguageModel:
 
     Subclasses are frozen dataclasses with a ``temperature`` field and
     implement :meth:`next_logits` as a pure function of the context.
-    ``temperature`` is applied at query time by :meth:`dist`.
-    Instances are immutable after construction and safe to query from
-    multiple threads.
+    ``temperature`` is applied at query time by :meth:`dist`, which caches
+    one distribution per context key (at most V^order) for the instance's
+    life, across ``generate`` calls.  Caches aside, instances are immutable
+    and safe to query from multiple threads.
     """
 
     vocab_size: int
@@ -43,7 +44,7 @@ class LanguageModel:
 
     def dist(self, context: TokenSeq) -> Categorical:
         key = self.context_key(context)
-        cache = self._dist_cache()
+        cache = self.__dict__.setdefault("_dists", {})  # frozen dataclasses bar setattr
         hit = cache.get(key)
         if hit is None:
             hit = softmax_with_temperature(self.next_logits(context), self.temperature)
@@ -51,30 +52,22 @@ class LanguageModel:
         return hit
 
     def dists(self, contexts: Sequence[TokenSeq]) -> List[Categorical]:
-        """:meth:`dist` of every context, in input order, with one softmax
-        over the stacked logits of the distinct keys the cache lacks."""
+        """:meth:`dist` of every context, in input order, from one softmax
+        over the stacked logits of the call's distinct keys.  The dist cache
+        is left alone: kept across calls it would only hold memory."""
         keys = [self.context_key(context) for context in contexts]
-        cache = self._dist_cache()
-        misses = {key: context for key, context in zip(keys, contexts) if key not in cache}
-        if misses:
-            block = np.stack([self.next_logits(context) for context in misses.values()])
-            cache.update(zip(misses, softmax_rows(block, self.temperature)))
-        return [cache[key] for key in keys]
+        distinct = dict(zip(keys, contexts))
+        block = np.stack([self.next_logits(context) for context in distinct.values()])
+        by_key = dict(zip(distinct, softmax_rows(block, self.temperature)))
+        return [by_key[key] for key in keys]
 
     def with_temperature(self, temp: float) -> "LanguageModel":
-        """The same model at another temperature.
-
-        Generated tables (Markov rows, draft noise) stay shared with this
-        instance; the distribution cache starts fresh.
-        """
+        """This instance, warm dist cache included, at its own temperature;
+        otherwise a new one that shares the generated tables (Markov rows,
+        draft noise) and starts with an empty dist cache."""
+        if temp == self.temperature:
+            return self
         return replace(self, temperature=temp)
-
-    def _dist_cache(self) -> Dict[Tuple[int, ...], Categorical]:
-        cache = getattr(self, "_dists", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_dists", cache)
-        return cache
 
 
 @dataclass(frozen=True)

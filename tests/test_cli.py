@@ -153,14 +153,41 @@ class TestFlagSurface:
             ["mask", "--block", "0"],
             ["oracle", "--suite", "optimality", "--trials", "0"],
             ["oracle", "--suite", "optimality", "--instances", "0"],
+            ["hypothesis", "--min-events", "0"],
+            ["hypothesis", "--max-runs", "0"],
         ],
     )
     def test_counts_must_be_positive(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be >= 1" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--structures", "chain,dynamic,chain"], "--structures repeats chain"),
+            (["--budgets", "4,8,4"], "--budgets repeats 4"),
+            (["--structures", "dynamic", "--thresholds", "0.1,0.2,0.10"],
+             "--thresholds repeats 0.1"),
+            (["--temps", "0.6,0.60"], "--temps repeats 0.6"),
+        ],
+    )
+    def test_bench_sweep_values_must_not_repeat(self, flags, message, tmp_path, capsys):
+        # A repeated value would run one cell twice and write it twice.
+        assert main(["bench", "--out", str(tmp_path), "--seeds", "1"] + flags) == 2
+        assert f"bench: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_bench_branching_may_repeat(self, bench_config_path, tmp_path):
+        # --branching is one static-tree shape, not a sweep: 2,2,2 is valid.
+        code = main(["bench", "--config", str(bench_config_path), "--out", str(tmp_path),
+                     "--structures", "static_tree", "--budgets", "14", "--branching", "2,2,2",
+                     "--temps", "0.6", "--seeds", "1"])
+        assert code == 0
+        assert len((tmp_path / "bench.csv").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize(
         "argv",

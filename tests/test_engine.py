@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyspec.categorical import softmax_with_temperature
 from dyspec.construct import CostParams, estimate_latency
 from dyspec.engine import (
     GenConfig,
@@ -29,6 +32,12 @@ def pair(seed=0, vocab=16, sigma=1.0, **kw):
         vocab_size=vocab, markov_order=1, target_seed=seed, noise_sigma=sigma, **kw
     )
     return make_model_pair(spec)
+
+
+@functools.lru_cache(maxsize=None)
+def warm_pair():
+    """One pair that stays warm across hypothesis examples."""
+    return pair(seed=3, vocab=8)
 
 
 class TestGenConfig:
@@ -168,6 +177,53 @@ class TestGenerate:
         payload = metrics.to_dict()
         assert payload["accepted_includes_bonus"] is True
         assert payload["num_steps"] == len(metrics.steps)
+
+
+class TestWarmPair:
+    """generate reuses a model already at its temperature, dist cache and all."""
+
+    def test_second_generate_computes_no_softmax(self, monkeypatch):
+        import dyspec.lm as lm
+
+        calls = []
+
+        def counting(logits, temp):
+            calls.append(temp)
+            return softmax_with_temperature(logits, temp)
+
+        monkeypatch.setattr(lm, "softmax_with_temperature", counting)
+        target, draft = pair(seed=5, draft_temp=0.6, target_temp=0.6)
+        prompt = make_prompt(target.with_temperature(1.0), 8, seed=1)
+        config = GenConfig(prefix_len=8, gen_len=24, budget=8, seed=2)
+        generate(target, draft, prompt, config)
+        assert calls
+        calls.clear()
+        tokens, metrics = generate(target, draft, prompt, config)
+        assert calls == []
+
+        cold_target, cold_draft = pair(seed=5, draft_temp=0.6, target_temp=0.6)
+        cold_tokens, cold_metrics = generate(cold_target, cold_draft, prompt, config)
+        assert tokens == cold_tokens
+        assert metrics.steps == cold_metrics.steps
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.6]),
+        st.integers(0, 2**16),
+    )
+    def test_warm_pair_equals_cold_pair(self, prompt_seed, budget, target_temp, seed):
+        warm, cold = warm_pair(), pair(seed=3, vocab=8)
+        prompt = make_prompt(cold[0].with_temperature(1.0), 6, seed=prompt_seed)
+        config = GenConfig(
+            prefix_len=6, gen_len=12, budget=budget, target_temp=target_temp, seed=seed
+        )
+        warm_tokens, warm_metrics = generate(*warm, prompt, config)
+        cold_tokens, cold_metrics = generate(*cold, prompt, config)
+        assert warm_tokens == cold_tokens
+        assert warm_metrics.steps == cold_metrics.steps
+        assert warm_metrics.branch_events == cold_metrics.branch_events
 
 
 class TestBaselineTrees:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyspec.categorical import Categorical
+from dyspec.categorical import Categorical, softmax_with_temperature
 from dyspec.construct import build_tree_fixed
 from dyspec.lm import (
     MarkovModel,
@@ -19,6 +19,14 @@ from dyspec.token_tree import ROOT, TokenTree
 
 def small_model(seed=7, vocab=4, order=1, **kw):
     return MarkovModel(vocab_size=vocab, order=order, seed=seed, **kw)
+
+
+class CountingMarkov(MarkovModel):
+    """Records the context key of every ``next_logits`` call."""
+
+    def next_logits(self, context):
+        self.__dict__.setdefault("keys", []).append(self.context_key(context))
+        return super().next_logits(context)
 
 
 class TestMarkovModel:
@@ -103,11 +111,39 @@ class TestDists:
         single = small_model(vocab=8, temperature=0.6)
         assert batched == [single.dist(c) for c in contexts]
 
-    def test_hits_come_from_the_cache(self):
-        model = small_model(vocab=8)
-        warm = model.dist([4])
-        assert model.dists([[4], [0, 4]])[0] is warm
-        assert model.dists([[5, 4]])[0] is warm
+    def test_leaves_the_cache_alone_and_reads_each_key_once(self):
+        model = CountingMarkov(vocab_size=8, order=1, seed=7)
+        model.dists([[4], [0, 4], [5], [1, 5], [4]])
+        assert model.keys == [(4,), (5,)]
+        assert "_dists" not in model.__dict__
+        # A warm dist cache is not read either: every call queries its keys.
+        model.dist([4])
+        model.keys.clear()
+        model.dists([[4], [2, 4]])
+        model.dists([[4]])
+        assert model.keys == [(4,), (4,)]
+        assert list(model.__dict__["_dists"]) == [(4,)]
+
+
+class TestWithTemperature:
+    def test_own_temperature_returns_the_instance(self):
+        target, draft = make_model_pair(ModelPairSpec(vocab_size=8, markov_order=1))
+        for model in (target, draft):
+            warm = model.dist([3])
+            assert model.with_temperature(model.temperature) is model
+            assert model.with_temperature(model.temperature).dist([3]) is warm
+
+    def test_other_temperature_shares_tables_with_a_fresh_cache(self):
+        target, draft = make_model_pair(ModelPairSpec(vocab_size=8, markov_order=1))
+        draft.dist([3])
+        target.dist([3])
+        hot_target, hot_draft = target.with_temperature(1.5), draft.with_temperature(1.5)
+        assert hot_target is not target and hot_draft is not draft
+        assert hot_target.temperature == hot_draft.temperature == 1.5
+        assert hot_target._rows is target._rows
+        assert hot_draft._noise is draft._noise
+        assert "_dists" not in hot_target.__dict__ and "_dists" not in hot_draft.__dict__
+        assert hot_draft.dist([3]) == softmax_with_temperature(draft.next_logits([3]), 1.5)
 
 
 class TestKLDivergence:

@@ -76,6 +76,21 @@ class TestCategoricalProperties:
         else:
             assert idx == int(np.flatnonzero(dist.probs > 0.0)[-1])
 
+    @given(weights, st.lists(unit_interval, min_size=1, max_size=8),
+           st.floats(min_value=-0.5, max_value=0.5))
+    def test_sample_equals_the_module_function_form(self, w, us, frac):
+        # sample uses the ndarray methods; np.cumsum / np.searchsorted gave
+        # the same bits, clamp included, and seeded outputs depend on it.
+        probs = normalized(w) * (1.0 + frac * SUM_TOL)
+        assume(abs(float(probs.sum()) - 1.0) <= SUM_TOL)
+        dist = Categorical(probs)
+        for u in us + [np.nextafter(1.0, 0.0)]:
+            cdf = np.cumsum(dist.probs)
+            idx = int(np.searchsorted(cdf, u, side="right"))
+            if idx >= dist.size or dist.probs[idx] == 0.0:
+                idx = int(np.flatnonzero(dist.probs > 0.0)[-1])
+            assert sample(dist, u) == idx
+
     @given(weights)
     def test_sample_just_below_one_takes_last_positive(self, w):
         dist = Categorical(normalized(w))
