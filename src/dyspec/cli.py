@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -60,6 +61,7 @@ from .lm import LanguageModel, ModelPairSpec, make_model_pair
 from .rng import derive_seed
 
 DEFAULT_CONFIG: Dict = {"models": {}}
+ModelPair = Tuple[LanguageModel, LanguageModel]  # (target, draft)
 
 
 def worker_count(jobs: int) -> int:
@@ -124,8 +126,8 @@ def csv_list(cast):
 # --------------------------------------------------------------------------
 
 
-def _run_single(models: ModelPairSpec, gen: GenConfig, costs: CostParams):
-    target, draft = make_model_pair(models)
+def _run_single(pair: ModelPair, gen: GenConfig, costs: CostParams):
+    target, draft = pair
     prompt = make_prompt(target.with_temperature(1.0), gen.prefix_len, gen.seed)
     return generate(target, draft, prompt, gen, costs)
 
@@ -135,7 +137,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(GenConfig)}
     cfg = _load_config(args, overrides)
     out = _out_dir(args, cfg)
-    tokens, metrics = _run_single(cfg.models, cfg.generation, cfg.costs)
+    tokens, metrics = _run_single(make_model_pair(cfg.models), cfg.generation, cfg.costs)
 
     payload = metrics.to_dict()
     payload["models"] = cfg.models.to_dict()
@@ -161,11 +163,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _bench_cell(job: Tuple[ModelPairSpec, GenConfig, CostParams, int]) -> Dict:
-    models, gen, costs, seeds = job
+def _bench_cells(
+    models: ModelPairSpec, costs: CostParams, seeds: int, cells: Sequence[GenConfig]
+) -> List[Dict]:
+    """Rows of bench cells, all run on one pair: its Markov rows, draft noise
+    and draft dists are made once, and outputs do not depend on them."""
+    pair = make_model_pair(models)
+    return [_bench_cell(pair, gen, costs, seeds) for gen in cells]
+
+
+def _bench_cell(pair: ModelPair, gen: GenConfig, costs: CostParams, seeds: int) -> Dict:
     accepted, sizes, latencies, rates = [], [], [], []
     for seed in range(seeds):
-        _, metrics = _run_single(models, dataclasses.replace(gen, seed=seed), costs)
+        _, metrics = _run_single(pair, dataclasses.replace(gen, seed=seed), costs)
         accepted.append(metrics.mean_accepted)
         sizes.append(metrics.mean_tree_size)
         rates.append(metrics.tokens_per_modeled_second)
@@ -217,7 +227,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     k = 4 if args.k is None else args.k
     branching = (4, 2, 2, 2) if args.branching is None else tuple(args.branching)
     size_cap = 768 if args.size_cap is None else args.size_cap
-    jobs = []
+    cells = []
     for structure in structures:
         for temp in temps:
             points = [("budget", b) for b in budgets]
@@ -237,15 +247,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     )
                 except ValueError as exc:
                     raise ConfigError(f"bench cell {structure} {mode}={value}: {exc}") from exc
-                jobs.append((cfg.models, gen, cfg.costs, args.seeds))
+                cells.append(gen)
     out = _out_dir(args, cfg)
 
-    workers = worker_count(len(jobs))
+    workers = worker_count(len(cells))
+    run_cells = functools.partial(_bench_cells, cfg.models, cfg.costs, args.seeds)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_cell, jobs))
+            shares = pool.map(run_cells, [cells[i::workers] for i in range(workers)])
+            rows = [row for share in shares for row in share]
     else:
-        rows = [_bench_cell(job) for job in jobs]
+        rows = run_cells(cells)
     rows.sort(key=lambda r: (r["structure"], r["mode"], str(r["budget"]),
                              str(r["threshold"]), r["target_temp"]))
 
@@ -306,9 +318,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _mask_tree(
-    generator: str, n: int, seed: int, pair: Optional[Tuple[LanguageModel, LanguageModel]]
-) -> List[int]:
+def _mask_tree(generator: str, n: int, seed: int, pair: Optional[ModelPair]) -> List[int]:
     """Parent array of one tree; ``pair`` is the (target, draft) the
     ``constructed`` generator builds with, made once per run."""
     if generator == "random":
@@ -399,7 +409,8 @@ def cmd_hypothesis(args: argparse.Namespace) -> int:
         spec = dataclasses.replace(
             cfg.models, target_seed=derive_seed(cfg.models.target_seed, "hyp", run)
         )
-        _, metrics = _run_single(spec, dataclasses.replace(cfg.generation, seed=run), cfg.costs)
+        gen = dataclasses.replace(cfg.generation, seed=run)
+        _, metrics = _run_single(make_model_pair(spec), gen, cfg.costs)
         events.extend(metrics.branch_events)
         run += 1
     if not events:

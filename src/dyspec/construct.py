@@ -92,7 +92,8 @@ def sample_at(
     if residual.is_zero:
         return None
     token = sample(residual, uniform(state.path, len(state.sampled)))
-    return tree.add_node(owner, token, value), residual[token]
+    rate = residual[token]
+    return tree.add_node(owner, token, value, rate), rate
 
 
 def build_tree_fixed(
@@ -249,7 +250,7 @@ def draft_conditional_probs(tree: TokenTree) -> Dict[int, float]:
     """
     probs: Dict[int, float] = {}
     for state in tree.positions.values():
-        for token, node_id, residual in zip(state.sampled, state.node_ids, state.residuals):
+        for token, node_id, residual in zip(state.sampled, state.node_ids, state.chain):
             probs[node_id] = residual[token]
     return probs
 

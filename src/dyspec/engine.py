@@ -1,8 +1,8 @@
 """End-to-end generation loop and benchmark metrics.
 
-One decoding step is: build a token tree from the current context, fetch
-the target's distribution for every tree position in one batched softmax,
-verify, and append the accepted tokens plus the bonus.  The latency model
+One decoding step is: build a token tree from the current context, verify
+it against the target's distributions (each computed when the walk first
+reads it), and append the accepted tokens plus the bonus.  The latency model
 charges one target evaluation per step regardless of tree size (the premise
 of tree speculation) and draft evaluations per node or per level depending
 on the construction mode.
@@ -32,7 +32,7 @@ from .construct import (
     estimate_latency,
     grow_layers,
 )
-from .lm import LanguageModel, target_distributions_for_tree
+from .lm import LanguageModel, TargetRows
 from .rng import derive_seed, keyed_uniform
 from .token_tree import TokenTree
 from .verify import BranchTrace, VerificationError, VerifyResult, verify_tree
@@ -224,12 +224,12 @@ def generate_step(
     config: GenConfig,
     seed: int,
 ) -> StepOutcome:
-    """One construct-verify round: the unit the generation loop repeats."""
+    """One construct-verify round: the unit the generation loop repeats.  Only
+    the target rows verification reads are computed (prompt, accepted nodes)."""
     construct_seed = derive_seed(seed, "construct-step")
     verify_seed = derive_seed(seed, "verify-step")
     tree = build_tree_for_config(draft, context, config, construct_seed)
-    dists = target_distributions_for_tree(target, context, tree)
-    result = verify_tree(tree, dists, verify_seed)
+    result = verify_tree(tree, TargetRows(target, context, tree), verify_seed)
     return StepOutcome(tree=tree, result=result)
 
 

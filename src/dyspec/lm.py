@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .categorical import Categorical, softmax_rows, softmax_with_temperature
 from .rng import derive_seed
+from .token_tree import ROOT
 
 TokenSeq = Sequence[int]
 
@@ -243,8 +244,9 @@ def kl_divergence(d: Categorical, t: Categorical) -> float:
 
 def target_distributions_for_tree(
     target: LanguageModel, prefix: TokenSeq, tree
-) -> Mapping[int, Categorical]:
-    """Target next-token distribution for the root position and every node.
+) -> Dict[int, Categorical]:
+    """Target next-token distribution for the root position and every node,
+    for callers that read them all (a decoding step uses :class:`TargetRows`).
 
     One batched softmax over the tree's positions (one :meth:`dists` call):
     exactly ``len(tree.nodes) + 1`` entries keyed by position owner (ROOT
@@ -252,9 +254,32 @@ def target_distributions_for_tree(
     equal to a direct query on the linearized context.  Nodes come in
     creation order, so each context extends its parent's.
     """
-    from .token_tree import ROOT
-
     contexts = {ROOT: list(prefix)}
     for node in tree.nodes:
         contexts[node.node_id] = contexts[node.parent] + [node.token]
     return dict(zip(contexts, target.dists(list(contexts.values()))))
+
+
+class TargetRows(Mapping):
+    """:func:`target_distributions_for_tree` with each row computed on its
+    first read, bit for bit the batched row, and kept for the mapping's life.
+    Keys are ROOT and every node id; others raise KeyError.  The target's
+    dist cache is neither read nor filled."""
+
+    def __init__(self, target: LanguageModel, prefix: TokenSeq, tree):
+        self._target, self._prefix, self._tree, self._rows = target, list(prefix), tree, {}
+
+    def __getitem__(self, owner: int) -> Categorical:
+        row = self._rows.get(owner)
+        if row is None:
+            if owner not in range(ROOT, len(self._tree.nodes)):
+                raise KeyError(owner)
+            logits = self._target.next_logits(self._prefix + list(self._tree.position_path(owner)))
+            row = self._rows[owner] = softmax_with_temperature(logits, self._target.temperature)
+        return row
+
+    def __len__(self) -> int:
+        return len(self._tree.nodes) + 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(ROOT, len(self._tree.nodes)))  # ROOT (-1), then every node id

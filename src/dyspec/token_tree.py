@@ -10,7 +10,7 @@ all operate on this structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class PositionState:
 
     ``residuals[k]`` is ``draft_full`` with the first k sampled tokens
     removed and renormalized: the k-th sampling was drawn from it, and the
-    last entry is what the next sampling draws from.
+    last entry is what the next sampling draws from.  ``chain`` is the part
+    made so far: the fold after the latest sampling waits for a read.
     """
 
     owner: int
@@ -56,15 +57,24 @@ class PositionState:
     path: Tuple[int, ...]
     sampled: List[int] = field(default_factory=list)
     node_ids: List[int] = field(default_factory=list)
-    residuals: List[Categorical] = field(init=False)
+    chain: List[Categorical] = field(init=False)
 
     def __post_init__(self):
-        self.residuals = [self.draft_full]
+        self.chain = [self.draft_full]
 
     @property
     def residual(self) -> Categorical:
         """Residual left after the tokens already drawn here."""
-        return self.residuals[-1]
+        chain = self.chain
+        if len(chain) == len(self.sampled):
+            chain.append(remove_and_renorm(chain[-1], self.sampled[-1]))
+        return chain[-1]
+
+    @property
+    def residuals(self) -> List[Categorical]:
+        """The chain completed: one entry per sampling plus the next residual."""
+        self.residual  # folds the pending entry, if any
+        return self.chain
 
 
 class TokenTree:
@@ -103,12 +113,13 @@ class TokenTree:
             self.positions[owner] = state
         return state
 
-    def add_node(self, owner: int, token: int, value: float) -> int:
+    def add_node(self, owner: int, token: int, value: float, rate: Optional[float] = None) -> int:
         """Append the next sampling at a position; returns the new node id.
 
         The position must have been opened with its draft distribution.  A
         token may be sampled at most once per position, otherwise the
-        residual bookkeeping (and verification) would break.
+        residual bookkeeping (and verification) would break.  ``rate``, if
+        given, is the token's probability under the current residual.
         """
         state = self.positions[owner]
         if token in state.sampled:
@@ -125,12 +136,11 @@ class TokenTree:
             sibling_index=len(state.sampled),
             depth=depth,
             value=value,
-            accept_weight=value * residual[token],
+            accept_weight=value * (residual[token] if rate is None else rate),
         )
         self.nodes.append(node)
         state.sampled.append(token)
         state.node_ids.append(node_id)
-        state.residuals.append(remove_and_renorm(residual, token))
         return node_id
 
     def ancestors(self, node_id: int) -> List[int]:

@@ -67,9 +67,9 @@ def verify_tree(
     """Walk the tree accepting or rejecting branches; always emits a bonus.
 
     ``target_dists`` must cover every position the walk can visit: the
-    prompt position, and the position of every node (accepted leaves sample
-    their bonus from the target there).  Uniform draws come from a stream
-    keyed by ``seed`` in visit order, so results are reproducible.
+    prompt position and the position of every node (accepted leaves sample
+    their bonus there); only visited ones are read, once each.  Uniform
+    draws are keyed by ``seed`` in visit order, so results are reproducible.
     """
     if uniform_fn is None:
         stream = UniformStream(seed, "verify")
@@ -91,10 +91,10 @@ def verify_tree(
             accepted_tokens.append(bonus)
             return VerifyResult(accepted_tokens, accepted_ids, bonus, False, trace)
 
-        # Branch k was drawn from draft residual k; a chain ends at the
-        # sampling that exhausted it, so no branch follows a zero draft.
+        # Branch k was drawn from draft residual k, always in the chain; only
+        # a position's last sampling can exhaust it, so no draft here is zero.
         residual = target
-        for node_id, token, draft in zip(state.node_ids, state.sampled, state.residuals):
+        for node_id, token, draft in zip(state.node_ids, state.sampled, state.chain):
             d_prob = draft[token]
             threshold = min(1.0, residual[token] / d_prob) if d_prob > 0 else 1.0
             u = uniform_fn()

@@ -415,6 +415,27 @@ class TestBenchCommand:
         lines = (out / "bench.csv").read_text().splitlines()
         assert len(lines) == 1 + 4  # header + 2 structures x 2 temps
 
+    def test_cells_share_one_model_pair(self, bench_config_path, tmp_path, monkeypatch):
+        import dyspec.cli as cli
+
+        made = []
+        real = cli.make_model_pair
+
+        def counting(spec):
+            made.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(cli, "make_model_pair", counting)
+        monkeypatch.setenv("DYSPEC_THREADS", "1")
+        args = ["bench", "--config", str(bench_config_path), "--structures", "dynamic,chain",
+                "--budgets", "8", "--temps", "0.0,0.6", "--seeds", "3"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert len(made) == 1  # 4 cells x 3 seeds, one spec
+        # The pair is not kept once the command returns: a second run makes its own.
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        assert len(made) == 2
+        assert (tmp_path / "a" / "bench.csv").read_bytes() == (tmp_path / "b" / "bench.csv").read_bytes()
+
     def test_threshold_mode_reports_realized_tree_size(self, bench_config_path, tmp_path):
         out = tmp_path / "bench-thr"
         code = main(

@@ -91,6 +91,29 @@ class TestSampleAt:
         assert tree.size == 1
 
 
+    @pytest.mark.parametrize("draft_temp", [0.0, 0.6])
+    def test_folds_only_positions_sampled_again(self, draft_temp, monkeypatch):
+        # A position folds once before each sampling after its first; the
+        # fold after its last sampling waits for a read that never comes.
+        # (The heap never revisits an exhausted position: its sibling entry
+        # has value 0 while its child's is positive.)
+        import dyspec.token_tree as token_tree
+
+        folds = []
+        real_fold = token_tree.remove_and_renorm
+
+        def fold(dist, token):
+            folds.append(token)
+            return real_fold(dist, token)
+
+        monkeypatch.setattr(token_tree, "remove_and_renorm", fold)
+        draft = model_draft(4, vocab=16).with_temperature(draft_temp)
+        tree = build_tree_fixed(draft, [0, 1], 40, seed=2)
+        assert tree.size == 40
+        assert len(folds) == len(tree.nodes) - len(tree.positions)
+        tree.check_residuals()
+
+
 class TestBuildTreeFixed:
     def test_budget_one_single_node(self):
         draft = TableDraft(4, {(): [0.4, 0.3, 0.2, 0.1]})

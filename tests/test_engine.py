@@ -183,23 +183,40 @@ class TestWarmPair:
     """generate reuses a model already at its temperature, dist cache and all."""
 
     def test_second_generate_computes_no_softmax(self, monkeypatch):
+        """A warm draft computes no softmax; the target computes one row per
+        position verified (the prompt position plus each accepted node)."""
         import dyspec.lm as lm
 
-        calls = []
+        calls = {"draft": 0, "target": 0}
+        in_dist = []
+        plain_dist = lm.LanguageModel.dist
+
+        def dist(self, context):
+            in_dist.append(self)
+            try:
+                return plain_dist(self, context)
+            finally:
+                in_dist.pop()
 
         def counting(logits, temp):
-            calls.append(temp)
+            # Inside generate only the draft calls dist; target rows come
+            # from verification's reads.
+            calls["draft" if in_dist else "target"] += 1
             return softmax_with_temperature(logits, temp)
 
+        monkeypatch.setattr(lm.LanguageModel, "dist", dist)
         monkeypatch.setattr(lm, "softmax_with_temperature", counting)
         target, draft = pair(seed=5, draft_temp=0.6, target_temp=0.6)
         prompt = make_prompt(target.with_temperature(1.0), 8, seed=1)
         config = GenConfig(prefix_len=8, gen_len=24, budget=8, seed=2)
-        generate(target, draft, prompt, config)
-        assert calls
-        calls.clear()
+        calls.update(draft=0, target=0)
+        _, metrics = generate(target, draft, prompt, config)
+        assert calls["draft"] > 0
+        assert calls["target"] == sum(s.accepted for s in metrics.steps)
+        calls.update(draft=0, target=0)
         tokens, metrics = generate(target, draft, prompt, config)
-        assert calls == []
+        assert calls["draft"] == 0
+        assert calls["target"] == sum(s.accepted for s in metrics.steps)
 
         cold_target, cold_draft = pair(seed=5, draft_temp=0.6, target_temp=0.6)
         cold_tokens, cold_metrics = generate(cold_target, cold_draft, prompt, config)
@@ -315,3 +332,28 @@ class TestGenerateStep:
         )
         assert outcome.tree.size == 6
         assert len(outcome.result.accepted) >= 1
+
+    @pytest.mark.parametrize("target_temp", [0.0, 0.6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_target_rows_only_where_verification_reads(self, seed, target_temp, monkeypatch):
+        import dyspec.lm as lm
+
+        target, draft = pair(seed=seed, target_temp=target_temp)
+        for token in range(target.vocab_size):
+            draft.next_logits([token])  # draft noise warm: no base-model calls
+        prompt = make_prompt(target.with_temperature(1.0), 8, seed=seed)
+        rows = []
+        plain = lm.MarkovModel.next_logits
+
+        def next_logits(self, context):
+            rows.append(tuple(context))
+            return plain(self, context)
+
+        monkeypatch.setattr(lm.MarkovModel, "next_logits", next_logits)
+        config = GenConfig(prefix_len=8, gen_len=8, budget=24, target_temp=target_temp, seed=0)
+        outcome = generate_step(target, draft, prompt, config, seed)
+        ids = outcome.result.accepted_node_ids
+        assert outcome.tree.size == 24
+        assert len(rows) == len(ids) + 1
+        assert rows == [tuple(prompt) + tuple(outcome.result.accepted[:k])
+                        for k in range(len(ids) + 1)]

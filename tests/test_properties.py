@@ -14,7 +14,13 @@ from dyspec.categorical import (
     softmax_with_temperature,
 )
 from dyspec.construct import build_tree_fixed
-from dyspec.lm import MarkovModel, ModelPairSpec, make_model_pair, target_distributions_for_tree
+from dyspec.lm import (
+    MarkovModel,
+    ModelPairSpec,
+    TargetRows,
+    make_model_pair,
+    target_distributions_for_tree,
+)
 from dyspec.oracle import exact_verify_distribution
 from dyspec.token_tree import ROOT
 
@@ -165,6 +171,13 @@ class CountingMarkov(MarkovModel):
         return super().next_logits(context)
 
 
+class TiedMarkov(MarkovModel):
+    """Logits rounded down to multiples of 4: most rows have tied maxima."""
+
+    def next_logits(self, context):
+        return np.floor(super().next_logits(context) / 4.0) * 4.0
+
+
 class TestTargetPass:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -188,3 +201,39 @@ class TestTargetPass:
         assert dists[ROOT] == fresh.dist(prompt)
         for node in tree.nodes:
             assert dists[node.node_id] == fresh.dist(prompt + tree.token_path(node.node_id))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.lists(st.integers(0, 11), min_size=0, max_size=4),
+        st.sampled_from([0.0, 0.6]),
+        st.booleans(),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_rows_on_demand_equal_the_batched_pass(
+        self, vocab, order, budget, prompt, temp, tied, seed, data
+    ):
+        prompt = [t % vocab for t in prompt]
+        spec = ModelPairSpec(vocab_size=vocab, markov_order=order, target_seed=seed)
+        _, draft = make_model_pair(spec)
+        tree = build_tree_fixed(draft, prompt, budget, seed=seed)
+        model = TiedMarkov if tied else MarkovModel
+        target = model(vocab_size=vocab, order=order, seed=seed, temperature=temp)
+        eager = target_distributions_for_tree(target, prompt, tree)
+        lazy = TargetRows(target, prompt, tree)
+
+        assert len(lazy) == len(eager)
+        assert list(lazy) == list(eager)
+        # Rows read in any order, and again, equal the batched rows bit for bit.
+        for owner in data.draw(st.permutations(list(eager))):
+            assert lazy[owner] == eager[owner]
+            assert lazy[owner] is lazy[owner]
+        assert lazy == eager
+        for missing in (-2, len(tree.nodes)):
+            assert missing not in lazy
+            with pytest.raises(KeyError):
+                lazy[missing]
+        assert "_dists" not in target.__dict__  # the dist cache is left alone

@@ -73,6 +73,28 @@ class TestAddNode:
         with pytest.raises(ValueError):
             tree.add_node(ROOT, 0, 0.5)
 
+    def test_exhausted_position_rejected(self):
+        tree = fresh_tree((1.0, 0.0, 0.0))
+        tree.add_node(ROOT, 0, 1.0)
+        with pytest.raises(ValueError, match="exhausted"):
+            tree.add_node(ROOT, 1, 0.5)
+
+    def test_fold_waits_for_the_next_read(self):
+        tree = fresh_tree((0.5, 0.3, 0.2))
+        state = tree.positions[ROOT]
+        tree.add_node(ROOT, 0, 1.0)
+        assert len(state.chain) == 1
+        tree.add_node(ROOT, 1, 0.5)  # reads residual 1, folded now
+        assert len(state.chain) == 2
+        np.testing.assert_allclose(state.residual.probs, [0.0, 0.0, 1.0])
+        assert len(state.chain) == 3
+
+    def test_given_rate_is_the_accept_weight_factor(self):
+        # The caller's rate is used as given, not read from the residual again.
+        tree = fresh_tree((0.5, 0.3, 0.2))
+        nid = tree.add_node(ROOT, 1, 0.5, rate=0.25)
+        assert tree.node(nid).accept_weight == 0.5 * 0.25
+
     def test_residual_updates_on_add(self):
         tree = fresh_tree((0.5, 0.3, 0.2))
         tree.add_node(ROOT, 0, 1.0)
