@@ -92,8 +92,7 @@ def sample_at(
     if residual.is_zero:
         return None
     token = sample(residual, uniform(state.path, len(state.sampled)))
-    rate = residual[token]
-    return tree.add_node(owner, token, value, rate), rate
+    return tree.add_node(owner, token, value), residual[token]
 
 
 def build_tree_fixed(

@@ -248,7 +248,8 @@ def target_distributions_for_tree(
     """Target next-token distribution for the root position and every node,
     for callers that read them all (a decoding step uses :class:`TargetRows`).
 
-    One batched softmax over the tree's positions (one :meth:`dists` call):
+    One batched softmax over the tree's positions (one :meth:`dists` call),
+    cheaper than reading every row of :class:`TargetRows` one by one:
     exactly ``len(tree.nodes) + 1`` entries keyed by position owner (ROOT
     for the prompt position, node id for each node's child position), each
     equal to a direct query on the linearized context.  Nodes come in

@@ -10,7 +10,7 @@ all operate on this structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -113,13 +113,12 @@ class TokenTree:
             self.positions[owner] = state
         return state
 
-    def add_node(self, owner: int, token: int, value: float, rate: Optional[float] = None) -> int:
+    def add_node(self, owner: int, token: int, value: float) -> int:
         """Append the next sampling at a position; returns the new node id.
 
         The position must have been opened with its draft distribution.  A
         token may be sampled at most once per position, otherwise the
-        residual bookkeeping (and verification) would break.  ``rate``, if
-        given, is the token's probability under the current residual.
+        residual bookkeeping (and verification) would break.
         """
         state = self.positions[owner]
         if token in state.sampled:
@@ -136,7 +135,7 @@ class TokenTree:
             sibling_index=len(state.sampled),
             depth=depth,
             value=value,
-            accept_weight=value * (residual[token] if rate is None else rate),
+            accept_weight=value * residual[token],
         )
         self.nodes.append(node)
         state.sampled.append(token)

@@ -89,12 +89,6 @@ class TestAddNode:
         np.testing.assert_allclose(state.residual.probs, [0.0, 0.0, 1.0])
         assert len(state.chain) == 3
 
-    def test_given_rate_is_the_accept_weight_factor(self):
-        # The caller's rate is used as given, not read from the residual again.
-        tree = fresh_tree((0.5, 0.3, 0.2))
-        nid = tree.add_node(ROOT, 1, 0.5, rate=0.25)
-        assert tree.node(nid).accept_weight == 0.5 * 0.25
-
     def test_residual_updates_on_add(self):
         tree = fresh_tree((0.5, 0.3, 0.2))
         tree.add_node(ROOT, 0, 1.0)
