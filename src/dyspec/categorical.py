@@ -74,20 +74,6 @@ class Categorical:
         return f"Categorical({np.array2string(self.probs, precision=4)})"
 
 
-def _softmax_last_axis(z: np.ndarray, temp: float) -> np.ndarray:
-    """Softmax of z/temp along the last axis; a block row equals that row alone, bit for bit."""
-    if z.size < 1:
-        raise ValueError("logits must be non-empty")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    if temp < 0.0:
-        raise ValueError("temperature must be non-negative")
-    if temp == 0.0:
-        return (np.argmax(z, axis=-1)[..., None] == np.arange(z.shape[-1])).astype(np.float64)
-    e = np.exp((z - z.max(axis=-1, keepdims=True)) / temp)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_with_temperature(logits, temp: float) -> Categorical:
     """Softmax of logits/temp; temp 0 gives a one-hot at the argmax.
 
@@ -95,18 +81,18 @@ def softmax_with_temperature(logits, temp: float) -> Categorical:
     decoding is reproducible.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
+    if z.ndim != 1 or z.size < 1:
         raise ValueError("logits must be a non-empty 1-D vector")
-    return Categorical._wrap(_softmax_last_axis(z, temp))
-
-
-def softmax_rows(logits, temp: float) -> list[Categorical]:
-    """:func:`softmax_with_temperature` of each row of a 2-D block, computed
-    once for the block; each result holds a view of its row."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError("logits must be a 2-D block")
-    return [Categorical._wrap(row) for row in _softmax_last_axis(z, temp)]
+    if not np.isfinite(z).all():
+        raise ValueError("logits must be finite")
+    if temp < 0.0:
+        raise ValueError("temperature must be non-negative")
+    if temp == 0.0:
+        probs = np.zeros(z.size, dtype=np.float64)
+        probs[int(np.argmax(z))] = 1.0
+        return Categorical._wrap(probs)
+    e = np.exp((z - z.max()) / temp)
+    return Categorical._wrap(e / e.sum())
 
 
 def sample(dist: Categorical, u: float) -> int:

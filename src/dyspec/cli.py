@@ -166,22 +166,27 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _bench_cells(
     models: ModelPairSpec, costs: CostParams, seeds: int, cells: Sequence[GenConfig]
 ) -> List[Dict]:
-    """Rows of bench cells, all run on one pair: its Markov rows, draft noise
-    and draft dists are made once, and outputs do not depend on them."""
+    """Rows of bench cells, all run on one pair and one prompt per seed (cells
+    share ``prefix_len``): tables, dists and prompts are made once."""
     pair = make_model_pair(models)
-    return [_bench_cell(pair, gen, costs, seeds) for gen in cells]
+    prompt_model = pair[0].with_temperature(1.0)
+    prompts = [make_prompt(prompt_model, cells[0].prefix_len, seed) for seed in range(seeds)]
+    return [_bench_cell(pair, prompts, gen, costs) for gen in cells]
 
 
-def _bench_cell(pair: ModelPair, gen: GenConfig, costs: CostParams, seeds: int) -> Dict:
+def _bench_cell(pair: ModelPair, prompts: Sequence[List[int]], gen: GenConfig,
+                costs: CostParams) -> Dict:
+    """One row: the cell run once per seed, seed ``i`` on ``prompts[i]``."""
     accepted, sizes, latencies, rates = [], [], [], []
-    for seed in range(seeds):
-        _, metrics = _run_single(pair, dataclasses.replace(gen, seed=seed), costs)
+    for seed, prompt in enumerate(prompts):
+        _, metrics = generate(*pair, prompt, dataclasses.replace(gen, seed=seed), costs)
         accepted.append(metrics.mean_accepted)
         sizes.append(metrics.mean_tree_size)
         rates.append(metrics.tokens_per_modeled_second)
         total = sum(s.accepted for s in metrics.steps)
         cost = sum(s.modeled_latency * s.accepted for s in metrics.steps)
         latencies.append(cost / total)
+    seeds = len(prompts)
     threshold_mode = gen.threshold is not None
     return {
         "structure": gen.structure,

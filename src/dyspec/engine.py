@@ -1,11 +1,11 @@
 """End-to-end generation loop and benchmark metrics.
 
 One decoding step is: build a token tree from the current context, verify
-it against the target's distributions (each computed when the walk first
-reads it), and append the accepted tokens plus the bonus.  The latency model
-charges one target evaluation per step regardless of tree size (the premise
-of tree speculation) and draft evaluations per node or per level depending
-on the construction mode.
+it against the target's distributions (``target.dist`` at each position the
+walk visits), and append the accepted tokens plus the bonus.  The latency
+model charges one target evaluation per step regardless of tree size (the
+premise of tree speculation) and draft evaluations per node or per level
+depending on the construction mode.
 
 Trees come from the two walks of :mod:`dyspec.construct`: the greedy heap
 (DySpec at a fixed budget) and the layer walk, which grows the threshold
@@ -224,8 +224,8 @@ def generate_step(
     config: GenConfig,
     seed: int,
 ) -> StepOutcome:
-    """One construct-verify round: the unit the generation loop repeats.  Only
-    the target rows verification reads are computed (prompt, accepted nodes)."""
+    """One construct-verify round: the unit the generation loop repeats.  The
+    target's dist is read only where verification reads (prompt, accepted nodes)."""
     construct_seed = derive_seed(seed, "construct-step")
     verify_seed = derive_seed(seed, "verify-step")
     tree = build_tree_for_config(draft, context, config, construct_seed)
@@ -243,8 +243,8 @@ def generate(
     """Generate ``config.gen_len`` tokens; returns them plus run metrics.
 
     Fully deterministic given the models and config seed.  The prompt must
-    match the configured prefix length.  The draft's dist cache carries
-    across calls on one pair at the same draft temperature.
+    match the configured prefix length.  The draft's and the target's dist
+    caches carry across calls on one pair at the same temperatures.
     """
     if len(prompt) != config.prefix_len:
         raise ValueError(

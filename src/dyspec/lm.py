@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .categorical import Categorical, softmax_rows, softmax_with_temperature
+from .categorical import Categorical, softmax_with_temperature
 from .rng import derive_seed
 from .token_tree import ROOT
 
@@ -27,10 +27,11 @@ class LanguageModel:
 
     Subclasses are frozen dataclasses with a ``temperature`` field and
     implement :meth:`next_logits` as a pure function of the context.
-    ``temperature`` is applied at query time by :meth:`dist`, which caches
-    one distribution per context key (at most V^order) for the instance's
-    life, across ``generate`` calls.  Caches aside, instances are immutable
-    and safe to query from multiple threads.
+    ``temperature`` is applied at query time by :meth:`dist`, the one place
+    a next-token distribution is computed, draft and target alike.  It
+    caches one distribution per context key (at most V^order) for the
+    instance's life, across trees and ``generate`` calls.  Caches aside,
+    instances are immutable and safe to query from multiple threads.
     """
 
     vocab_size: int
@@ -51,16 +52,6 @@ class LanguageModel:
             hit = softmax_with_temperature(self.next_logits(context), self.temperature)
             cache[key] = hit
         return hit
-
-    def dists(self, contexts: Sequence[TokenSeq]) -> List[Categorical]:
-        """:meth:`dist` of every context, in input order, from one softmax
-        over the stacked logits of the call's distinct keys.  The dist cache
-        is left alone: kept across calls it would only hold memory."""
-        keys = [self.context_key(context) for context in contexts]
-        distinct = dict(zip(keys, contexts))
-        block = np.stack([self.next_logits(context) for context in distinct.values()])
-        by_key = dict(zip(distinct, softmax_rows(block, self.temperature)))
-        return [by_key[key] for key in keys]
 
     def with_temperature(self, temp: float) -> "LanguageModel":
         """This instance, warm dist cache included, at its own temperature;
@@ -245,39 +236,24 @@ def kl_divergence(d: Categorical, t: Categorical) -> float:
 def target_distributions_for_tree(
     target: LanguageModel, prefix: TokenSeq, tree
 ) -> Dict[int, Categorical]:
-    """Target next-token distribution for the root position and every node,
-    for callers that read them all (a decoding step uses :class:`TargetRows`).
-
-    One batched softmax over the tree's positions (one :meth:`dists` call),
-    cheaper than reading every row of :class:`TargetRows` one by one:
-    exactly ``len(tree.nodes) + 1`` entries keyed by position owner (ROOT
-    for the prompt position, node id for each node's child position), each
-    equal to a direct query on the linearized context.  Nodes come in
-    creation order, so each context extends its parent's.
-    """
-    contexts = {ROOT: list(prefix)}
-    for node in tree.nodes:
-        contexts[node.node_id] = contexts[node.parent] + [node.token]
-    return dict(zip(contexts, target.dists(list(contexts.values()))))
+    """Every row of :class:`TargetRows` (a decoding step reads its rows
+    lazily): ROOT first, then each node id in creation order."""
+    return dict(TargetRows(target, prefix, tree))
 
 
 class TargetRows(Mapping):
-    """:func:`target_distributions_for_tree` with each row computed on its
-    first read, bit for bit the batched row, and kept for the mapping's life.
-    Keys are ROOT and every node id; others raise KeyError.  The target's
-    dist cache is neither read nor filled."""
+    """The target's next-token distribution at each position of a tree: on
+    lookup, ``target.dist`` of the prefix plus the position's path.  Keys are
+    ROOT (the prompt position) and every node id (its child position); others
+    raise KeyError."""
 
     def __init__(self, target: LanguageModel, prefix: TokenSeq, tree):
-        self._target, self._prefix, self._tree, self._rows = target, list(prefix), tree, {}
+        self._target, self._prefix, self._tree = target, list(prefix), tree
 
     def __getitem__(self, owner: int) -> Categorical:
-        row = self._rows.get(owner)
-        if row is None:
-            if owner not in range(ROOT, len(self._tree.nodes)):
-                raise KeyError(owner)
-            logits = self._target.next_logits(self._prefix + list(self._tree.position_path(owner)))
-            row = self._rows[owner] = softmax_with_temperature(logits, self._target.temperature)
-        return row
+        if owner not in range(ROOT, len(self._tree.nodes)):
+            raise KeyError(owner)
+        return self._target.dist(self._prefix + list(self._tree.position_path(owner)))
 
     def __len__(self) -> int:
         return len(self._tree.nodes) + 1

@@ -197,16 +197,20 @@ def random_tree(n: int, seed: int) -> List[int]:
     return parents
 
 
-def dense_masked_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: TreeMask
-) -> np.ndarray:
-    """Reference implementation: full softmax(QK^T) with -inf at zero bits."""
+def _check_attention_inputs(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: TreeMask) -> None:
     if q.shape[0] != mask.bits.shape[0]:
         raise ValueError("Q rows must match mask height")
     if k.shape[0] != mask.bits.shape[1] or v.shape[0] != mask.bits.shape[1]:
         raise ValueError("K/V rows must match mask width")
     if not mask.bits.any(axis=1).all():
         raise ValueError("every query row needs at least one unmasked key")
+
+
+def dense_masked_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: TreeMask
+) -> np.ndarray:
+    """Reference implementation: full softmax(QK^T) with -inf at zero bits."""
+    _check_attention_inputs(q, k, v, mask)
     scores = q @ k.T
     scores = np.where(mask.bits, scores, -np.inf)
     scores -= scores.max(axis=1, keepdims=True)
@@ -228,12 +232,7 @@ def blocked_masked_attention_reference(
     """
     if block < 1:
         raise ValueError("block size must be >= 1")
-    if q.shape[0] != mask.bits.shape[0]:
-        raise ValueError("Q rows must match mask height")
-    if k.shape[0] != mask.bits.shape[1] or v.shape[0] != mask.bits.shape[1]:
-        raise ValueError("K/V rows must match mask width")
-    if not mask.bits.any(axis=1).all():
-        raise ValueError("every query row needs at least one unmasked key")
+    _check_attention_inputs(q, k, v, mask)
 
     rows, cols = mask.bits.shape
     dim_out = v.shape[1]

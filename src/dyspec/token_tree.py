@@ -27,10 +27,7 @@ class TreeNode:
     """One sampled token.
 
     ``value`` is the estimated probability that this sampling slot is reached
-    during verification (the heap priority it was expanded at);
-    ``accept_weight`` additionally multiplies in the sampled token's residual
-    probability and is the node's contribution to the expected number of
-    accepted tokens under the draft-probability proxy.
+    during verification (the heap priority it was expanded at).
     """
 
     node_id: int
@@ -39,7 +36,6 @@ class TreeNode:
     sibling_index: int
     depth: int
     value: float
-    accept_weight: float
 
 
 @dataclass
@@ -123,8 +119,7 @@ class TokenTree:
         state = self.positions[owner]
         if token in state.sampled:
             raise ValueError(f"token {token} already sampled at position {owner}")
-        residual = state.residual
-        if residual.is_zero:
+        if state.residual.is_zero:
             raise ValueError(f"position {owner} is exhausted")
         node_id = len(self.nodes)
         depth = 1 if owner == ROOT else self.nodes[owner].depth + 1
@@ -135,7 +130,6 @@ class TokenTree:
             sibling_index=len(state.sampled),
             depth=depth,
             value=value,
-            accept_weight=value * residual[token],
         )
         self.nodes.append(node)
         state.sampled.append(token)

@@ -425,12 +425,21 @@ class TestBenchCommand:
             made.append(spec)
             return real(spec)
 
+        prompts = []
+        real_prompt = cli.make_prompt
+
+        def counting_prompt(model, length, seed):
+            prompts.append(seed)
+            return real_prompt(model, length, seed)
+
         monkeypatch.setattr(cli, "make_model_pair", counting)
+        monkeypatch.setattr(cli, "make_prompt", counting_prompt)
         monkeypatch.setenv("DYSPEC_THREADS", "1")
         args = ["bench", "--config", str(bench_config_path), "--structures", "dynamic,chain",
                 "--budgets", "8", "--temps", "0.0,0.6", "--seeds", "3"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert len(made) == 1  # 4 cells x 3 seeds, one spec
+        assert prompts == [0, 1, 2]  # and one prompt per seed
         # The pair is not kept once the command returns: a second run makes its own.
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert len(made) == 2

@@ -121,10 +121,7 @@ class TestBuildTreeFixed:
         assert tree.size == 1
         node = tree.nodes[0]
         assert node.value == 1.0
-        # the node's acceptance weight is the draft probability of its token
-        assert node.accept_weight == pytest.approx(
-            draft.dist([]).probs[node.token]
-        )
+        assert draft_conditional_probs(tree) == {0: draft.dist([]).probs[node.token]}
 
     def test_forced_expansion_recurrence(self):
         # Root draft [0.5, 0.3, 0.2]; force token 0 first.  The sibling entry
@@ -137,12 +134,11 @@ class TestBuildTreeFixed:
         )
         first, second = tree.nodes
         assert (first.token, first.value) == (0, 1.0)
-        assert first.accept_weight == pytest.approx(0.5)
         assert second.parent == ROOT
         assert second.sibling_index == 1
         assert second.value == pytest.approx(0.5)
         assert second.token == 1  # cdf of [0, 0.6, 0.4] at 0.5
-        assert second.accept_weight == pytest.approx(0.5 * 0.6)
+        assert draft_conditional_probs(tree) == pytest.approx({0: 0.5, 1: 0.6})
 
     def test_point_mass_draft_builds_chain(self):
         tree = build_tree_fixed(point_mass_draft(), [], 5, seed=3)
@@ -277,8 +273,11 @@ class TestDraftApprox:
         probs = draft_conditional_probs(tree)
         closed = closed_form_values(tree)
         for node in tree.nodes:
-            assert node.accept_weight == pytest.approx(
-                closed[node.node_id] * probs[node.node_id], abs=1e-9
+            state = tree.positions[node.parent]
+            prior_mass = sum(state.draft_full[t] for t in state.sampled[: node.sibling_index])
+            assert node.value == pytest.approx(closed[node.node_id], abs=1e-9)
+            assert probs[node.node_id] == pytest.approx(
+                state.draft_full[node.token] / (1.0 - prior_mass), abs=1e-9
             )
 
 

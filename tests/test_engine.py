@@ -183,25 +183,20 @@ class TestWarmPair:
     """generate reuses a model already at its temperature, dist cache and all."""
 
     def test_second_generate_computes_no_softmax(self, monkeypatch):
-        """A warm draft computes no softmax; the target computes one row per
-        position verified (the prompt position plus each accepted node)."""
+        """A warm pair computes no softmax, draft or target: every row comes
+        from a dist cache.  The target is read once per position verified
+        (the prompt position plus each accepted node)."""
         import dyspec.lm as lm
 
-        calls = {"draft": 0, "target": 0}
-        in_dist = []
+        calls = {"softmax": 0, "target": 0}
         plain_dist = lm.LanguageModel.dist
 
         def dist(self, context):
-            in_dist.append(self)
-            try:
-                return plain_dist(self, context)
-            finally:
-                in_dist.pop()
+            calls["target"] += self is target
+            return plain_dist(self, context)
 
         def counting(logits, temp):
-            # Inside generate only the draft calls dist; target rows come
-            # from verification's reads.
-            calls["draft" if in_dist else "target"] += 1
+            calls["softmax"] += 1
             return softmax_with_temperature(logits, temp)
 
         monkeypatch.setattr(lm.LanguageModel, "dist", dist)
@@ -209,13 +204,13 @@ class TestWarmPair:
         target, draft = pair(seed=5, draft_temp=0.6, target_temp=0.6)
         prompt = make_prompt(target.with_temperature(1.0), 8, seed=1)
         config = GenConfig(prefix_len=8, gen_len=24, budget=8, seed=2)
-        calls.update(draft=0, target=0)
+        calls.update(softmax=0, target=0)
         _, metrics = generate(target, draft, prompt, config)
-        assert calls["draft"] > 0
+        assert calls["softmax"] > 0
         assert calls["target"] == sum(s.accepted for s in metrics.steps)
-        calls.update(draft=0, target=0)
+        calls.update(softmax=0, target=0)
         tokens, metrics = generate(target, draft, prompt, config)
-        assert calls["draft"] == 0
+        assert calls["softmax"] == 0
         assert calls["target"] == sum(s.accepted for s in metrics.steps)
 
         cold_target, cold_draft = pair(seed=5, draft_temp=0.6, target_temp=0.6)
@@ -339,21 +334,19 @@ class TestGenerateStep:
         import dyspec.lm as lm
 
         target, draft = pair(seed=seed, target_temp=target_temp)
-        for token in range(target.vocab_size):
-            draft.next_logits([token])  # draft noise warm: no base-model calls
         prompt = make_prompt(target.with_temperature(1.0), 8, seed=seed)
         rows = []
-        plain = lm.MarkovModel.next_logits
+        plain = lm.LanguageModel.dist
 
-        def next_logits(self, context):
-            rows.append(tuple(context))
+        def dist(self, context):
+            if self is target:
+                rows.append(tuple(context))
             return plain(self, context)
 
-        monkeypatch.setattr(lm.MarkovModel, "next_logits", next_logits)
+        monkeypatch.setattr(lm.LanguageModel, "dist", dist)
         config = GenConfig(prefix_len=8, gen_len=8, budget=24, target_temp=target_temp, seed=0)
         outcome = generate_step(target, draft, prompt, config, seed)
         ids = outcome.result.accepted_node_ids
         assert outcome.tree.size == 24
-        assert len(rows) == len(ids) + 1
         assert rows == [tuple(prompt) + tuple(outcome.result.accepted[:k])
                         for k in range(len(ids) + 1)]

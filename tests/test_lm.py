@@ -21,14 +21,6 @@ def small_model(seed=7, vocab=4, order=1, **kw):
     return MarkovModel(vocab_size=vocab, order=order, seed=seed, **kw)
 
 
-class CountingMarkov(MarkovModel):
-    """Records the context key of every ``next_logits`` call."""
-
-    def next_logits(self, context):
-        self.__dict__.setdefault("keys", []).append(self.context_key(context))
-        return super().next_logits(context)
-
-
 class TestMarkovModel:
     def test_deterministic_logits(self):
         m = small_model()
@@ -102,27 +94,6 @@ class TestDeriveDraft:
         monkeypatch.setattr(MarkovModel, "next_logits", lambda self, ctx: calls.append(ctx))
         np.testing.assert_array_equal(draft.next_logits([5, 3]), cold)
         assert calls == []
-
-
-class TestDists:
-    def test_equals_dist_in_input_order(self):
-        contexts = [[1, 2], [3], [0, 3], [2], [1, 2]]
-        batched = small_model(vocab=8, temperature=0.6).dists(contexts)
-        single = small_model(vocab=8, temperature=0.6)
-        assert batched == [single.dist(c) for c in contexts]
-
-    def test_leaves_the_cache_alone_and_reads_each_key_once(self):
-        model = CountingMarkov(vocab_size=8, order=1, seed=7)
-        model.dists([[4], [0, 4], [5], [1, 5], [4]])
-        assert model.keys == [(4,), (5,)]
-        assert "_dists" not in model.__dict__
-        # A warm dist cache is not read either: every call queries its keys.
-        model.dist([4])
-        model.keys.clear()
-        model.dists([[4], [2, 4]])
-        model.dists([[4]])
-        assert model.keys == [(4,), (4,)]
-        assert list(model.__dict__["_dists"]) == [(4,)]
 
 
 class TestWithTemperature:

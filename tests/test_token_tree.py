@@ -96,13 +96,6 @@ class TestAddNode:
             tree.positions[ROOT].residual.probs, [0.0, 0.6, 0.4]
         )
 
-    def test_accept_weight_is_value_times_residual_prob(self):
-        tree = fresh_tree((0.5, 0.3, 0.2))
-        tree.add_node(ROOT, 0, 1.0)
-        nid = tree.add_node(ROOT, 1, 0.5)
-        # second sampling: residual prob of token 1 was 0.6
-        assert tree.node(nid).accept_weight == pytest.approx(0.5 * 0.6)
-
 
 class TestAncestors:
     def test_root_level_node_is_its_own_path(self):
