@@ -96,6 +96,35 @@ class TestDeriveDraft:
         assert calls == []
 
 
+class CountingMarkov(MarkovModel):
+    """Records the context key of every ``next_logits`` call."""
+
+    def next_logits(self, context):
+        self.__dict__.setdefault("keys", []).append(self.context_key(context))
+        return super().next_logits(context)
+
+
+class TestDist:
+    def test_equals_a_fresh_models_dist_in_any_order(self):
+        contexts = [[1, 2], [3], [0, 3], [2], [1, 2]]
+        warm = small_model(vocab=8, temperature=0.6)
+        got = [warm.dist(c) for c in contexts]
+        for c, row in zip(reversed(contexts), reversed(got)):
+            assert row == small_model(vocab=8, temperature=0.6).dist(c)
+        assert got[0] is got[4] and got[1] is got[2]  # one row per context key
+
+    def test_reads_each_key_once_and_keeps_it(self):
+        model = CountingMarkov(vocab_size=8, order=1, seed=7)
+        for context in ([4], [0, 4], [5], [1, 5], [4]):
+            model.dist(context)
+        assert model.keys == [(4,), (5,)]
+        assert list(model.__dict__["_dists"]) == [(4,), (5,)]
+        model.keys.clear()
+        model.dist([2, 4])
+        model.dist([5])
+        assert model.keys == []
+
+
 class TestWithTemperature:
     def test_own_temperature_returns_the_instance(self):
         target, draft = make_model_pair(ModelPairSpec(vocab_size=8, markov_order=1))

@@ -10,6 +10,7 @@ from dyspec.categorical import (
     SUM_TOL,
     Categorical,
     sample,
+    softmax_with_temperature,
 )
 from dyspec.construct import build_tree_fixed
 from dyspec.lm import (
@@ -127,6 +128,42 @@ class TestExactVerifyNearEqual:
         np.testing.assert_allclose(law.probs, target.probs, atol=1e-12)
 
 
+# Logit vectors over up to 16 tokens.  Integer-valued logits make tied
+# maxima common, which exercises the temperature-0 tie break.
+logit_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+logit_vectors = st.lists(logit_values, min_size=1, max_size=16)
+temperatures = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=4.0))
+
+
+class TestSoftmax:
+    @given(logit_vectors, temperatures)
+    def test_probabilities_follow_the_logits(self, logits, temp):
+        probs = softmax_with_temperature(logits, temp).probs
+        assert probs.shape == (len(logits),)
+        if temp == 0.0:
+            expected = np.zeros(len(logits))
+            expected[logits.index(max(logits))] = 1.0  # lowest index of the maximum
+            np.testing.assert_array_equal(probs, expected)
+            return
+        assert abs(probs.sum() - 1.0) <= SUM_TOL
+        for i, a in enumerate(logits):
+            for j, b in enumerate(logits):
+                if a == b:
+                    assert probs[i] == probs[j]
+                elif a > b:  # up to the rounding of exp
+                    assert probs[i] >= probs[j] * (1.0 - 1e-12)
+
+    @given(logit_vectors, temperatures, st.data())
+    def test_one_non_finite_entry_rejects_the_logits(self, logits, temp, data):
+        i = data.draw(st.integers(0, len(logits) - 1))
+        logits[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            softmax_with_temperature(logits, temp)
+
+
 class CountingMarkov(MarkovModel):
     """Records the context key of every ``next_logits`` call."""
 
@@ -179,3 +216,33 @@ class TestTargetPass:
             assert missing not in rows
             with pytest.raises(KeyError):
                 rows[missing]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.lists(st.integers(0, 11), min_size=0, max_size=4),
+        st.sampled_from([0.0, 0.6, 1.0]),
+        st.integers(0, 2**16),
+    )
+    def test_tree_pass_equals_fresh_dist_and_stays_cached(
+        self, vocab, order, budget, prompt, temp, seed
+    ):
+        prompt = [t % vocab for t in prompt]
+        spec = ModelPairSpec(vocab_size=vocab, markov_order=order, target_seed=seed, target_temp=temp)
+        _, draft = make_model_pair(spec)
+        tree = build_tree_fixed(draft, prompt, budget, seed=seed)
+        target = CountingMarkov(vocab_size=vocab, order=order, seed=seed, temperature=temp)
+        dists = target_distributions_for_tree(target, prompt, tree)
+
+        assert len(target.keys) == len(set(target.keys))
+        fresh = MarkovModel(vocab_size=vocab, order=order, seed=seed, temperature=temp)
+        assert dists[ROOT] == fresh.dist(prompt)
+        for node in tree.nodes:
+            assert dists[node.node_id] == fresh.dist(prompt + tree.token_path(node.node_id))
+        # A second pass reads no logits and returns the cached rows themselves.
+        target.keys.clear()
+        again = target_distributions_for_tree(target, prompt, tree)
+        assert target.keys == []
+        assert all(again[owner] is dists[owner] for owner in dists)

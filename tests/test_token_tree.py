@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 
 from dyspec.categorical import Categorical
-from dyspec.construct import build_tree_fixed, build_tree_threshold, closed_form_values
+from dyspec.construct import (
+    build_tree_fixed,
+    build_tree_threshold,
+    closed_form_values,
+    draft_conditional_probs,
+)
 from dyspec.engine import build_baseline_tree
 from dyspec.lm import ModelPairSpec, make_model_pair
 from dyspec.token_tree import ROOT, TokenTree
@@ -95,6 +100,13 @@ class TestAddNode:
         np.testing.assert_allclose(
             tree.positions[ROOT].residual.probs, [0.0, 0.6, 0.4]
         )
+
+    def test_second_sampling_prob_is_the_residual_prob(self):
+        tree = fresh_tree((0.5, 0.3, 0.2))
+        first = tree.add_node(ROOT, 0, 1.0)
+        second = tree.add_node(ROOT, 1, 0.5)
+        # token 1 has residual prob 0.3 / (1 - 0.5) at the second sampling
+        assert draft_conditional_probs(tree) == pytest.approx({first: 0.5, second: 0.6})
 
 
 class TestAncestors:
