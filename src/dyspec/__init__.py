@@ -29,7 +29,6 @@ from .lm import (
     MarkovModel,
     ModelPairSpec,
     derive_draft,
-    kl_divergence,
     make_markov_lm,
     make_model_pair,
     target_distributions_for_tree,
@@ -49,7 +48,6 @@ from .oracle import (
     WeightedTree,
     brute_force_optimal_subtree,
     exact_verify_distribution,
-    greedy_subtree,
     monte_carlo_expected_accepted,
     monte_carlo_output_distribution,
 )

@@ -55,11 +55,17 @@ class LanguageModel:
 
     def with_temperature(self, temp: float) -> "LanguageModel":
         """This instance, warm dist cache included, at its own temperature;
-        otherwise a new one that shares the generated tables (Markov rows,
-        draft noise) and starts with an empty dist cache."""
+        otherwise its sibling at ``temp``, made on first request and kept by
+        this instance, so its dist cache stays warm across ``generate``
+        calls.  A sibling shares the generated tables (Markov rows, draft
+        noise) and holds no reference back, so dropping a model frees its
+        siblings without the cycle collector."""
         if temp == self.temperature:
             return self
-        return replace(self, temperature=temp)
+        siblings = self.__dict__.setdefault("_siblings", {})
+        if temp not in siblings:
+            siblings[temp] = replace(self, temperature=temp)
+        return siblings[temp]
 
 
 @dataclass(frozen=True)
@@ -219,18 +225,6 @@ def make_model_pair(spec: ModelPairSpec) -> Tuple[MarkovModel, NoisyDraftModel]:
     target = make_markov_lm(spec)
     draft = derive_draft(target, spec.noise_sigma, derive_seed(spec.target_seed, "draft"))
     return target, draft.with_temperature(spec.draft_temp)
-
-
-def kl_divergence(d: Categorical, t: Categorical) -> float:
-    """KL(d || t) with 0*log(0) = 0; +inf when d has mass outside t's support."""
-    if d.size != t.size:
-        raise ValueError("distributions must share a vocabulary")
-    mask = d.probs > 0.0
-    if np.any(t.probs[mask] == 0.0):
-        return math.inf
-    p = d.probs[mask]
-    q = t.probs[mask]
-    return float(np.sum(p * np.log(p / q)))
 
 
 def target_distributions_for_tree(

@@ -71,14 +71,12 @@ def ancestor_self_matrix(parents: np.ndarray) -> np.ndarray:
 class TreeMask:
     """Ancestor mask with a dense prompt block.
 
-    Rows are tree nodes; the first ``prefix_len`` columns are all ones (every
+    Rows are tree nodes; the leading prompt columns are all ones (every
     token attends to the prompt), and the square tree block marks self plus
     ancestors.  Under any parents-before-children order the tree block is
     lower-triangular including the diagonal.
     """
 
-    n: int
-    prefix_len: int
     bits: np.ndarray
 
     def set_bit_count(self) -> int:
@@ -95,7 +93,7 @@ class TreeMask:
 def mask_from_tree(parents: Sequence[int], prefix_len: int = 0) -> TreeMask:
     """Tree-attention mask in the given node order."""
     parents = _parents_of(parents)
-    return TreeMask(n=parents.size, prefix_len=prefix_len, bits=_mask_bits(parents, prefix_len))
+    return TreeMask(_mask_bits(parents, prefix_len))
 
 
 def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
@@ -183,7 +181,7 @@ def apply_permutation(
     new_id[idx] = np.arange(idx.size)
     old_parent = parents[idx]
     relabeled = np.where(old_parent >= 0, new_id[old_parent], -1)
-    return TreeMask(n=idx.size, prefix_len=prefix_len, bits=_mask_bits(relabeled, prefix_len))
+    return TreeMask(_mask_bits(relabeled, prefix_len))
 
 
 def random_tree(n: int, seed: int) -> List[int]:

@@ -2,23 +2,36 @@
 
 Everything here exists to check the fast paths against something slower and
 unarguable: closed-form integration of the verification process, exhaustive
-subtree enumeration for the greedy construction, and Monte Carlo estimators
-for the distributional claims.
+search over the realized slot tree for the production greedy heap
+(:func:`dyspec.construct.build_tree_fixed`), and Monte Carlo estimators for
+the distributional claims.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .categorical import Categorical
-from .lm import LanguageModel
-from .rng import derive_seed
-from .token_tree import ROOT, TokenTree
+from .categorical import Categorical, remove_and_renorm, residual_target, sample
+from .construct import (
+    build_tree_fixed,
+    build_tree_threshold,
+    expected_accepted,
+    node_sampling_keys,
+)
+from .engine import GenConfig, generate_step, make_prompt
+from .lm import (
+    LanguageModel,
+    ModelPairSpec,
+    make_model_pair,
+    target_distributions_for_tree,
+)
+from .rng import derive_seed, keyed_uniform
+from .token_tree import TokenTree
+from .verify import true_branch_acceptance, verify_tree
 
 ENUMERATION_CAP = 10_000_000
 
@@ -94,8 +107,6 @@ def fixed_chain_emission(
     Integrates only the uniform draws; sums to 1 but generally differs from
     the target until the branch tokens themselves are marginalized.
     """
-    from .categorical import remove_and_renorm, residual_target
-
     out = np.zeros(draft.size, dtype=np.float64)
     d, r = draft, target
     no_accept = 1.0
@@ -125,53 +136,8 @@ class WeightedTree:
     non-increasing along every path.
     """
 
-    parents: List[int]
     children: List[List[int]]
     weights: List[float]
-
-    @classmethod
-    def from_conditionals(
-        cls, children_of: List[List[int]], conditionals: List[float]
-    ) -> "WeightedTree":
-        n = len(children_of)
-        parents = [-1] * n
-        weights = [0.0] * n
-        weights[0] = 1.0
-        order = [0]
-        for u in order:
-            for c in children_of[u]:
-                parents[c] = u
-                weights[c] = weights[u] * conditionals[c]
-                order.append(c)
-        return cls(parents=parents, children=children_of, weights=weights)
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-
-def random_weighted_tree(k: int, depth: int, seed: int) -> WeightedTree:
-    """Full k-ary tree of the given depth with Dirichlet edge conditionals.
-
-    Each node splits its mass among k children plus a held-out stop share,
-    keeping children conditionals summing below 1.
-    """
-    rng = np.random.default_rng(seed)
-    children: List[List[int]] = [[]]
-    conditionals: List[float] = [1.0]
-    levels = [[0]]
-    for _ in range(depth):
-        nxt = []
-        for u in levels[-1]:
-            draw = rng.dirichlet(np.ones(k + 1))
-            for j in range(k):
-                c = len(children)
-                children.append([])
-                conditionals.append(float(draw[j]))
-                children[u].append(c)
-                nxt.append(c)
-        levels.append(nxt)
-    return WeightedTree.from_conditionals(children, conditionals)
 
 
 @dataclass
@@ -222,30 +188,6 @@ def brute_force_optimal_subtree(
     return SubtreeSearchResult(best_weight, best_set, count)
 
 
-def greedy_subtree(weighted: WeightedTree, max_nodes: int) -> SubtreeSearchResult:
-    """Grow from the root, always adding the heaviest frontier node.
-
-    Ties break to the lowest node index for determinism.  On trees whose
-    weights decay along paths this matches the brute-force optimum exactly.
-    """
-    if max_nodes < 1:
-        raise ValueError("max_nodes must be >= 1")
-    w = weighted.weights
-    chosen = [0]
-    heap: List[Tuple[float, int]] = []
-    for c in weighted.children[0]:
-        heapq.heappush(heap, (-w[c], c))
-    while len(chosen) < max_nodes and heap:
-        _, u = heapq.heappop(heap)
-        chosen.append(u)
-        for c in weighted.children[u]:
-            heapq.heappush(heap, (-w[c], c))
-    total = math.fsum(w[u] for u in chosen)
-    # best_subtree keeps selection order so callers can check the picked
-    # weights never increase.
-    return SubtreeSearchResult(total, tuple(chosen), len(chosen))
-
-
 def realized_slot_tree(
     draft: LanguageModel, prefix: Sequence[int], seed: int, max_depth: int
 ) -> WeightedTree:
@@ -259,10 +201,6 @@ def realized_slot_tree(
     threshold builders would produce, so exhaustive search over connected
     slot subtrees is a valid optimality oracle for them.
     """
-    from .categorical import remove_and_renorm
-    from .categorical import sample as cat_sample
-    from .rng import keyed_uniform
-
     prefix = list(prefix)
     children: List[List[int]] = [[]]
     weights: List[float] = [1.0]
@@ -272,7 +210,7 @@ def realized_slot_tree(
         slot_id, path, k, residual, depth = pending.pop()
         if depth >= max_depth:
             continue
-        token = cat_sample(residual, keyed_uniform(seed, "construct", path, k))
+        token = sample(residual, keyed_uniform(seed, "construct", path, k))
         rate = residual[token]
         value = weights[slot_id]
 
@@ -293,11 +231,7 @@ def realized_slot_tree(
             (child_id, child_path, 0, draft.dist(prefix + list(child_path)), depth + 1)
         )
 
-    parents = [-1] * len(weights)
-    for u, kids in enumerate(children):
-        for c in kids:
-            parents[c] = u
-    return WeightedTree(parents=parents, children=children, weights=weights)
+    return WeightedTree(children=children, weights=weights)
 
 
 def monte_carlo_output_distribution(
@@ -314,8 +248,6 @@ def monte_carlo_output_distribution(
     and tallies the first emitted token; the total-variation distance is
     measured against the target's next-token distribution at the prompt.
     """
-    from .engine import generate_step
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     prompt = list(prompt)
@@ -341,8 +273,6 @@ def monte_carlo_expected_accepted(
     Repeated verification of one fixed tree with fresh seeds; compare the
     mean against the closed-form expectation over the same tree.
     """
-    from .verify import verify_tree
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     total = 0
@@ -398,9 +328,6 @@ def suite_unbiasedness_mc(
     tv_limit: float = 0.01,
 ) -> dict:
     """End-to-end first-token law matches direct target sampling."""
-    from .engine import GenConfig, make_prompt
-    from .lm import ModelPairSpec, make_model_pair
-
     results = []
     for temp in temps:
         spec = ModelPairSpec(
@@ -434,19 +361,34 @@ def suite_unbiasedness_mc(
 
 
 def suite_optimality(instances: int = 1000, seed: int = 0) -> dict:
-    """Greedy frontier growth matches exhaustive subtree search exactly."""
+    """The production greedy heap reaches the brute-force optimum exactly.
+
+    Under acceptance ~ draft probability the expected number of accepted
+    tokens is the sum of node values, so :func:`build_tree_fixed` at budget
+    B must reach the largest value sum over connected subtrees of B slots of
+    the realized slot tree.  Both walk the same keyed draws and form the
+    same products, so the sums are compared for exact equality.
+    """
     rng = np.random.default_rng(seed)
     mismatches = 0
     enumerated = 0
     for i in range(instances):
-        k = int(rng.integers(1, 4))
-        depth = int(rng.integers(1, 5))
-        max_nodes = int(rng.integers(1, 9))
-        tree = random_weighted_tree(k, depth, derive_seed(seed, "opt-instance", i))
-        brute = brute_force_optimal_subtree(tree, max_nodes)
-        greedy = greedy_subtree(tree, max_nodes)
+        vocab = int(rng.integers(2, 6))
+        spec = ModelPairSpec(
+            vocab_size=vocab,
+            markov_order=1,
+            target_seed=derive_seed(seed, "opt-model", i),
+            noise_sigma=float(rng.uniform(0.2, 1.5)),
+        )
+        _, draft = make_model_pair(spec)
+        prefix = [int(rng.integers(vocab))]
+        budget = int(rng.integers(1, 9))
+        build_seed = derive_seed(seed, "opt-build", i)
+        tree = build_tree_fixed(draft, prefix, budget, build_seed)
+        slots = realized_slot_tree(draft, prefix, build_seed, max_depth=budget)
+        brute = brute_force_optimal_subtree(slots, tree.size)
         enumerated += brute.enumerated_count
-        if brute.best_weight != greedy.best_weight:
+        if brute.best_weight != math.fsum(n.value for n in tree.nodes):
             mismatches += 1
     return {
         "suite": "optimality",
@@ -464,11 +406,6 @@ def suite_expectation(
     min_pass_fraction: float = 0.99,
 ) -> dict:
     """Closed-form expected accepted tokens agrees with Monte Carlo."""
-    from .construct import build_tree_fixed, expected_accepted
-    from .engine import make_prompt
-    from .lm import ModelPairSpec, make_model_pair, target_distributions_for_tree
-    from .verify import true_branch_acceptance
-
     ok = 0
     worst_z = 0.0
     for i in range(configs):
@@ -504,10 +441,6 @@ def suite_expectation(
 
 def suite_threshold_equivalence(configs: int = 100, seed: int = 0, max_budget: int = 32) -> dict:
     """Threshold construction at the m-th popped value reproduces greedy."""
-    from .construct import build_tree_fixed, build_tree_threshold, node_sampling_keys
-    from .engine import make_prompt
-    from .lm import ModelPairSpec, make_model_pair
-
     rng = np.random.default_rng(seed)
     mismatches = 0
     for i in range(configs):

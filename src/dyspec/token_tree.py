@@ -90,9 +90,6 @@ class TokenTree:
     def depth(self) -> int:
         return max((n.depth for n in self.nodes), default=0)
 
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
-
     def position_path(self, owner: int) -> Tuple[int, ...]:
         """Tokens leading to a position: its parent position's path plus the owner's token."""
         if owner == ROOT:

@@ -218,6 +218,28 @@ class TestWarmPair:
         assert tokens == cold_tokens
         assert metrics.steps == cold_metrics.steps
 
+    def test_other_target_temperature_stays_warm(self, monkeypatch):
+        """A pair made at 0.6 and run at target temperature 0 keeps its
+        temperature-0 sibling, so only the first call computes softmaxes."""
+        import dyspec.lm as lm
+
+        calls = []
+
+        def counting(logits, temp):
+            calls.append(temp)
+            return softmax_with_temperature(logits, temp)
+
+        monkeypatch.setattr(lm, "softmax_with_temperature", counting)
+        target, draft = make_model_pair(ModelPairSpec())
+        prompt = make_prompt(target.with_temperature(1.0), 8, seed=1)
+        config = GenConfig(prefix_len=8, gen_len=16, budget=8, target_temp=0.0, seed=2)
+        counts = []
+        for _ in range(3):
+            calls.clear()
+            generate(target, draft, prompt, config)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[1:] == [0, 0]
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(0, 2**16),

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,12 +11,23 @@ from dyspec.lm import (
     MarkovModel,
     ModelPairSpec,
     derive_draft,
-    kl_divergence,
     make_markov_lm,
     make_model_pair,
     target_distributions_for_tree,
 )
 from dyspec.token_tree import ROOT, TokenTree
+
+
+def kl_divergence(d: Categorical, t: Categorical) -> float:
+    """KL(d || t) with 0*log(0) = 0; +inf when d has mass outside t's support."""
+    if d.size != t.size:
+        raise ValueError("distributions must share a vocabulary")
+    mask = d.probs > 0.0
+    if np.any(t.probs[mask] == 0.0):
+        return math.inf
+    p = d.probs[mask]
+    q = t.probs[mask]
+    return float(np.sum(p * np.log(p / q)))
 
 
 def small_model(seed=7, vocab=4, order=1, **kw):
@@ -144,6 +157,28 @@ class TestWithTemperature:
         assert hot_draft._noise is draft._noise
         assert "_dists" not in hot_target.__dict__ and "_dists" not in hot_draft.__dict__
         assert hot_draft.dist([3]) == softmax_with_temperature(draft.next_logits([3]), 1.5)
+
+    def test_each_temperature_has_one_sibling(self):
+        target, draft = make_model_pair(ModelPairSpec(vocab_size=8, markov_order=1))
+        for model in (target, draft):
+            hot = model.with_temperature(1.5)
+            warm = hot.dist([3])
+            assert model.with_temperature(1.5) is hot
+            assert model.with_temperature(1.5).dist([3]) is warm
+            assert model.with_temperature(0.0) is not hot
+
+    def test_dropped_pair_frees_its_siblings_without_gc(self):
+        target, draft = make_model_pair(ModelPairSpec(vocab_size=8, markov_order=1))
+        models = [target, draft, target.with_temperature(0.0), draft.with_temperature(1.5)]
+        for model in models:
+            model.dist([3])
+        refs = [weakref.ref(model) for model in models]
+        gc.disable()
+        try:
+            del target, draft, model, models
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
 
 
 class TestKLDivergence:

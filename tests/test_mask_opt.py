@@ -78,7 +78,7 @@ class TestCountNonzeroBlocks:
         assert count_nonzero_blocks(mask, 32) == 3
 
     def test_all_zero_mask(self):
-        mask = TreeMask(n=8, prefix_len=0, bits=np.zeros((8, 8), dtype=bool))
+        mask = TreeMask(np.zeros((8, 8), dtype=bool))
         assert count_nonzero_blocks(mask, 4) == 0
 
     def test_upper_bound(self):
@@ -245,7 +245,7 @@ class TestBlockedAttention:
 
     def test_full_mask_equals_unmasked(self):
         n, d = 12, 4
-        mask = TreeMask(n=n, prefix_len=0, bits=np.ones((n, n), dtype=bool))
+        mask = TreeMask(np.ones((n, n), dtype=bool))
         q, k, v = self.rand_qkv(n, n, d, 0)
         scores = q @ k.T
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -276,7 +276,7 @@ class TestBlockedAttention:
     def test_fully_masked_row_rejected(self):
         bits = np.ones((4, 4), dtype=bool)
         bits[2] = False
-        mask = TreeMask(n=4, prefix_len=0, bits=bits)
+        mask = TreeMask(bits)
         q, k, v = self.rand_qkv(4, 4, 2, 3)
         with pytest.raises(ValueError):
             blocked_masked_attention_reference(q, k, v, mask, 2)

@@ -1,10 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
+from dyspec import oracle
 from dyspec.categorical import Categorical
-from dyspec.construct import build_tree_fixed, expected_accepted
+from dyspec.construct import build_tree_fixed, expected_accepted, grow_layers
 from dyspec.engine import GenConfig, make_prompt
 from dyspec.lm import ModelPairSpec, make_model_pair, target_distributions_for_tree
 from dyspec.oracle import (
@@ -12,10 +11,9 @@ from dyspec.oracle import (
     brute_force_optimal_subtree,
     exact_verify_distribution,
     fixed_chain_emission,
-    greedy_subtree,
     monte_carlo_expected_accepted,
     monte_carlo_output_distribution,
-    random_weighted_tree,
+    realized_slot_tree,
     suite_expectation,
     suite_optimality,
     suite_threshold_equivalence,
@@ -78,57 +76,24 @@ class TestExactVerifyDistribution:
 
 class TestBruteForce:
     def test_root_only(self):
-        tree = random_weighted_tree(2, 2, seed=0)
+        tree = WeightedTree(children=[[1, 2], [], []], weights=[1.0, 0.6, 0.4])
         res = brute_force_optimal_subtree(tree, 1)
-        assert res.best_weight == pytest.approx(1.0)
+        assert res.best_weight == 1.0
         assert res.best_subtree == (0,)
 
     def test_binary_two_level_094_chain(self):
         # conditionals 0.9 / 0.1 at every node; best 3-node subtree rides 0.9s
         children = [[1, 2], [3, 4], [5, 6], [], [], [], []]
-        conds = [1.0, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1]
-        tree = WeightedTree.from_conditionals(children, conds)
-        res = brute_force_optimal_subtree(tree, 3)
+        weights = [1.0, 0.9, 0.1, 0.81, 0.09, 0.09, 0.01]
+        res = brute_force_optimal_subtree(WeightedTree(children, weights), 3)
         assert res.best_weight == pytest.approx(1.0 + 0.9 + 0.81)
+        assert res.best_subtree == (0, 1, 3)
 
     def test_cap_is_a_hard_error(self):
-        tree = random_weighted_tree(3, 4, seed=1)
+        _, draft = make_model_pair(ModelPairSpec(vocab_size=3, markov_order=1))
+        tree = realized_slot_tree(draft, [0], seed=1, max_depth=8)
         with pytest.raises(RuntimeError):
             brute_force_optimal_subtree(tree, 8, cap=10)
-
-
-class TestGreedySubtree:
-    def test_chain_is_taken_greedily(self):
-        children = [[1], [2], [3], []]
-        conds = [1.0, 0.8, 0.5, 0.25]
-        tree = WeightedTree.from_conditionals(children, conds)
-        res = greedy_subtree(tree, 3)
-        assert res.best_subtree == (0, 1, 2)
-
-    def test_tie_breaks_to_lowest_index(self):
-        children = [[1, 2], [], []]
-        conds = [1.0, 0.5, 0.5]
-        tree = WeightedTree.from_conditionals(children, conds)
-        res = greedy_subtree(tree, 2)
-        assert res.best_subtree == (0, 1)
-
-    def test_picked_weights_non_increasing(self):
-        for seed in range(20):
-            tree = random_weighted_tree(3, 3, seed=seed)
-            res = greedy_subtree(tree, 7)
-            picked = [tree.weights[u] for u in res.best_subtree[1:]]
-            assert all(a >= b - 1e-15 for a, b in zip(picked, picked[1:]))
-
-    def test_matches_brute_force_on_random_instances(self):
-        rng = np.random.default_rng(0)
-        for i in range(100):
-            k = int(rng.integers(1, 4))
-            depth = int(rng.integers(1, 5))
-            n = int(rng.integers(1, 9))
-            tree = random_weighted_tree(k, depth, seed=1000 + i)
-            assert greedy_subtree(tree, n).best_weight == brute_force_optimal_subtree(
-                tree, n
-            ).best_weight
 
 
 class TestMonteCarloOutputDistribution:
@@ -206,6 +171,14 @@ class TestSuites:
     def test_optimality_small(self):
         report = suite_optimality(instances=50, seed=2)
         assert report["pass"] and report["mismatches"] == 0
+
+    def test_optimality_suite_catches_a_non_greedy_builder(self, monkeypatch):
+        def breadth_first(draft, prefix, budget, seed):
+            return grow_layers(draft, prefix, seed, budget, lambda value, depth, count: True)
+
+        monkeypatch.setattr(oracle, "build_tree_fixed", breadth_first)
+        report = suite_optimality(instances=50, seed=2)
+        assert report["mismatches"] > 0 and not report["pass"]
 
     def test_expectation_small(self):
         report = suite_expectation(configs=10, trials=3000, seed=3, min_pass_fraction=0.9)

@@ -1,5 +1,5 @@
 """Property-based tests of the numeric core: Categorical, sampling, the
-target rows of a tree and exact verification."""
+target rows of a tree, verification and exact verification."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dyspec.categorical import (
     SUM_TOL,
     Categorical,
+    residual_target,
     sample,
     softmax_with_temperature,
 )
@@ -22,6 +23,7 @@ from dyspec.lm import (
 )
 from dyspec.oracle import exact_verify_distribution
 from dyspec.token_tree import ROOT
+from dyspec.verify import replay_trace, verify_tree
 
 # Weight vectors with zeros allowed anywhere (leading, inner, trailing) and
 # at least one positive entry.
@@ -126,6 +128,55 @@ class TestExactVerifyNearEqual:
         k = data.draw(st.integers(min_value=0, max_value=draft.support_size))
         law = exact_verify_distribution(draft, target, k)
         np.testing.assert_allclose(law.probs, target.probs, atol=1e-12)
+
+
+class TestVerifyProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 2),
+        st.integers(1, 16),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.sampled_from([0.0, 0.6, 1.0]),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_walk_replays_and_emits_tokens_with_mass(
+        self, vocab, order, budget, sigma, draft_temp, seed, data
+    ):
+        spec = ModelPairSpec(
+            vocab_size=vocab, markov_order=order, target_seed=seed,
+            noise_sigma=sigma, draft_temp=draft_temp,
+        )
+        _, draft = make_model_pair(spec)
+        tree = build_tree_fixed(draft, [seed % vocab], budget, seed=seed)
+        row_weights = st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+            min_size=vocab, max_size=vocab,
+        ).filter(lambda w: any(x > 0.0 for x in w))
+        rows = {}
+        for owner in [ROOT] + [node.node_id for node in tree.nodes]:
+            state = tree.positions.get(owner)
+            # Some rows equal the draft's, where every branch is accepted.
+            if state is not None and data.draw(st.booleans()):
+                rows[owner] = state.draft_full
+            else:
+                rows[owner] = Categorical(normalized(data.draw(row_weights)))
+        result = verify_tree(tree, rows, seed)
+
+        assert replay_trace(tree, rows, result)
+        owner = ROOT
+        for node_id in result.accepted_node_ids:
+            assert tree.nodes[node_id].parent == owner
+            owner = node_id
+        assert [tree.nodes[i].token for i in result.accepted_node_ids] == result.accepted[:-1]
+        assert result.accepted[-1] == result.bonus_token
+        source = rows[owner]
+        if result.bonus_from_residual:
+            state = tree.positions[owner]
+            for draft_row in state.chain[: len(state.sampled)]:
+                source = residual_target(source, draft_row)
+        assert source[result.bonus_token] > 0.0
 
 
 # Logit vectors over up to 16 tokens.  Integer-valued logits make tied

@@ -55,22 +55,22 @@ class TestAddNode:
     def test_first_node_at_root(self):
         tree = fresh_tree()
         nid = tree.add_node(ROOT, 0, 1.0)
-        node = tree.node(nid)
+        node = tree.nodes[nid]
         assert (nid, node.depth, node.sibling_index) == (0, 1, 0)
 
     def test_second_sampling_increments_sibling_index(self):
         tree = fresh_tree()
         tree.add_node(ROOT, 0, 1.0)
         nid = tree.add_node(ROOT, 1, 0.5)
-        assert tree.node(nid).sibling_index == 1
+        assert tree.nodes[nid].sibling_index == 1
 
     def test_child_depth(self):
         tree = fresh_tree()
         a = tree.add_node(ROOT, 0, 1.0)
         tree.open_position(a, Categorical([0.25, 0.75, 0.0]))
         c = tree.add_node(a, 1, 0.5)
-        assert tree.node(c).depth == 2
-        assert tree.node(c).sibling_index == 0
+        assert tree.nodes[c].depth == 2
+        assert tree.nodes[c].sibling_index == 0
 
     def test_duplicate_token_rejected(self):
         tree = fresh_tree()
@@ -177,10 +177,10 @@ class TestInvariantsOnBuiltTrees:
             for node in tree.nodes:
                 assert 0.0 < node.value <= 1.0
                 if node.parent != ROOT:
-                    assert node.value <= tree.node(node.parent).value + 1e-12
+                    assert node.value <= tree.nodes[node.parent].value + 1e-12
                 sibs = previous_siblings(tree, node.node_id)
                 if sibs:
-                    assert node.value < tree.node(sibs[-1]).value
+                    assert node.value < tree.nodes[sibs[-1]].value
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     def test_value_recurrence_matches_closed_form(self, builder):

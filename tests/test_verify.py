@@ -154,8 +154,8 @@ class TestVerifyTreeOnBuiltTrees:
             res = verify_tree(tree, dists, seed + 100)
             seen_at = {}
             for t in res.trace:
-                pos = tree.node(t.node_id).parent
-                k = tree.node(t.node_id).sibling_index
+                pos = tree.nodes[t.node_id].parent
+                k = tree.nodes[t.node_id].sibling_index
                 assert seen_at.get(pos, -1) == k - 1
                 seen_at[pos] = k
 
