@@ -13,6 +13,10 @@ import numpy as np
 
 SUM_TOL = 1e-9
 
+# ndarray.cumsum and .sum without their Python-level wrappers: the same
+# loops, so the same bits, at about half the cost per call on short rows.
+_cumsum, _total = np.add.accumulate, np.add.reduce
+
 
 class Categorical:
     """Normalized probability vector, or the flagged zero vector.
@@ -30,14 +34,10 @@ class Categorical:
         if np.any(p < 0.0):
             raise ValueError("probabilities must be non-negative")
         total = float(p.sum())
-        if total == 0.0:
-            self.probs = p
-            self.is_zero = True
-            return
-        if abs(total - 1.0) > SUM_TOL:
+        if total != 0.0 and abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.probs = p
-        self.is_zero = False
+        self.is_zero = total == 0.0
 
     @classmethod
     def _wrap(cls, probs: np.ndarray, is_zero: bool = False) -> "Categorical":
@@ -99,8 +99,8 @@ def sample(dist: Categorical, u: float) -> int:
     """Inverse-CDF sample over the stored order using one uniform in [0, 1)."""
     if dist.is_zero:
         raise ValueError("cannot sample from an exhausted (zero) distribution")
-    idx = int(dist.probs.cumsum().searchsorted(u, "right"))
-    if idx >= dist.size or dist.probs[idx] == 0.0:
+    idx = int(_cumsum(dist.probs).searchsorted(u, "right"))
+    if idx >= dist.probs.size or dist.probs[idx] == 0.0:
         # u landed past the last positive entry by rounding; clamp to it.
         idx = int(np.flatnonzero(dist.probs > 0.0)[-1])
     return idx
@@ -115,10 +115,10 @@ def residual_target(target: Categorical, draft: Categorical) -> Categorical:
     if target.size != draft.size:
         raise ValueError("distributions must share a vocabulary")
     diff = np.maximum(target.probs - draft.probs, 0.0)
-    total = float(diff.sum())
+    total = float(_total(diff))
     if total <= 0.0:
         return Categorical.zero(target.size)
-    return Categorical._wrap(diff / total)
+    return Categorical._wrap(np.divide(diff, total, out=diff))
 
 
 def remove_and_renorm(dist: Categorical, token: int) -> Categorical:
@@ -127,7 +127,7 @@ def remove_and_renorm(dist: Categorical, token: int) -> Categorical:
         raise ValueError("cannot remove from an exhausted (zero) distribution")
     p = dist.probs.copy()
     p[token] = 0.0
-    total = float(p.sum())
+    total = float(_total(p))
     if total <= 0.0:
         return Categorical.zero(dist.size)
-    return Categorical._wrap(p / total)
+    return Categorical._wrap(np.divide(p, total, out=p))

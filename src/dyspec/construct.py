@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .categorical import sample
 from .lm import LanguageModel
-from .rng import keyed_uniform
+from .rng import keyed_uniforms
 from .token_tree import ROOT, TokenTree
 
 UniformFn = Callable[[Tuple[int, ...], int], float]
@@ -61,10 +61,15 @@ class CostParams:
 
 
 def construction_uniform(seed: int) -> UniformFn:
-    """Keyed uniform for the sibling-index-th sampling at a position path."""
+    """``fn(tag, k) == keyed_uniform(seed, "construct", tag, k)``, the uniform of
+    the k-th sampling at position path ``tag``, with one hash prefix per tag."""
+    by_tag: Dict[Tuple[int, ...], Callable[[int], float]] = {}
 
     def fn(tag: Tuple[int, ...], index: int) -> float:
-        return keyed_uniform(seed, "construct", tag, index)
+        uniforms = by_tag.get(tag)
+        if uniforms is None:
+            uniforms = by_tag[tag] = keyed_uniforms(seed, "construct", tag)
+        return uniforms(index)
 
     return fn
 
@@ -82,17 +87,18 @@ def sample_at(
     The position is opened from the draft the first time it is sampled.
     Returns the new node id and the residual probability its token was drawn
     with, or None when the position's support is exhausted.  ``value`` is
-    the estimated probability that this sampling is reached.
+    the estimated probability that this sampling is reached.  Exhaustion is
+    checked once, here: a token drawn from the residual's positive mass is
+    new at its position, so it skips :meth:`TokenTree.add_node`'s checks.
     """
     state = tree.positions.get(owner)
     if state is None:
-        context = prefix + list(tree.position_path(owner))
-        state = tree.open_position(owner, draft.dist(context))
+        state = tree.open_position(owner, draft.dist(prefix + list(tree.position_path(owner))))
     residual = state.residual
     if residual.is_zero:
         return None
     token = sample(residual, uniform(state.path, len(state.sampled)))
-    return tree.add_node(owner, token, value), residual[token]
+    return tree.append_sampled(state, token, value), float(residual.probs[token])
 
 
 def build_tree_fixed(

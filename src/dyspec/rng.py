@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 import struct
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Tuple
 
 _SCALE = 2.0 ** -64
+_pack_index = struct.Struct("<q").pack
 
 
 @lru_cache(maxsize=None)
@@ -39,6 +40,21 @@ def _digest(seed: int, domain: str, ints: Iterable[int], index: int) -> int:
 def keyed_uniform(seed: int, domain: str, tag: Iterable[int], index: int) -> float:
     """Uniform in [0, 1) fully determined by (seed, domain, tag, index)."""
     return _digest(seed, domain, tag, index) * _SCALE
+
+
+def keyed_uniforms(seed: int, domain: str, tag: Tuple[int, ...]) -> Callable[[int], float]:
+    """``fn(index) == keyed_uniform(seed, domain, tag, index)``, bit for bit:
+    blake2b streams, so (seed, domain, tag) is absorbed once and each call
+    copies that state and absorbs only ``index``."""
+    prefix = _domain_hash(domain).copy()
+    prefix.update(_int64s(len(tag) + 1)(seed, *tag))
+
+    def fn(index: int) -> float:
+        h = prefix.copy()
+        h.update(_pack_index(index))
+        return int.from_bytes(h.digest(), "little") * _SCALE
+
+    return fn
 
 
 def derive_seed(seed: int, domain: str, *ints: int) -> int:

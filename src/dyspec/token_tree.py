@@ -22,7 +22,7 @@ ROOT = -1
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One sampled token.
 
@@ -38,7 +38,7 @@ class TreeNode:
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class PositionState:
     """Sampling state at one tree position (owned by a node or ROOT).
 
@@ -109,26 +109,24 @@ class TokenTree:
     def add_node(self, owner: int, token: int, value: float) -> int:
         """Append the next sampling at a position; returns the new node id.
 
-        The position must have been opened with its draft distribution.  A
-        token may be sampled at most once per position, otherwise the
-        residual bookkeeping (and verification) would break.
+        The position must be open and not exhausted, and a token may be
+        sampled at most once per position, otherwise the residual bookkeeping
+        (and verification) would break.  Construction draws from the
+        residual's positive mass and appends through :meth:`append_sampled`.
         """
         state = self.positions[owner]
         if token in state.sampled:
             raise ValueError(f"token {token} already sampled at position {owner}")
         if state.residual.is_zero:
             raise ValueError(f"position {owner} is exhausted")
+        return self.append_sampled(state, token, value)
+
+    def append_sampled(self, state: PositionState, token: int, value: float) -> int:
+        """:meth:`add_node` unchecked, for a token drawn from the residual."""
         node_id = len(self.nodes)
+        owner = state.owner
         depth = 1 if owner == ROOT else self.nodes[owner].depth + 1
-        node = TreeNode(
-            node_id=node_id,
-            parent=owner,
-            token=token,
-            sibling_index=len(state.sampled),
-            depth=depth,
-            value=value,
-        )
-        self.nodes.append(node)
+        self.nodes.append(TreeNode(node_id, owner, token, len(state.sampled), depth, value))
         state.sampled.append(token)
         state.node_ids.append(node_id)
         return node_id

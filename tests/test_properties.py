@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from dyspec.categorical import (
     SUM_TOL,
     Categorical,
+    remove_and_renorm,
     residual_target,
     sample,
     softmax_with_temperature,
 )
-from dyspec.construct import build_tree_fixed
+from dyspec.construct import build_tree_fixed, construction_uniform, grow_layers
 from dyspec.lm import (
     MarkovModel,
     ModelPairSpec,
@@ -22,16 +23,14 @@ from dyspec.lm import (
     target_distributions_for_tree,
 )
 from dyspec.oracle import exact_verify_distribution
+from dyspec.rng import keyed_uniform
 from dyspec.token_tree import ROOT
 from dyspec.verify import replay_trace, verify_tree
 
 # Weight vectors with zeros allowed anywhere (leading, inner, trailing) and
 # at least one positive entry.
-weights = st.lists(
-    st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
-    min_size=1,
-    max_size=8,
-).filter(lambda w: any(x > 0.0 for x in w))
+weight_entries = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+weights = st.lists(weight_entries, min_size=1, max_size=8).filter(lambda w: any(x > 0.0 for x in w))
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -86,8 +85,9 @@ class TestCategoricalProperties:
     @given(weights, st.lists(unit_interval, min_size=1, max_size=8),
            st.floats(min_value=-0.5, max_value=0.5))
     def test_sample_equals_the_module_function_form(self, w, us, frac):
-        # sample uses the ndarray methods; np.cumsum / np.searchsorted gave
-        # the same bits, clamp included, and seeded outputs depend on it.
+        # sample calls np.add.accumulate and ndarray.searchsorted; the
+        # module functions give the same bits, clamp included, and seeded
+        # outputs depend on it.
         probs = normalized(w) * (1.0 + frac * SUM_TOL)
         assume(abs(float(probs.sum()) - 1.0) <= SUM_TOL)
         dist = Categorical(probs)
@@ -103,6 +103,85 @@ class TestCategoricalProperties:
         dist = Categorical(normalized(w))
         last = int(np.flatnonzero(dist.probs > 0.0)[-1])
         assert sample(dist, np.nextafter(1.0, 0.0)) == last
+
+    @given(weights, st.data())
+    def test_folds_equal_the_method_call_form(self, w, data):
+        # The folds call np.add.reduce and divide in place; the method-call
+        # form gave the same bits, and seeded outputs depend on it.
+        dist = Categorical(normalized(w))
+        t = data.draw(st.integers(0, dist.size - 1))
+        p = dist.probs.copy()
+        p[t] = 0.0
+        folded = remove_and_renorm(dist, t)
+        assert folded.is_zero == (p.sum() <= 0.0)
+        assert np.array_equal(folded.probs, p if folded.is_zero else p / p.sum())
+        assert np.array_equal(dist.probs, normalized(w))  # the input row is untouched
+
+        other = Categorical(normalized(data.draw(
+            st.lists(weight_entries, min_size=dist.size, max_size=dist.size)
+            .filter(lambda v: any(x > 0.0 for x in v))
+        )))
+        x = np.maximum(other.probs - dist.probs, 0.0)
+        corrective = residual_target(other, dist)
+        assert corrective.is_zero == (x.sum() <= 0.0)
+        assert np.array_equal(corrective.probs, x if corrective.is_zero else x / x.sum())
+        assert np.array_equal(dist.probs, normalized(w))
+
+
+# Seeds and position paths as keyed_uniform packs them: signed 64-bit
+# integers, with -1 (the ROOT id) among the tag entries.
+int64s = st.integers(-(2**63), 2**63 - 1)
+key_seeds = st.one_of(st.sampled_from([0, -1, 2**62, -(2**62)]), int64s)
+key_tags = st.lists(st.one_of(st.just(-1), st.integers(0, 63), int64s), max_size=12).map(tuple)
+
+
+class TestConstructionStep:
+    @given(key_seeds, st.lists(key_tags, min_size=1, max_size=4, unique=True), st.data())
+    def test_prefix_cached_uniform_equals_keyed_uniform(self, seed, tags, data):
+        # Each tag is asked twice in round-robin order, then in a drawn
+        # order, so later queries reuse a kept prefix state between
+        # queries of other tags.
+        queries = [(tag, k) for k in (0, 1) for tag in tags]
+        queries += data.draw(st.lists(st.tuples(st.sampled_from(tags), st.integers(0, 2**40)), max_size=16))
+        uniform = construction_uniform(seed)
+        for tag, k in queries:
+            assert uniform(tag, k) == keyed_uniform(seed, "construct", tag, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 2),
+        st.integers(1, 24),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.integers(0, 2**16),
+        st.integers(0, 3),
+    )
+    def test_every_token_drawn_from_positive_residual_mass(
+        self, vocab, order, budget, sigma, draft_temp, seed, width
+    ):
+        # sample_at appends without add_node's checks: a token must come from
+        # the positive mass of its residual, so it can neither repeat at its
+        # position nor be drawn at an exhausted one.
+        spec = ModelPairSpec(
+            vocab_size=vocab, markov_order=order, target_seed=seed,
+            noise_sigma=sigma, draft_temp=draft_temp,
+        )
+        _, draft = make_model_pair(spec)
+        prompt = [seed % vocab]
+        trees = [
+            build_tree_fixed(draft, prompt, budget, seed=seed),
+            # Up to width + 1 samplings per position: wider than the support
+            # of small vocabularies and of temperature-0 rows.
+            grow_layers(draft, prompt, seed, budget, lambda value, depth, count: count <= width),
+        ]
+        for tree in trees:
+            for state in tree.positions.values():
+                assert len(set(state.sampled)) == len(state.sampled)
+                for token, drawn_from in zip(state.sampled, state.residuals):
+                    assert not drawn_from.is_zero
+                    assert drawn_from.probs[token] > 0.0
+            tree.check_residuals()
 
 
 class TestExactVerifyNearEqual:
@@ -150,10 +229,9 @@ class TestVerifyProperties:
         )
         _, draft = make_model_pair(spec)
         tree = build_tree_fixed(draft, [seed % vocab], budget, seed=seed)
-        row_weights = st.lists(
-            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
-            min_size=vocab, max_size=vocab,
-        ).filter(lambda w: any(x > 0.0 for x in w))
+        row_weights = st.lists(weight_entries, min_size=vocab, max_size=vocab).filter(
+            lambda w: any(x > 0.0 for x in w)
+        )
         rows = {}
         for owner in [ROOT] + [node.node_id for node in tree.nodes]:
             state = tree.positions.get(owner)
