@@ -29,6 +29,8 @@ static_tree and --size-cap to threshold cells; a sweep flag that reaches
 no cell exits 2.  Temperatures are generation keys (bench sweeps the
 target's with --temps); the model pair takes them from there.  A sweep
 value may not repeat, and counts such as --seeds must be at least 1.
+oracle's --instances (default 1000) reaches every suite, its --trials
+(default 20000) only unbiasedness and expectation; other suites exit 2.
 Exit codes: 0 success, 1 a check suite failed, 2 usage or configuration
 error.  DYSPEC_THREADS sets the worker count of bench, capped by the CPU
 count and the number of cells; every command is deterministic for a
@@ -51,6 +53,7 @@ from . import mask_opt, oracle
 from .config import ConfigError, RunConfig
 from .construct import CostParams, build_tree_fixed
 from .engine import (
+    STRUCTURES,
     GenConfig,
     acceptance_vs_draft_bins,
     bin_rank_correlation,
@@ -128,7 +131,7 @@ def csv_list(cast):
 
 def _run_single(pair: ModelPair, gen: GenConfig, costs: CostParams):
     target, draft = pair
-    prompt = make_prompt(target.with_temperature(1.0), gen.prefix_len, gen.seed)
+    prompt = make_prompt(target, gen.prefix_len, gen.seed)
     return generate(target, draft, prompt, gen, costs)
 
 
@@ -140,7 +143,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tokens, metrics = _run_single(make_model_pair(cfg.models), cfg.generation, cfg.costs)
 
     payload = metrics.to_dict()
-    payload["models"] = cfg.models.to_dict()
+    payload["models"] = dataclasses.asdict(cfg.models)
     payload["generated_tokens"] = tokens
     _write_json(out / "run_metrics.json", payload)
     _write_csv(
@@ -169,8 +172,7 @@ def _bench_cells(
     """Rows of bench cells, all run on one pair and one prompt per seed (cells
     share ``prefix_len``): tables, dists and prompts are made once."""
     pair = make_model_pair(models)
-    prompt_model = pair[0].with_temperature(1.0)
-    prompts = [make_prompt(prompt_model, cells[0].prefix_len, seed) for seed in range(seeds)]
+    prompts = [make_prompt(pair[0], cells[0].prefix_len, seed) for seed in range(seeds)]
     return [_bench_cell(pair, prompts, gen, costs) for gen in cells]
 
 
@@ -284,32 +286,36 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # oracle
 # --------------------------------------------------------------------------
 
+# Count flags with their defaults, and suite -> (count flags it reads,
+# runner(seed, counts)).
+_ORACLE_COUNTS = {"instances": 1000, "trials": 20000}
 _SUITES = {
-    "unbiasedness": lambda args: [
-        oracle.suite_unbiasedness_exact(instances=args.instances, seed=args.seed),
-        oracle.suite_unbiasedness_mc(trials=args.trials, seed=args.seed),
-    ],
-    "optimality": lambda args: [
-        oracle.suite_optimality(instances=args.instances, seed=args.seed)
-    ],
-    "expectation": lambda args: [
-        oracle.suite_expectation(
-            configs=min(args.instances, 1000), trials=args.trials, seed=args.seed
-        )
-    ],
-    "threshold-equivalence": lambda args: [
-        oracle.suite_threshold_equivalence(configs=args.instances, seed=args.seed)
-    ],
+    "unbiasedness": (("instances", "trials"), lambda seed, n: [
+        oracle.suite_unbiasedness_exact(instances=n["instances"], seed=seed),
+        oracle.suite_unbiasedness_mc(trials=n["trials"], seed=seed)]),
+    "optimality": (("instances",), lambda seed, n: [
+        oracle.suite_optimality(instances=n["instances"], seed=seed)]),
+    "expectation": (("instances", "trials"), lambda seed, n: [
+        oracle.suite_expectation(configs=n["instances"], trials=n["trials"], seed=seed)]),
+    "threshold-equivalence": (("instances",), lambda seed, n: [
+        oracle.suite_threshold_equivalence(configs=n["instances"], seed=seed)]),
 }
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    runner = _SUITES.get(args.suite)
-    if runner is None:
+    if args.suite not in _SUITES:
         print(f"oracle: unknown suite {args.suite!r} "
               f"(choose from {', '.join(sorted(_SUITES))})", file=sys.stderr)
         return 2
-    reports = runner(args)
+    reads, runner = _SUITES[args.suite]
+    counts = {}
+    for flag, default in _ORACLE_COUNTS.items():
+        value = getattr(args, flag)
+        if value is not None and flag not in reads:
+            print(f"oracle: --{flag} does not apply to suite {args.suite}", file=sys.stderr)
+            return 2
+        counts[flag] = default if value is None else value
+    reports = runner(args.seed, counts)
     out = _out_dir(args)
     _write_json(out / "oracle_report.json", reports)
     ok = all(r["pass"] for r in reports)
@@ -332,7 +338,7 @@ def _mask_tree(generator: str, n: int, seed: int, pair: Optional[ModelPair]) -> 
         return [-1] + list(range(n - 1))
     if generator == "constructed":
         target, draft = pair
-        prompt = make_prompt(target.with_temperature(1.0), 16, seed)
+        prompt = make_prompt(target, 16, seed)
         return build_tree_fixed(draft, prompt, n, seed).parent_array()
     raise ValueError(f"unknown tree generator {generator!r}")
 
@@ -479,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--size-cap", dest="size_cap", type=int)
-    p.add_argument("--structure", choices=("dynamic", "chain", "k_chains", "static_tree"))
+    p.add_argument("--structure", choices=STRUCTURES)
     p.add_argument("--k", type=int)
     p.add_argument("--branching", type=csv_list(int), help="comma-separated static-tree branching")
     p.add_argument("--gen-len", dest="gen_len", type=int)
@@ -489,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bench", "sweep structures x budgets x temps", cmd_bench)
     p.add_argument("--config", help="JSON run-config path")
-    p.add_argument("--structures", type=csv_list(str), default="dynamic,chain,k_chains,static_tree")
+    p.add_argument("--structures", type=csv_list(str), default=",".join(STRUCTURES))
     p.add_argument("--budgets", type=csv_list(int), default="64")
     p.add_argument("--thresholds", type=csv_list(float), help="dynamic-only threshold points")
     p.add_argument("--size-cap", dest="size_cap", type=int,
@@ -503,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("oracle", "run a ground-truth check suite", cmd_oracle)
     p.add_argument("--seed", type=int, default=0, help="suite seed")
     p.add_argument("--suite", required=True)
-    p.add_argument("--instances", type=positive_int, default=1000)
-    p.add_argument("--trials", type=positive_int, default=20000)
+    p.add_argument("--instances", type=positive_int, help="default 1000")
+    p.add_argument("--trials", type=positive_int, help="unbiasedness, expectation (default 20000)")
 
     p = command("mask", "block-occupancy of tree-attention masks", cmd_mask)
     p.add_argument("--config", help="JSON run-config path")

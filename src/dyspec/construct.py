@@ -260,22 +260,13 @@ def draft_conditional_probs(tree: TokenTree) -> Dict[int, float]:
     return probs
 
 
-def expected_accepted_draft_approx(tree: TokenTree) -> float:
-    """Expected accepted tokens with acceptance estimated by draft probs.
-
-    Equals the sum over nodes of the product of full draft probabilities
-    along each node's token path: the sibling rejection factors telescope
-    against the residual renormalizations.
-    """
-    return expected_accepted(tree, draft_conditional_probs(tree))
-
-
 def path_weight_sum(tree: TokenTree) -> float:
     """Sum over nodes of the product of full draft probabilities on the path.
 
-    Independent closed form of :func:`expected_accepted_draft_approx`,
-    computed from the stored draft snapshots rather than the construction
-    recurrence.
+    Expected accepted tokens with acceptance estimated by draft probs,
+    ``expected_accepted(tree, draft_conditional_probs(tree))``, in a closed
+    form from the stored draft snapshots: the sibling rejection factors
+    telescope against the residual renormalizations.
     """
     weights: Dict[int, float] = {}
     total = 0.0

@@ -62,6 +62,8 @@ class GenConfig:
     branching: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
+        if self.prefix_len < 0:
+            raise ValueError("prefix_len must be >= 0")
         if self.gen_len < 1:
             raise ValueError("gen_len must be >= 1")
         if self.draft_temp < 0 or self.target_temp < 0:
@@ -273,11 +275,11 @@ def generate(
         steps.append(
             StepMetrics(
                 step=step_idx,
-                tree_size=outcome.tree.size,
+                tree_size=len(outcome.tree),
                 tree_depth=depth,
                 accepted=accepted,
                 modeled_latency=estimate_latency(
-                    max(outcome.tree.size, 1),
+                    max(len(outcome.tree), 1),
                     max(depth, 1),
                     accepted,
                     costs,
@@ -293,7 +295,9 @@ def generate(
 
 
 def make_prompt(target: LanguageModel, length: int, seed: int) -> List[int]:
-    """Sample a prompt autoregressively from the target model."""
+    """Sample a prompt autoregressively from the target model at temperature
+    1, whatever temperature the ``target`` instance runs at."""
+    target = target.with_temperature(1.0)
     tokens: List[int] = []
     for i in range(length):
         u = keyed_uniform(seed, "prompt", (), i)

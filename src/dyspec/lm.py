@@ -10,7 +10,7 @@ entirely through ``noise_sigma``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -92,9 +92,6 @@ class ModelPairSpec:
             raise ValueError("concentration must be > 0")
         if self.entropy_spread < 0:
             raise ValueError("entropy_spread must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -199,18 +196,6 @@ class NoisyDraftModel(LanguageModel):
         return perturbed
 
 
-def make_markov_lm(spec: ModelPairSpec) -> MarkovModel:
-    """Build the target-side Markov model described by a pair spec."""
-    return MarkovModel(
-        vocab_size=spec.vocab_size,
-        order=spec.markov_order,
-        seed=spec.target_seed,
-        concentration=spec.concentration,
-        temperature=spec.target_temp,
-        entropy_spread=spec.entropy_spread,
-    )
-
-
 def derive_draft(target: LanguageModel, noise_sigma: float, seed: int) -> NoisyDraftModel:
     """Perturb a target model into a draft at divergence set by noise_sigma."""
     if noise_sigma < 0:
@@ -222,7 +207,14 @@ def derive_draft(target: LanguageModel, noise_sigma: float, seed: int) -> NoisyD
 
 def make_model_pair(spec: ModelPairSpec) -> Tuple[MarkovModel, NoisyDraftModel]:
     """Target and draft models at the spec's respective temperatures."""
-    target = make_markov_lm(spec)
+    target = MarkovModel(
+        vocab_size=spec.vocab_size,
+        order=spec.markov_order,
+        seed=spec.target_seed,
+        concentration=spec.concentration,
+        temperature=spec.target_temp,
+        entropy_spread=spec.entropy_spread,
+    )
     draft = derive_draft(target, spec.noise_sigma, derive_seed(spec.target_seed, "draft"))
     return target, draft.with_temperature(spec.draft_temp)
 

@@ -338,7 +338,7 @@ def suite_unbiasedness_mc(
             target_temp=temp,
         )
         target, draft = make_model_pair(spec)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=seed)
+        prompt = make_prompt(target, 8, seed=seed)
         config = GenConfig(
             prefix_len=8,
             gen_len=1,
@@ -386,7 +386,7 @@ def suite_optimality(instances: int = 1000, seed: int = 0) -> dict:
         build_seed = derive_seed(seed, "opt-build", i)
         tree = build_tree_fixed(draft, prefix, budget, build_seed)
         slots = realized_slot_tree(draft, prefix, build_seed, max_depth=budget)
-        brute = brute_force_optimal_subtree(slots, tree.size)
+        brute = brute_force_optimal_subtree(slots, len(tree))
         enumerated += brute.enumerated_count
         if brute.best_weight != math.fsum(n.value for n in tree.nodes):
             mismatches += 1
@@ -418,7 +418,7 @@ def suite_expectation(
             entropy_spread=1.0,
         )
         target, draft = make_model_pair(spec)
-        prompt = make_prompt(target.with_temperature(1.0), 4, seed=i)
+        prompt = make_prompt(target, 4, seed=i)
         tree = build_tree_fixed(draft, prompt, 6, derive_seed(seed, "expect-tree", i))
         dists = target_distributions_for_tree(target, prompt, tree)
         expected = expected_accepted(tree, true_branch_acceptance(tree, dists))
@@ -451,12 +451,12 @@ def suite_threshold_equivalence(configs: int = 100, seed: int = 0, max_budget: i
             noise_sigma=float(rng.uniform(0.2, 1.5)),
         )
         target, draft = make_model_pair(spec)
-        prompt = make_prompt(target.with_temperature(1.0), 4, seed=i)
+        prompt = make_prompt(target, 4, seed=i)
         budget = int(rng.integers(2, max_budget + 1))
         cseed = derive_seed(seed, "thr-build", i)
         fixed = build_tree_fixed(draft, prompt, budget, cseed)
         cutoff = min(node.value for node in fixed.nodes)
-        threshold = build_tree_threshold(draft, prompt, cutoff, fixed.size, cseed)
+        threshold = build_tree_threshold(draft, prompt, cutoff, len(fixed), cseed)
         if node_sampling_keys(fixed) != node_sampling_keys(threshold):
             mismatches += 1
     return {

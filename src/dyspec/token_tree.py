@@ -83,10 +83,6 @@ class TokenTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
     def depth(self) -> int:
         return max((n.depth for n in self.nodes), default=0)
 

@@ -395,6 +395,13 @@ class TestGenerateCommand:
         assert "temperatures must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run_metrics.json").exists()
 
+    def test_negative_prefix_len_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(config_path), "--prefix-len", "-3"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "config error: prefix_len must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["generate", "--config", str(config_path), "--out", str(out_a)])
@@ -489,6 +496,19 @@ class TestBenchCommand:
         assert "temperatures must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
+    @pytest.mark.parametrize("command", ["bench", "hypothesis"])
+    def test_negative_prefix_len_exits_2(self, command, bench_config_path,
+                                         hypothesis_config_path, tmp_path, capsys):
+        path = bench_config_path if command == "bench" else hypothesis_config_path
+        cfg = json.loads(path.read_text())
+        cfg["generation"]["prefix_len"] = -2
+        out = tmp_path / "out"
+        code = main([command, "--config", str(write_config(tmp_path, "neg.json", cfg)),
+                     "--out", str(out)])
+        assert code == 2
+        assert "config error: prefix_len must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_sweep_is_usage_error(self, bench_config_path, tmp_path, capsys):
         code = main(
             ["bench", "--config", str(bench_config_path), "--out", str(tmp_path),
@@ -550,6 +570,32 @@ class TestOracleCommand:
 
     def test_unknown_suite_exits_2(self, tmp_path):
         assert main(["oracle", "--suite", "bogus", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("suite", ["optimality", "threshold-equivalence"])
+    def test_trials_rejected_where_unread(self, suite, tmp_path, capsys):
+        argv = ["oracle", "--suite", suite, "--instances", "3", "--trials", "7"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"oracle: --trials does not apply to suite {suite}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags, counts",
+        [
+            ([], {"configs": 1000, "trials": 20000}),
+            (["--instances", "1001", "--trials", "1"], {"configs": 1001, "trials": 1}),
+        ],
+    )
+    def test_expectation_counts_reach_the_suite(self, flags, counts, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return {"suite": "expectation", "pass": True}
+
+        monkeypatch.setattr(cli.oracle, "suite_expectation", recording)
+        argv = ["oracle", "--suite", "expectation", "--seed", "4", "--out", str(tmp_path)]
+        assert main(argv + flags) == 0
+        assert calls == [dict(counts, seed=4)]
 
 
 class TestMaskCommand:
@@ -669,7 +715,7 @@ class TestHypothesisCommand:
 
         def recording(*args, **kwargs):
             tree = original(*args, **kwargs)
-            sizes.append(tree.size)
+            sizes.append(len(tree))
             return tree
 
         monkeypatch.setattr(engine, "build_tree_threshold", recording)

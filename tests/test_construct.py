@@ -12,7 +12,6 @@ from dyspec.construct import (
     draft_conditional_probs,
     estimate_latency,
     expected_accepted,
-    expected_accepted_draft_approx,
     node_sampling_keys,
     path_weight_sum,
     sample_at,
@@ -88,7 +87,7 @@ class TestSampleAt:
         node_id, rate = sample_at(tree, draft, [], ROOT, 1.0, uniform)
         assert (tree.nodes[node_id].token, rate) == (0, 1.0)
         assert sample_at(tree, draft, [], ROOT, 0.0, uniform) is None
-        assert tree.size == 1
+        assert len(tree) == 1
 
 
     @pytest.mark.parametrize("draft_temp", [0.0, 0.6])
@@ -109,7 +108,7 @@ class TestSampleAt:
         monkeypatch.setattr(token_tree, "remove_and_renorm", fold)
         draft = model_draft(4, vocab=16).with_temperature(draft_temp)
         tree = build_tree_fixed(draft, [0, 1], 40, seed=2)
-        assert tree.size == 40
+        assert len(tree) == 40
         assert len(folds) == len(tree.nodes) - len(tree.positions)
         tree.check_residuals()
 
@@ -118,7 +117,7 @@ class TestBuildTreeFixed:
     def test_budget_one_single_node(self):
         draft = TableDraft(4, {(): [0.4, 0.3, 0.2, 0.1]})
         tree = build_tree_fixed(draft, [], 1, seed=0)
-        assert tree.size == 1
+        assert len(tree) == 1
         node = tree.nodes[0]
         assert node.value == 1.0
         assert draft_conditional_probs(tree) == {0: draft.dist([]).probs[node.token]}
@@ -142,7 +141,7 @@ class TestBuildTreeFixed:
 
     def test_point_mass_draft_builds_chain(self):
         tree = build_tree_fixed(point_mass_draft(), [], 5, seed=3)
-        assert tree.size == 5
+        assert len(tree) == 5
         assert tree.depth() == 5
         assert all(n.value == 1.0 for n in tree.nodes)
 
@@ -153,13 +152,13 @@ class TestBuildTreeFixed:
     def test_budget_exactness(self):
         for seed in range(10):
             tree = build_tree_fixed(model_draft(seed), [0], 24, seed=seed)
-            assert tree.size == 24
+            assert len(tree) == 24
 
     def test_budget_short_only_on_exhaustion(self):
         # vocab 2 point-mass rows exhaust sibling positions immediately but
         # the chain still fills the budget
         tree = build_tree_fixed(point_mass_draft(2), [], 10, seed=1)
-        assert tree.size == 10
+        assert len(tree) == 10
 
     def test_popped_values_non_increasing(self):
         for seed in range(10):
@@ -172,11 +171,11 @@ class TestBuildTreeThreshold:
     def test_threshold_one_keeps_single_sampling(self):
         draft = TableDraft(3, {(): [0.5, 0.3, 0.2]})
         tree = build_tree_threshold(draft, [], 1.0, 16, seed=2)
-        assert tree.size == 1
+        assert len(tree) == 1
 
     def test_point_mass_chain_respects_cap(self):
         tree = build_tree_threshold(point_mass_draft(), [], 0.5, 4, seed=0)
-        assert tree.size == 4
+        assert len(tree) == 4
         assert tree.depth() == 4
 
     def test_invalid_params(self):
@@ -194,7 +193,7 @@ class TestBuildTreeThreshold:
             budget = 4 + seed % 12
             fixed = build_tree_fixed(draft, [1, 2], budget, seed=seed)
             cutoff = min(n.value for n in fixed.nodes)
-            thresh = build_tree_threshold(draft, [1, 2], cutoff, fixed.size, seed=seed)
+            thresh = build_tree_threshold(draft, [1, 2], cutoff, len(fixed), seed=seed)
             assert node_sampling_keys(fixed) == node_sampling_keys(thresh)
             fixed_vals = sorted(n.value for n in fixed.nodes)
             thresh_vals = sorted(n.value for n in thresh.nodes)
@@ -255,17 +254,17 @@ class TestExpectedAccepted:
 class TestDraftApprox:
     def test_point_mass_chain(self):
         tree = build_tree_fixed(point_mass_draft(), [], 3, seed=0)
-        assert expected_accepted_draft_approx(tree) == pytest.approx(3.0)
+        assert expected_accepted(tree, draft_conditional_probs(tree)) == pytest.approx(3.0)
 
     def test_single_root_node_half(self):
         draft = TableDraft(2, {(): [0.5, 0.5]})
         tree = build_tree_fixed(draft, [], 1, seed=0)
-        assert expected_accepted_draft_approx(tree) == pytest.approx(0.5)
+        assert expected_accepted(tree, draft_conditional_probs(tree)) == pytest.approx(0.5)
 
     def test_identity_with_path_products(self):
         for seed in range(30):
             tree = build_tree_fixed(model_draft(seed), [0, 1], 16, seed=seed)
-            approx = expected_accepted_draft_approx(tree)
+            approx = expected_accepted(tree, draft_conditional_probs(tree))
             assert approx == pytest.approx(path_weight_sum(tree), abs=1e-9)
 
     def test_conditional_probs_match_positions(self):
@@ -321,6 +320,6 @@ class TestGreedyOptimalityOnSlotTrees:
             seed = derive_seed(7, "slot-opt", i)
             tree = build_tree_fixed(draft, prefix, budget, seed)
             slots = realized_slot_tree(draft, prefix, seed, max_depth=budget)
-            brute = brute_force_optimal_subtree(slots, tree.size)
+            brute = brute_force_optimal_subtree(slots, len(tree))
             total = math.fsum(n.value for n in tree.nodes)
             assert brute.best_weight == pytest.approx(total, abs=1e-12)

@@ -66,6 +66,11 @@ class TestGenConfig:
             GenConfig(budget=3, structure="k_chains", k=4)
         GenConfig(budget=14, structure="static_tree", branching=(2, 2, 2))
 
+    def test_prefix_len_at_least_zero(self):
+        with pytest.raises(ValueError, match="prefix_len must be >= 0"):
+            GenConfig(prefix_len=-1, budget=8)
+        GenConfig(prefix_len=0, budget=8)
+
     @pytest.mark.parametrize("branching", [(-1,), (2, 0, 3)])
     def test_static_tree_branching_entries_at_least_one(self, branching):
         with pytest.raises(ValueError, match="branching entries must be >= 1"):
@@ -84,12 +89,23 @@ class TestGenConfig:
         )
 
 
+class TestMakePrompt:
+    @pytest.mark.parametrize("temp", [0.0, 0.6, 1.5])
+    def test_samples_at_temperature_one(self, temp):
+        # The prompt depends on the model's logits and the seed, not on the
+        # temperature the instance runs at.
+        target, draft = pair(seed=4, vocab=8)
+        for model in (target, draft):
+            hot = make_prompt(model.with_temperature(temp), 12, 5)
+            assert hot == make_prompt(model.with_temperature(1.0), 12, 5)
+
+
 class TestGenerate:
     def test_deterministic_models_accept_everything(self):
         # sigma 0 and temperature 0 on both sides: the tree is a chain of
         # depth 8 and every step accepts depth + 1 tokens
         target, draft = pair(seed=4, sigma=0.0, draft_temp=0.0, target_temp=0.0)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=0)
+        prompt = make_prompt(target, 8, seed=0)
         config = GenConfig(
             prefix_len=8, gen_len=27, budget=8, draft_temp=0.0, target_temp=0.0, seed=1
         )
@@ -101,14 +117,14 @@ class TestGenerate:
 
     def test_budget_one_accepts_one_or_two(self):
         target, draft = pair(seed=9)
-        prompt = make_prompt(target.with_temperature(1.0), 4, seed=2)
+        prompt = make_prompt(target, 4, seed=2)
         config = GenConfig(prefix_len=4, gen_len=16, budget=1, seed=3)
         tokens, metrics = generate(target, draft, prompt, config)
         assert all(s.accepted in (1, 2) for s in metrics.steps)
 
     def test_output_length_is_exact(self):
         target, draft = pair(seed=1)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=1)
+        prompt = make_prompt(target, 8, seed=1)
         for gen_len in (1, 7, 32):
             config = GenConfig(prefix_len=8, gen_len=gen_len, budget=6, seed=2)
             tokens, _ = generate(target, draft, prompt, config)
@@ -122,7 +138,7 @@ class TestGenerate:
             engine, "verify_tree", lambda tree, dists, seed: VerifyResult([0] * 9, [], 0, False, [])
         )
         target, draft = pair(seed=2)
-        prompt = make_prompt(target.with_temperature(1.0), 4, seed=0)
+        prompt = make_prompt(target, 4, seed=0)
         with pytest.raises(VerificationError, match="depth"):
             generate(target, draft, prompt, GenConfig(prefix_len=4, gen_len=8, budget=2))
 
@@ -133,7 +149,7 @@ class TestGenerate:
 
     def test_deterministic_given_seeds(self):
         target, draft = pair(seed=6)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=4)
+        prompt = make_prompt(target, 8, seed=4)
         config = GenConfig(prefix_len=8, gen_len=24, budget=8, seed=11)
         tokens_a, metrics_a = generate(target, draft, prompt, config)
         tokens_b, metrics_b = generate(target, draft, prompt, config)
@@ -142,7 +158,7 @@ class TestGenerate:
 
     def test_aggregates_match_recomputation(self):
         target, draft = pair(seed=2)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=0)
+        prompt = make_prompt(target, 8, seed=0)
         config = GenConfig(prefix_len=8, gen_len=20, budget=6, seed=5)
         _, metrics = generate(target, draft, prompt, config)
         rebuilt = RunMetrics.from_steps(metrics.steps, metrics.branch_events)
@@ -152,7 +168,7 @@ class TestGenerate:
 
     def test_step_metrics_bounds(self):
         target, draft = pair(seed=8)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=6)
+        prompt = make_prompt(target, 8, seed=6)
         config = GenConfig(prefix_len=8, gen_len=32, budget=12, seed=7)
         _, metrics = generate(target, draft, prompt, config)
         for s in metrics.steps:
@@ -161,7 +177,7 @@ class TestGenerate:
 
     def test_threshold_mode_runs(self):
         target, draft = pair(seed=3)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=3)
+        prompt = make_prompt(target, 8, seed=3)
         config = GenConfig(
             prefix_len=8, gen_len=16, threshold=0.05, size_cap=32, seed=9
         )
@@ -171,7 +187,7 @@ class TestGenerate:
 
     def test_metrics_json_payload(self):
         target, draft = pair(seed=3)
-        prompt = make_prompt(target.with_temperature(1.0), 4, seed=3)
+        prompt = make_prompt(target, 4, seed=3)
         config = GenConfig(prefix_len=4, gen_len=8, budget=4, seed=0)
         _, metrics = generate(target, draft, prompt, config)
         payload = metrics.to_dict()
@@ -202,7 +218,7 @@ class TestWarmPair:
         monkeypatch.setattr(lm.LanguageModel, "dist", dist)
         monkeypatch.setattr(lm, "softmax_with_temperature", counting)
         target, draft = pair(seed=5, draft_temp=0.6, target_temp=0.6)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=1)
+        prompt = make_prompt(target, 8, seed=1)
         config = GenConfig(prefix_len=8, gen_len=24, budget=8, seed=2)
         calls.update(softmax=0, target=0)
         _, metrics = generate(target, draft, prompt, config)
@@ -231,7 +247,7 @@ class TestWarmPair:
 
         monkeypatch.setattr(lm, "softmax_with_temperature", counting)
         target, draft = make_model_pair(ModelPairSpec())
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=1)
+        prompt = make_prompt(target, 8, seed=1)
         config = GenConfig(prefix_len=8, gen_len=16, budget=8, target_temp=0.0, seed=2)
         counts = []
         for _ in range(3):
@@ -249,7 +265,7 @@ class TestWarmPair:
     )
     def test_warm_pair_equals_cold_pair(self, prompt_seed, budget, target_temp, seed):
         warm, cold = warm_pair(), pair(seed=3, vocab=8)
-        prompt = make_prompt(cold[0].with_temperature(1.0), 6, seed=prompt_seed)
+        prompt = make_prompt(cold[0], 6, seed=prompt_seed)
         config = GenConfig(
             prefix_len=6, gen_len=12, budget=budget, target_temp=target_temp, seed=seed
         )
@@ -264,7 +280,7 @@ class TestBaselineTrees:
     def test_chain_shape(self):
         _, draft = pair(seed=5)
         tree = build_baseline_tree("chain", draft, [0, 1], 4, seed=2)
-        assert tree.size == 4
+        assert len(tree) == 4
         assert tree.depth() == 4
 
     def test_static_tree_shape(self):
@@ -272,7 +288,7 @@ class TestBaselineTrees:
         tree = build_baseline_tree(
             "static_tree", draft, [0, 1], 8, seed=2, branching=(2, 2)
         )
-        assert tree.size == 6
+        assert len(tree) == 6
         assert tree.depth() == 2
         assert sum(1 for n in tree.nodes if n.depth == 1) == 2
         assert sum(1 for n in tree.nodes if n.depth == 2) == 4
@@ -287,7 +303,7 @@ class TestBaselineTrees:
     def test_k_chains_shape(self):
         _, draft = pair(seed=5, vocab=32)
         tree = build_baseline_tree("k_chains", draft, [0], 6, seed=4, k=2)
-        assert tree.size == 6
+        assert len(tree) == 6
         assert tree.depth() == 3
         roots = [n for n in tree.nodes if n.parent == -1]
         assert len(roots) == 2
@@ -310,7 +326,7 @@ class TestAcceptanceBins:
 
     def test_identical_models_accept_everywhere(self):
         target, draft = pair(seed=12, sigma=0.0)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=8)
+        prompt = make_prompt(target, 8, seed=8)
         config = GenConfig(prefix_len=8, gen_len=24, budget=8, seed=13)
         _, metrics = generate(target, draft, prompt, config)
         rows = acceptance_vs_draft_bins(metrics.branch_events, 10)
@@ -342,12 +358,12 @@ class TestAcceptanceBins:
 class TestGenerateStep:
     def test_step_returns_tree_and_result(self):
         target, draft = pair(seed=7)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=5)
+        prompt = make_prompt(target, 8, seed=5)
         config = GenConfig(prefix_len=8, gen_len=8, budget=6, seed=0)
         outcome = generate_step(
             target.with_temperature(0.6), draft.with_temperature(0.6), prompt, config, 3
         )
-        assert outcome.tree.size == 6
+        assert len(outcome.tree) == 6
         assert len(outcome.result.accepted) >= 1
 
     @pytest.mark.parametrize("target_temp", [0.0, 0.6])
@@ -356,7 +372,7 @@ class TestGenerateStep:
         import dyspec.lm as lm
 
         target, draft = pair(seed=seed, target_temp=target_temp)
-        prompt = make_prompt(target.with_temperature(1.0), 8, seed=seed)
+        prompt = make_prompt(target, 8, seed=seed)
         rows = []
         plain = lm.LanguageModel.dist
 
@@ -369,6 +385,6 @@ class TestGenerateStep:
         config = GenConfig(prefix_len=8, gen_len=8, budget=24, target_temp=target_temp, seed=0)
         outcome = generate_step(target, draft, prompt, config, seed)
         ids = outcome.result.accepted_node_ids
-        assert outcome.tree.size == 24
+        assert len(outcome.tree) == 24
         assert rows == [tuple(prompt) + tuple(outcome.result.accepted[:k])
                         for k in range(len(ids) + 1)]

@@ -1,0 +1,37 @@
+"""Every module of the package imports on its own, in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dyspec
+
+SRC = Path(dyspec.__file__).resolve().parent.parent
+MODULES = sorted(
+    p.stem for p in (SRC / "dyspec").glob("*.py") if p.stem not in ("__init__", "__main__")
+)
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_modules_found():
+    assert {"cli", "construct", "engine", "lm", "oracle"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first(module):
+    result = fresh_python(f"import dyspec.{module}")
+    assert result.returncode == 0, result.stderr
+
+
+def test_root_exports_only_version():
+    code = "import dyspec; print(sorted(n for n in vars(dyspec) if n[0] != '_' or n == '__version__'))"
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['__version__']"

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -11,7 +12,6 @@ from dyspec.lm import (
     MarkovModel,
     ModelPairSpec,
     derive_draft,
-    make_markov_lm,
     make_model_pair,
     target_distributions_for_tree,
 )
@@ -253,4 +253,4 @@ class TestModelPairSpec:
 
     def test_round_trips_through_dict(self):
         spec = ModelPairSpec(vocab_size=32, noise_sigma=0.25)
-        assert ModelPairSpec(**spec.to_dict()) == spec
+        assert ModelPairSpec(**dataclasses.asdict(spec)) == spec

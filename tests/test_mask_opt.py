@@ -35,7 +35,7 @@ def tree_depth(parents):
 def built_tree_parents(seed, budget=64):
     spec = ModelPairSpec(target_seed=seed, noise_sigma=1.0)
     target, draft = make_model_pair(spec)
-    prompt = make_prompt(target.with_temperature(1.0), 16, seed)
+    prompt = make_prompt(target, 16, seed)
     return build_tree_fixed(draft, prompt, budget, seed).parent_array()
 
 

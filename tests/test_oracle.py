@@ -103,7 +103,7 @@ class TestMonteCarloOutputDistribution:
         )
         target, draft = make_model_pair(spec)
         target = target.with_temperature(0.0)
-        prompt = make_prompt(target.with_temperature(1.0), 4, seed=0)
+        prompt = make_prompt(target, 4, seed=0)
         config = GenConfig(prefix_len=4, gen_len=1, budget=4, target_temp=0.0, seed=0)
         _, tv = monte_carlo_output_distribution(target, draft, prompt, config, 200, seed=1)
         assert tv == pytest.approx(0.0, abs=1e-12)
@@ -113,7 +113,7 @@ class TestMonteCarloOutputDistribution:
         target, draft = make_model_pair(spec)
         target = target.with_temperature(0.6)
         draft = draft.with_temperature(0.6)
-        prompt = make_prompt(target.with_temperature(1.0), 4, seed=3)
+        prompt = make_prompt(target, 4, seed=3)
         config = GenConfig(prefix_len=4, gen_len=1, budget=1, target_temp=0.6, seed=0)
         _, tv = monte_carlo_output_distribution(
             target, draft, prompt, config, 20000, seed=2
@@ -150,7 +150,7 @@ class TestMonteCarloExpectedAccepted:
         target, draft = make_model_pair(spec)
         target = target.with_temperature(0.6)
         draft = draft.with_temperature(0.6)
-        prompt = make_prompt(target.with_temperature(1.0), 4, seed=1)
+        prompt = make_prompt(target, 4, seed=1)
         tree = build_tree_fixed(draft, prompt, 6, seed=7)
         dists = target_distributions_for_tree(target, prompt, tree)
         expected = expected_accepted(tree, true_branch_acceptance(tree, dists))

@@ -186,7 +186,7 @@ class TestInvariantsOnBuiltTrees:
     def test_value_recurrence_matches_closed_form(self, builder):
         for seed in range(10):
             tree = BUILDERS[builder](random_draft(seed), seed)
-            assert tree.size > 0
+            assert len(tree) > 0
             closed = closed_form_values(tree)
             for node in tree.nodes:
                 assert node.value == pytest.approx(closed[node.node_id], abs=1e-9)
