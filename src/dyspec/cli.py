@@ -307,6 +307,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"oracle: unknown suite {args.suite!r} "
               f"(choose from {', '.join(sorted(_SUITES))})", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("oracle: --seed must be >= 0", file=sys.stderr)
+        return 2
     reads, runner = _SUITES[args.suite]
     counts = {}
     for flag, default in _ORACLE_COUNTS.items():

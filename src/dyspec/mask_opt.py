@@ -9,7 +9,13 @@ large factor.  A tile-skipping attention reference shows the saving is
 exact, not approximate.
 
 All operations take a parent-id array: ``parents[i] < i``, and ``-1`` for
-a node hanging off the prompt (node 0 always does).
+a node hanging off the prompt (node 0 always does).  Token trees are
+forests under the prompt: successive samplings there are parentless siblings.
+
+Mask rows, subtree sizes and preorder slots are filled as whole-array numpy
+over the nodes split by depth (a level's parents sit one level up), at a few
+microseconds per level: DySpec and random trees of thousands of nodes are
+tens of levels deep, while a chain pays that cost once per node.
 """
 
 from __future__ import annotations
@@ -31,40 +37,36 @@ def _parents_of(parents: Sequence[int]) -> np.ndarray:
     return arr
 
 
-def _children_lists(parents: np.ndarray) -> List[List[int]]:
-    children: List[List[int]] = [[] for _ in range(parents.size)]
-    for i in range(1, parents.size):
-        if parents[i] >= 0:
-            children[int(parents[i])].append(i)
-    return children
-
-
-def _top_level(parents: np.ndarray) -> List[int]:
-    """Nodes hanging directly off the (virtual) prompt position.
-
-    Token trees are forests under the prompt: successive samplings at the
-    root position are all parentless siblings.
-    """
-    return [i for i in range(parents.size) if parents[i] < 0]
+def _levels(parents: np.ndarray) -> List[np.ndarray]:
+    """Node ids split by depth, each level ascending.  Depth comes from pointer
+    jumping (log2(depth) passes); index -1 is a sentinel above the top level."""
+    up = np.append(parents, -1)
+    depth = (up >= 0).astype(np.int64)
+    while (up >= 0).any():
+        depth += depth[up]
+        up = up[up]
+    by_depth = np.argsort(depth[:-1], kind="stable")
+    ends = np.cumsum(np.bincount(depth[:-1])).tolist()
+    return [by_depth[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _mask_bits(parents: np.ndarray, prefix_len: int) -> np.ndarray:
-    """Prompt block of ones, then row i marks i itself and every ancestor of i."""
+    """Prompt block of ones, then row i marks i itself and every ancestor of i:
+    level by level, each row copies its parent's finished row."""
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
     bits = np.zeros((parents.size, prefix_len + parents.size), dtype=bool)
     bits[:, :prefix_len] = True
-    for i in range(parents.size):
-        p = int(parents[i])
-        if p >= 0:
-            bits[i] = bits[p]
-        bits[i, prefix_len + i] = True
+    for depth, level in enumerate(_levels(parents)):
+        if depth:
+            bits[level] = bits[parents[level]]
+        bits[level, prefix_len + level] = True
     return bits
 
 
 def ancestor_self_matrix(parents: np.ndarray) -> np.ndarray:
     """Boolean matrix: row i marks i itself and every ancestor of i."""
-    return _mask_bits(np.asarray(parents, dtype=np.int64), 0)
+    return _mask_bits(_parents_of(parents), 0)
 
 
 @dataclass
@@ -85,22 +87,23 @@ class TreeMask:
     def to_pbm(self) -> str:
         """Plain PBM text grid (rows of 0/1) for visual inspection."""
         rows, cols = self.bits.shape
-        lines = ["P1", f"{cols} {rows}"]
-        lines += [" ".join("1" if b else "0" for b in row) for row in self.bits]
-        return "\n".join(lines) + "\n"
+        grid = np.full((rows, cols, 2), ord(" "), dtype=np.uint8)
+        grid[:, :, 0] = self.bits.view(np.uint8) + ord("0")
+        grid[:, -1, 1] = ord("\n")
+        return f"P1\n{cols} {rows}\n" + grid.tobytes().decode("ascii")
 
 
 def mask_from_tree(parents: Sequence[int], prefix_len: int = 0) -> TreeMask:
     """Tree-attention mask in the given node order."""
-    parents = _parents_of(parents)
-    return TreeMask(_mask_bits(parents, prefix_len))
+    return TreeMask(_mask_bits(_parents_of(parents), prefix_len))
 
 
 def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
     """Number of block x block tiles holding at least one set bit.
 
     Tiles are grid-aligned at index 0; ragged edge tiles count like full
-    ones, matching how kernels launch.
+    ones, matching how kernels launch.  Each row block is OR-ed into one
+    row first, then each column block of that small matrix.
     """
     if block < 1:
         raise ValueError("block size must be >= 1")
@@ -111,32 +114,41 @@ def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
     if pad_r or pad_c:
         bits = np.pad(bits, ((0, pad_r), (0, pad_c)))
     r, c = bits.shape
-    tiles = bits.reshape(r // block, block, c // block, block)
-    return int(tiles.any(axis=(1, 3)).sum())
+    row_blocks = bits.reshape(r // block, block, c).any(axis=1)
+    return int(np.count_nonzero(row_blocks.reshape(r // block, c // block, block).any(axis=2)))
 
 
-def _preorder(parents: np.ndarray, rank=None) -> List[int]:
-    """Depth-first preorder visiting siblings in ascending ``rank`` (node id by default)."""
-    children = _children_lists(parents)
-    order: List[int] = []
-    stack = sorted(_top_level(parents), key=rank)[::-1]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(sorted(children[u], key=rank)[::-1])
-    return order
+def _preorder(parents: np.ndarray, heavy: bool) -> List[int]:
+    """Depth-first preorder; siblings (top-level nodes too) in ascending id, or
+    with ``heavy`` in descending subtree size, ties in ascending id.
+
+    A node's slot is its parent's slot + 1 plus the subtree sizes of the
+    siblings ranked ahead of it: a cumsum over one lexsort by parent and
+    rank, restarted at each parent, then placed top-down level by level.
+    """
+    sizes = subtree_sizes(parents)
+    rank = np.lexsort((-sizes, parents)) if heavy else np.argsort(parents, kind="stable")
+    ahead = np.cumsum(sizes[rank]) - sizes[rank]
+    first = np.diff(parents[rank], prepend=-2) != 0
+    offset = np.empty_like(ahead)
+    offset[rank] = ahead - np.maximum.accumulate(np.where(first, ahead, 0))
+    slot = np.full(parents.size + 1, -1, dtype=np.int64)  # slot[-1]: the prompt
+    for level in _levels(parents):
+        slot[level] = slot[parents[level]] + 1 + offset[level]
+    return np.argsort(slot[:-1]).tolist()
 
 
 def dfs_order(parents: Sequence[int]) -> List[int]:
     """Depth-first preorder, children visited in sampling (creation) order."""
-    return _preorder(_parents_of(parents))
+    return _preorder(_parents_of(parents), heavy=False)
 
 
 def subtree_sizes(parents: np.ndarray) -> np.ndarray:
+    """Nodes in each node's subtree, itself included; summed bottom-up by level."""
+    parents = _parents_of(parents)
     sizes = np.ones(parents.size, dtype=np.int64)
-    for i in range(parents.size - 1, 0, -1):
-        if parents[i] >= 0:
-            sizes[int(parents[i])] += sizes[i]
+    for level in reversed(_levels(parents)[1:]):
+        np.add.at(sizes, parents[level], sizes[level])
     return sizes
 
 
@@ -146,17 +158,17 @@ def hpd_order(parents: Sequence[int]) -> List[int]:
     Ties fall back to sampling order, so chains and balanced trees reduce
     to plain depth-first order.
     """
-    parents = _parents_of(parents)
-    sizes = subtree_sizes(parents)
-    return _preorder(parents, lambda c: (-int(sizes[c]), c))
+    return _preorder(_parents_of(parents), heavy=True)
 
 
 def is_topological(parents: np.ndarray, order: Sequence[int]) -> bool:
-    """True when ``order`` holds every node and puts each parent ahead of its children."""
-    position = {node: idx for idx, node in enumerate(order)}
-    return all(i in position for i in range(parents.size)) and all(
-        position[int(parents[i])] < position[i] for i in range(1, parents.size) if parents[i] >= 0
-    )
+    """True when ``order`` is a permutation of the node ids with parents first."""
+    order = np.asarray(order, dtype=np.int64)
+    if not np.array_equal(np.sort(order), np.arange(parents.size)):
+        return False
+    position = np.argsort(order)
+    child = parents >= 0
+    return bool(np.all(position[parents[child]] < position[child]))
 
 
 def apply_permutation(
@@ -172,13 +184,12 @@ def apply_permutation(
     mask with rows and tree columns permuted along ``order``.
     """
     parents = _parents_of(parents)
-    if sorted(order) != list(range(parents.size)):
-        raise ValueError("order must be a permutation of the node ids")
-    if not is_topological(parents, order):
-        raise ValueError("permutation must keep parents before children")
     idx = np.asarray(order, dtype=np.int64)
-    new_id = np.empty_like(idx)
-    new_id[idx] = np.arange(idx.size)
+    if not np.array_equal(np.sort(idx), np.arange(parents.size)):
+        raise ValueError("order must be a permutation of the node ids")
+    if not is_topological(parents, idx):
+        raise ValueError("permutation must keep parents before children")
+    new_id = np.argsort(idx)
     old_parent = parents[idx]
     relabeled = np.where(old_parent >= 0, new_id[old_parent], -1)
     return TreeMask(_mask_bits(relabeled, prefix_len))
@@ -267,7 +278,7 @@ def enumerate_topological_orders(parents: Sequence[int]):
     parents = _parents_of(parents)
     if parents.size > 10:
         raise ValueError("exhaustive order enumeration is limited to n <= 10")
-    children = _children_lists(parents)
+    children = [np.flatnonzero(parents == u).tolist() for u in range(parents.size)]
 
     def recurse(order: List[int], frontier: List[int]):
         if not frontier:
@@ -279,7 +290,7 @@ def enumerate_topological_orders(parents: Sequence[int]):
             yield from recurse(order, nxt)
             order.pop()
 
-    yield from recurse([], _top_level(parents))
+    yield from recurse([], np.flatnonzero(parents < 0).tolist())
 
 
 def min_block_count_exhaustive(parents: Sequence[int], prefix_len: int, block: int) -> int:

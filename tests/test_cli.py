@@ -355,6 +355,12 @@ class TestGenerateCommand:
         assert lines[0] == "step,tree_size,tree_depth,accepted,modeled_latency"
         assert len(lines) == metrics["num_steps"] + 1
 
+    def test_negative_seed_accepted(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(config_path), "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "run_metrics.json").exists()
+
     def test_both_paper_temperatures_accepted(self, config_path, tmp_path):
         for temp in ("0", "0.6"):
             out = tmp_path / f"t{temp}"
@@ -570,6 +576,12 @@ class TestOracleCommand:
 
     def test_unknown_suite_exits_2(self, tmp_path):
         assert main(["oracle", "--suite", "bogus", "--out", str(tmp_path)]) == 2
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["oracle", "--suite", "optimality", "--seed", "-1", "--out", str(out)]) == 2
+        assert "oracle: --seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("suite", ["optimality", "threshold-equivalence"])
     def test_trials_rejected_where_unread(self, suite, tmp_path, capsys):

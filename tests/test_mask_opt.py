@@ -1,5 +1,10 @@
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dyspec.construct import build_tree_fixed
 from dyspec.engine import make_prompt
@@ -14,6 +19,7 @@ from dyspec.mask_opt import (
     dfs_order,
     enumerate_topological_orders,
     hpd_order,
+    is_topological,
     mask_from_tree,
     min_block_count_exhaustive,
     random_tree,
@@ -105,17 +111,17 @@ class TestDfsOrder:
         assert dfs_order(parents) == [0, 1, 3, 2]
 
     def test_topological_on_random_trees(self):
-        from dyspec.mask_opt import is_topological
-
         for seed in range(200):
             parents = np.asarray(random_tree(30, seed))
             assert is_topological(parents, dfs_order(parents))
 
     def test_order_missing_a_node_is_not_topological(self):
-        from dyspec.mask_opt import is_topological
-
         assert not is_topological(np.array([-1, 0, 0]), [0, 2])
         assert not is_topological(np.array([-1, 0, 0]), [1, 2])
+
+    def test_order_repeating_a_node_is_not_topological(self):
+        assert not is_topological(np.array([-1, 0, 0]), [0, 1, 2, 2])
+        assert not is_topological(np.array([-1, 0, 0]), [0, 1, 1])
 
 
 class TestHpdOrder:
@@ -343,3 +349,153 @@ class TestOrderQuality:
                 apply_permutation(parents, order_fn(parents), 0), 32
             )
             assert count == base
+
+
+class TestTreeMaskPbm:
+    @staticmethod
+    def joined(bits):
+        """Reference: one "0"/"1" string per bit, joined row by row."""
+        rows, cols = bits.shape
+        lines = ["P1", f"{cols} {rows}"]
+        lines += [" ".join("1" if b else "0" for b in row) for row in bits]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("prefix", [0, 3])
+    def test_matches_per_bit_join(self, prefix):
+        for parents in ([-1], CHAIN3, STAR3, [-1, 0, -1, 2, 1], random_tree(17, 4)):
+            bits = mask_from_tree(parents, prefix).bits
+            assert TreeMask(bits).to_pbm() == self.joined(bits)
+
+    def test_ragged_matrix(self):
+        bits = np.random.default_rng(0).random((5, 9)) < 0.4
+        assert TreeMask(bits).to_pbm() == self.joined(bits)
+
+
+# --------------------------------------------------------------------------
+# Properties: each whole-array pass against a per-node reference form.
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def forests(draw, max_nodes=40):
+    """Parent arrays with any number of top-level nodes.  Half hang every
+    node off the prompt or nodes 0-2, giving many equal-size sibling subtrees."""
+    n = draw(st.integers(1, max_nodes))
+    reach = draw(st.sampled_from([None, 2]))
+    return [-1] + [
+        draw(st.integers(-1, i - 1 if reach is None else min(i - 1, reach))) for i in range(1, n)
+    ]
+
+
+@st.composite
+def forests_with_order(draw):
+    """A forest and a random parents-before-children order of its nodes."""
+    parents = draw(forests())
+    keys = draw(st.permutations(range(len(parents))))
+    children = [[] for _ in parents]
+    for i, p in enumerate(parents):
+        if p >= 0:
+            children[p].append(i)
+    frontier = [(keys[i], i) for i, p in enumerate(parents) if p < 0]
+    heapq.heapify(frontier)
+    order = []
+    while frontier:
+        _, u = heapq.heappop(frontier)
+        order.append(u)
+        for c in children[u]:
+            heapq.heappush(frontier, (keys[c], c))
+    return parents, order
+
+
+def tile_loop_count(bits, block):
+    rows, cols = bits.shape
+    return sum(
+        bool(bits[r : r + block, c : c + block].any())
+        for r in range(0, rows, block)
+        for c in range(0, cols, block)
+    )
+
+
+def row_copy_bits(parents, prefix):
+    """Reference mask: row i copies its parent's finished row, then sets bit i."""
+    n = len(parents)
+    bits = np.zeros((n, prefix + n), dtype=bool)
+    bits[:, :prefix] = True
+    for i, p in enumerate(parents):
+        if p >= 0:
+            bits[i] = bits[p]
+        bits[i, prefix + i] = True
+    return bits
+
+
+def recursive_sizes(parents):
+    def size(u):
+        return 1 + sum(size(c) for c, p in enumerate(parents) if p == u)
+
+    return [size(u) for u in range(len(parents))]
+
+
+def dict_walk_topological(parents, order):
+    position = {node: idx for idx, node in enumerate(order)}
+    return all(position[p] < position[i] for i, p in enumerate(parents) if p >= 0)
+
+
+class TestWholeArrayProperties:
+    @settings(deadline=None)
+    @given(
+        bits=st.one_of(
+            arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 40))),
+            st.tuples(st.integers(1, 40), st.integers(1, 40)).map(lambda s: np.zeros(s, bool)),
+        ),
+        block=st.integers(1, 45),
+    )
+    def test_block_count_equals_tile_loop(self, bits, block):
+        assert count_nonzero_blocks(TreeMask(bits), block) == tile_loop_count(bits, block)
+
+    @settings(deadline=None)
+    @given(case=forests_with_order(), prefix=st.integers(0, 5))
+    def test_mask_bits_equal_row_copy(self, case, prefix):
+        parents, order = case
+        np.testing.assert_array_equal(
+            mask_from_tree(parents, prefix).bits, row_copy_bits(parents, prefix)
+        )
+        new_id = {old: new for new, old in enumerate(order)}
+        relabeled = [-1 if parents[old] < 0 else new_id[parents[old]] for old in order]
+        np.testing.assert_array_equal(
+            apply_permutation(parents, order, prefix).bits, row_copy_bits(relabeled, prefix)
+        )
+
+    @settings(deadline=None)
+    @given(parents=forests())
+    def test_sizes_and_preorders_equal_recursive_walk(self, parents):
+        sizes = recursive_sizes(parents)
+        assert subtree_sizes(np.asarray(parents)).tolist() == sizes
+        assert dfs_order(parents) == recursive_preorder(parents, lambda c: c)
+        assert hpd_order(parents) == recursive_preorder(parents, lambda c: (-sizes[c], c))
+
+    @settings(deadline=None)
+    @given(case=forests().flatmap(lambda p: st.tuples(st.just(p), st.permutations(range(len(p))))))
+    def test_topological_equals_dict_walk(self, case):
+        parents, order = case
+        assert is_topological(np.asarray(parents), order) == dict_walk_topological(parents, order)
+
+    @settings(deadline=None)
+    @given(
+        case=forests().flatmap(lambda p: st.tuples(st.just(p), st.permutations(range(len(p))))),
+        fault=st.sampled_from(["missing", "repeated", "too_high", "negative"]),
+        where=st.integers(0, 39),
+    )
+    def test_non_permutation_is_not_topological(self, case, fault, where):
+        parents, order = case
+        n = len(parents)
+        order = list(order)
+        i = where % n
+        if fault == "missing":
+            del order[i]
+        elif fault == "repeated" and n > 1:
+            order[i] = order[i - 1]
+        elif fault == "repeated":
+            order.append(order[i])
+        else:
+            order[i] = n if fault == "too_high" else -1
+        assert not is_topological(np.asarray(parents), order)
