@@ -114,7 +114,8 @@ def residual_target(target: Categorical, draft: Categorical) -> Categorical:
     """
     if target.size != draft.size:
         raise ValueError("distributions must share a vocabulary")
-    diff = np.maximum(target.probs - draft.probs, 0.0)
+    diff = target.probs - draft.probs
+    np.maximum(diff, 0.0, out=diff)
     total = float(_total(diff))
     if total <= 0.0:
         return Categorical.zero(target.size)

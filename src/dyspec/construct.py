@@ -93,7 +93,8 @@ def sample_at(
     """
     state = tree.positions.get(owner)
     if state is None:
-        state = tree.open_position(owner, draft.dist(prefix + list(tree.position_path(owner))))
+        path = tree.position_path(owner)
+        state = tree.open_position(owner, draft.dist(prefix + list(path)), path)
     residual = state.residual
     if residual.is_zero:
         return None

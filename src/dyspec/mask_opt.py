@@ -82,7 +82,7 @@ class TreeMask:
     bits: np.ndarray
 
     def set_bit_count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def to_pbm(self) -> str:
         """Plain PBM text grid (rows of 0/1) for visual inspection."""

@@ -63,7 +63,12 @@ def derive_seed(seed: int, domain: str, *ints: int) -> int:
 
 
 class UniformStream:
-    """Sequential uniforms keyed by a seed; draw order defines the stream."""
+    """Sequential uniforms keyed by a seed; draw order defines the stream.
+
+    Nothing in the package draws from it any more (``verify_tree`` maps
+    :func:`keyed_uniforms` over a counter, the same stream); it stays while
+    ``perfbench/tracer.py`` wraps ``UniformStream.next``.
+    """
 
     def __init__(self, seed: int, domain: str = "stream"):
         self._seed = seed

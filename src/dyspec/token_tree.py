@@ -10,7 +10,7 @@ all operate on this structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class PositionState:
     removed and renormalized: the k-th sampling was drawn from it, and the
     last entry is what the next sampling draws from.  ``chain`` is the part
     made so far: the fold after the latest sampling waits for a read.
+
+    ``verdicts`` is verification's memo for the target row it last read
+    here: ``(row, [(threshold, draft prob) per branch], [target fold after
+    each rejection])``; entry k depends only on the row and ``chain[:k+1]``.
     """
 
     owner: int
@@ -54,6 +58,9 @@ class PositionState:
     sampled: List[int] = field(default_factory=list)
     node_ids: List[int] = field(default_factory=list)
     chain: List[Categorical] = field(init=False)
+    verdicts: Optional[Tuple[Categorical, List[Tuple[float, float]], List[Categorical]]] = field(
+        default=None, init=False
+    )
 
     def __post_init__(self):
         self.chain = [self.draft_full]
@@ -93,11 +100,17 @@ class TokenTree:
         node = self.nodes[owner]
         return self.positions[node.parent].path + (node.token,)
 
-    def open_position(self, owner: int, draft_full: Categorical) -> PositionState:
-        """Attach the draft distribution for the position owned by a node."""
+    def open_position(
+        self, owner: int, draft_full: Categorical, path: Optional[Tuple[int, ...]] = None
+    ) -> PositionState:
+        """Attach the draft distribution for the position owned by a node.
+
+        ``path`` is :meth:`position_path` of ``owner``, when the caller has it.
+        """
         state = self.positions.get(owner)
         if state is None:
-            path = self.position_path(owner)
+            if path is None:
+                path = self.position_path(owner)
             state = PositionState(owner=owner, draft_full=draft_full, path=path)
             self.positions[owner] = state
         return state

@@ -14,15 +14,23 @@ or from the raw target distribution at the deepest accepted node.  This
 guarantees at least one token per verification pass and is counted in the
 accepted-per-step metric (recorded as ``accepted_includes_bonus`` in all
 run outputs, since it shifts that metric by one).
+
+Only the uniforms are random: a position's thresholds and folds are fixed
+by its target row and draft chain.  :func:`verify_tree` keeps them on the
+position, keyed by the identity of the target row object it read, so a
+tree verified many times (the expectation oracle) folds each position once.
+:func:`true_branch_acceptance` and :func:`replay_trace` fold from scratch
+and never read that memo, so they stay an independent check of the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .categorical import Categorical, remove_and_renorm, residual_target, sample
-from .rng import UniformStream
+from .rng import keyed_uniforms
 from .token_tree import ROOT, TokenTree
 
 
@@ -30,7 +38,7 @@ class VerificationError(RuntimeError):
     """Verification broke an invariant that exact rejection sampling keeps."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BranchTrace:
     """One accept/reject decision on a sampled branch."""
 
@@ -41,7 +49,7 @@ class BranchTrace:
     draft_prob: float
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyResult:
     """Accepted root-to-node path, bonus token, and per-branch trace."""
 
@@ -70,10 +78,13 @@ def verify_tree(
     prompt position and the position of every node (accepted leaves sample
     their bonus there); only visited ones are read, once each.  Uniform
     draws are keyed by ``seed`` in visit order, so results are reproducible.
+
+    Thresholds and target folds are kept on the position
+    (``PositionState.verdicts``) for the target row object read there
+    (``is``, not ``==``), filled only as far as rejections reach.
     """
     if uniform_fn is None:
-        stream = UniformStream(seed, "verify")
-        uniform_fn = stream.next
+        uniform_fn = map(keyed_uniforms(seed, "verify", ()), count()).__next__
 
     accepted_tokens: List[int] = []
     accepted_ids: List[int] = []
@@ -91,21 +102,33 @@ def verify_tree(
             accepted_tokens.append(bonus)
             return VerifyResult(accepted_tokens, accepted_ids, bonus, False, trace)
 
-        # Branch k was drawn from draft residual k, always in the chain; only
-        # a position's last sampling can exhaust it, so no draft here is zero.
+        memo = state.verdicts
+        if memo is None or memo[0] is not target:
+            memo = state.verdicts = (target, [], [])
+        _, tests, folds = memo
         residual = target
-        for node_id, token, draft in zip(state.node_ids, state.sampled, state.chain):
-            d_prob = draft[token]
-            threshold = min(1.0, residual[token] / d_prob) if d_prob > 0 else 1.0
+        for k, node_id in enumerate(state.node_ids):
+            if k == len(tests):
+                # Branch k was drawn from draft residual k, always in the
+                # chain; only a position's last sampling can exhaust it, so
+                # no draft here is zero.
+                token = state.sampled[k]
+                d_prob = float(state.chain[k].probs[token])
+                threshold = min(1.0, float(residual.probs[token]) / d_prob) if d_prob > 0 else 1.0
+                tests.append((threshold, d_prob))
+            else:
+                threshold, d_prob = tests[k]
             u = uniform_fn()
             ok = u <= threshold
             trace.append(BranchTrace(node_id, ok, u, threshold, d_prob))
             if ok:
-                accepted_tokens.append(token)
+                accepted_tokens.append(state.sampled[k])
                 accepted_ids.append(node_id)
                 owner = node_id
                 break
-            residual = residual_target(residual, draft)
+            if k == len(folds):
+                folds.append(residual_target(residual, state.chain[k]))
+            residual = folds[k]
             # A rejection is only possible when R[y] < D[y] somewhere, so the
             # relu residual must retain mass; zero here means numerical drift
             # or a uniform outside [0, 1).

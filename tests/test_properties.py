@@ -25,7 +25,7 @@ from dyspec.lm import (
 from dyspec.oracle import exact_verify_distribution
 from dyspec.rng import keyed_uniform
 from dyspec.token_tree import ROOT
-from dyspec.verify import replay_trace, verify_tree
+from dyspec.verify import VerificationError, replay_trace, verify_tree
 
 # Weight vectors with zeros allowed anywhere (leading, inner, trailing) and
 # at least one positive entry.
@@ -127,6 +127,33 @@ class TestCategoricalProperties:
         assert np.array_equal(corrective.probs, x if corrective.is_zero else x / x.sum())
         assert np.array_equal(dist.probs, normalized(w))
 
+    @given(st.integers(1, 64), st.data())
+    def test_residual_target_equals_the_two_array_form_bit_for_bit(self, size, data):
+        # residual_target clamps its difference in place; the two-array
+        # form gave the same bits, -0.0 and subnormals included.  Rows are
+        # drawn near-equal half the time, where the difference is tiny.
+        row = st.lists(weight_entries, min_size=size, max_size=size).filter(
+            lambda v: any(x > 0.0 for x in v)
+        )
+        draft = Categorical(normalized(data.draw(row)))
+        if data.draw(st.booleans()):
+            jitter = np.asarray(data.draw(st.lists(
+                st.floats(min_value=-1e-12, max_value=1e-12), min_size=size, max_size=size
+            )))
+            target = Categorical(normalized(draft.probs * (1.0 + jitter)))
+        else:
+            target = Categorical(normalized(data.draw(row)))
+        before = target.probs.copy(), draft.probs.copy()
+        x = np.maximum(target.probs - draft.probs, 0)
+        total = x.sum()
+        folded = residual_target(target, draft)
+        assert folded.is_zero == (total <= 0.0)
+        expected = x if folded.is_zero else x / total
+        assert folded.probs.dtype == expected.dtype
+        assert folded.probs.tobytes() == expected.tobytes()
+        assert target.probs.tobytes() == before[0].tobytes()
+        assert draft.probs.tobytes() == before[1].tobytes()
+
 
 # Seeds and position paths as keyed_uniform packs them: signed 64-bit
 # integers, with -1 (the ROOT id) among the tag entries.
@@ -181,6 +208,9 @@ class TestConstructionStep:
                 for token, drawn_from in zip(state.sampled, state.residuals):
                     assert not drawn_from.is_zero
                     assert drawn_from.probs[token] > 0.0
+                # The path built once when the position opened is its token path.
+                owner = state.owner
+                assert list(state.path) == ([] if owner == ROOT else tree.token_path(owner))
             tree.check_residuals()
 
 
@@ -255,6 +285,89 @@ class TestVerifyProperties:
             for draft_row in state.chain[: len(state.sampled)]:
                 source = residual_target(source, draft_row)
         assert source[result.bonus_token] > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 2),
+        st.integers(1, 12),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.sampled_from([0.0, 0.6, 1.0]),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_repeated_walks_equal_walks_on_a_rebuilt_tree(
+        self, vocab, order, budget, sigma, draft_temp, seed, data
+    ):
+        # One tree is verified again and again, which fills and reuses the
+        # memo on its positions; each walk must equal the same walk on a
+        # tree rebuilt from scratch, which has no memo.  Between walks a
+        # target row is swapped for an equal-valued copy or a new row, or a
+        # position gains a sampling.
+        spec = ModelPairSpec(
+            vocab_size=vocab, markov_order=order, target_seed=seed,
+            noise_sigma=sigma, draft_temp=draft_temp,
+        )
+        _, draft = make_model_pair(spec)
+        prompt = [seed % vocab]
+        row_weights = st.lists(weight_entries, min_size=vocab, max_size=vocab).filter(
+            lambda w: any(x > 0.0 for x in w)
+        )
+        grown = []  # (owner, opening draft row or None, token) in order
+
+        def build():
+            fresh = build_tree_fixed(draft, prompt, budget, seed=seed)
+            for owner, opening, token in grown:
+                if opening is not None:
+                    fresh.open_position(owner, opening)
+                fresh.add_node(owner, token, 0.5)
+            return fresh
+
+        def walk(tree, walk_seed):
+            try:
+                return verify_tree(tree, rows, walk_seed)
+            except VerificationError as exc:
+                return str(exc)
+
+        tree = build()
+        rows = {}
+        for owner in [ROOT] + [node.node_id for node in tree.nodes]:
+            state = tree.positions.get(owner)
+            if state is not None and data.draw(st.booleans()):
+                rows[owner] = state.draft_full
+            else:
+                rows[owner] = Categorical(normalized(data.draw(row_weights)))
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3))
+        events = data.draw(st.lists(
+            st.one_of(
+                st.tuples(st.just("walk"), st.sampled_from(seeds)),
+                st.tuples(st.sampled_from(["copy", "new", "grow"]), st.integers(0, 2**16)),
+            ),
+            min_size=1, max_size=12,
+        ))
+        for kind, arg in events + [("walk", seed) for seed in seeds]:
+            owners = [ROOT] + [node.node_id for node in tree.nodes]
+            owner = owners[arg % len(owners)]
+            if kind == "walk":
+                assert walk(tree, arg) == walk(build(), arg)
+            elif kind == "copy":
+                rows[owner] = Categorical(rows[owner].probs.copy())
+            elif kind == "new":
+                rows[owner] = Categorical(normalized(data.draw(row_weights)))
+            else:
+                state = tree.positions.get(owner)
+                opening = None
+                if state is None:
+                    opening = Categorical(normalized(data.draw(row_weights)))
+                    state = tree.open_position(owner, opening)
+                left = np.flatnonzero(state.residual.probs > 0.0)
+                if left.size == 0:
+                    continue
+                token = int(left[arg % left.size])
+                grown.append((owner, opening, token))
+                node_id = tree.add_node(owner, token, 0.5)
+                rows[node_id] = Categorical(normalized(data.draw(row_weights)))
+        assert tree.positions[ROOT].verdicts is not None  # the walks kept a memo
 
 
 # Logit vectors over up to 16 tokens.  Integer-valued logits make tied

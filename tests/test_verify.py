@@ -1,9 +1,12 @@
+from itertools import count
+
 import numpy as np
 import pytest
 
 from dyspec.categorical import Categorical
 from dyspec.construct import build_tree_fixed
 from dyspec.lm import ModelPairSpec, make_model_pair, target_distributions_for_tree
+from dyspec.rng import keyed_uniform
 from dyspec.token_tree import ROOT, TokenTree
 from dyspec.verify import (
     VerificationError,
@@ -46,6 +49,16 @@ class TestInvariantErrors:
         dists = {ROOT: Categorical([0.6, 0.4])}
         with pytest.raises(VerificationError, match="residual vanished"):
             verify_tree(tree, dists, 0, uniform_fn=lambda: 1.5)
+
+    def test_memoized_zero_fold_raises_on_every_walk(self):
+        # The first walk keeps the zero fold on the position; the second
+        # reads it from there and must raise as well.
+        tree = single_branch_tree([0.6, 0.4], 0)
+        dists = {ROOT: Categorical([0.6, 0.4])}
+        for _ in range(2):
+            with pytest.raises(VerificationError, match="residual vanished"):
+                verify_tree(tree, dists, 0, uniform_fn=lambda: 1.5)
+        assert tree.positions[ROOT].verdicts[2][0].is_zero
 
 
 class TestSingleBranch:
@@ -177,6 +190,29 @@ class TestVerifyTreeOnBuiltTrees:
             res = verify_tree(tree, dists, seed)
             monkeypatch.undo()
             assert replay_trace(tree, dists, res)
+
+    def test_default_uniforms_are_keyed_by_seed_in_visit_order(self):
+        for seed in range(10):
+            tree, dists = built_case(seed)
+            keyed = (keyed_uniform(seed, "verify", (), i) for i in count())
+            assert verify_tree(tree, dists, seed) == verify_tree(
+                built_case(seed)[0], dists, 0, uniform_fn=keyed.__next__
+            )
+
+    def test_replay_does_not_read_the_memo(self):
+        # A corrupted memoized threshold steers the next walk, and the
+        # replay, which folds from scratch, must reject that walk.
+        for seed in range(10):
+            tree, dists = built_case(seed)
+            before = true_branch_acceptance(tree, dists)
+            assert replay_trace(tree, dists, verify_tree(tree, dists, seed))
+            tests = tree.positions[ROOT].verdicts[1]
+            threshold, d_prob = tests[0]
+            tests[0] = ((threshold + 0.5) % 1.0, d_prob)
+            res = verify_tree(tree, dists, seed)
+            assert res.trace[0].threshold == (threshold + 0.5) % 1.0
+            assert not replay_trace(tree, dists, res)
+            assert true_branch_acceptance(tree, dists) == before
 
     def test_missing_distribution_raises(self):
         tree, dists = built_case(1)
