@@ -28,7 +28,8 @@ bench sweeps structures x budgets/thresholds x temperatures.  Its
 static_tree and --size-cap to threshold cells; a sweep flag that reaches
 no cell exits 2.  Temperatures are generation keys (bench sweeps the
 target's with --temps); the model pair takes them from there.  A sweep
-value may not repeat, and counts such as --seeds must be at least 1.
+of bench or mask may be neither empty nor repeat a value, and counts such
+as --seeds must be at least 1.
 oracle's --instances (default 1000) reaches every suite, its --trials
 (default 20000) only unbiasedness and expectation; other suites exit 2.
 Exit codes: 0 success, 1 a check suite failed, 2 usage or configuration
@@ -124,6 +125,18 @@ def csv_list(cast):
     return parse
 
 
+def _usage_error(command: str, checks, sweeps) -> bool:
+    """Print the first failed ``(failed, message)`` check, or the first value
+    a sweep flag repeats (it would run one cell twice); True if either."""
+    checks = list(checks) + [(True, f"{flag} repeats {value}") for flag, values in sweeps.items()
+                             for i, value in enumerate(values) if value in values[:i]]
+    for failed, message in checks:
+        if failed:
+            print(f"{command}: {message}", file=sys.stderr)
+            return True
+    return False
+
+
 # --------------------------------------------------------------------------
 # generate
 # --------------------------------------------------------------------------
@@ -209,7 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _load_config(args, {}, BENCH_READS)
     structures, budgets, temps = args.structures, args.budgets, args.temps
     thresholds = args.thresholds or []
-    usage_errors = [
+    checks = [
         (not structures or (not budgets and not thresholds) or not temps,
          "sweep needs at least one structure, budget/threshold, and temp"),
         (not budgets and any(s != "dynamic" for s in structures),
@@ -220,15 +233,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
          "--branching needs the static_tree structure"),
         (args.size_cap is not None and not thresholds, "--size-cap needs --thresholds"),
     ]
-    # A repeated sweep value would run one cell twice; --branching is a shape, not a sweep.
+    # --branching is a shape, not a sweep: its entries may repeat.
     sweeps = {"--structures": structures, "--budgets": budgets,
               "--thresholds": thresholds, "--temps": temps}
-    usage_errors += [(True, f"{flag} repeats {value}") for flag, values in sweeps.items()
-                     for i, value in enumerate(values) if value in values[:i]]
-    for failed, message in usage_errors:
-        if failed:
-            print(f"bench: {message}", file=sys.stderr)
-            return 2
+    if _usage_error("bench", checks, sweeps):
+        return 2
 
     # The documented flag defaults, applied only to the cells that use them.
     k = 4 if args.k is None else args.k
@@ -303,21 +312,17 @@ _SUITES = {
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.suite not in _SUITES:
-        print(f"oracle: unknown suite {args.suite!r} "
-              f"(choose from {', '.join(sorted(_SUITES))})", file=sys.stderr)
+    reads, runner = _SUITES.get(args.suite, ((), None))
+    given = {flag: getattr(args, flag) for flag in _ORACLE_COUNTS}
+    checks = [
+        (runner is None,
+         f"unknown suite {args.suite!r} (choose from {', '.join(sorted(_SUITES))})"),
+        (args.seed < 0, "--seed must be >= 0"),
+    ] + [(True, f"--{flag} does not apply to suite {args.suite}")
+         for flag, value in given.items() if value is not None and flag not in reads]
+    if _usage_error("oracle", checks, {}):
         return 2
-    if args.seed < 0:
-        print("oracle: --seed must be >= 0", file=sys.stderr)
-        return 2
-    reads, runner = _SUITES[args.suite]
-    counts = {}
-    for flag, default in _ORACLE_COUNTS.items():
-        value = getattr(args, flag)
-        if value is not None and flag not in reads:
-            print(f"oracle: --{flag} does not apply to suite {args.suite}", file=sys.stderr)
-            return 2
-        counts[flag] = default if value is None else value
+    counts = {flag: _ORACLE_COUNTS[flag] if v is None else v for flag, v in given.items()}
     reports = runner(args.seed, counts)
     out = _out_dir(args)
     _write_json(out / "oracle_report.json", reports)
@@ -356,15 +361,14 @@ _ORDERS = {
 
 def cmd_mask(args: argparse.Namespace) -> int:
     orders, sizes, prefixes = args.orders, args.sizes, args.prefixes
-    if any(n < 1 for n in sizes):
-        print("mask: sizes must be >= 1", file=sys.stderr)
-        return 2
-    if any(p < 0 for p in prefixes):
-        print("mask: prefixes must be >= 0", file=sys.stderr)
-        return 2
-    unknown = [name for name in orders if name not in _ORDERS]
-    if unknown:
-        print(f"mask: unknown order {unknown[0]!r}", file=sys.stderr)
+    checks = [
+        (not sizes or not prefixes or not orders,
+         "sweep needs at least one size, prefix, and order"),
+        (any(n < 1 for n in sizes), "sizes must be >= 1"),
+        (any(p < 0 for p in prefixes), "prefixes must be >= 0"),
+    ] + [(True, f"unknown order {name!r}") for name in orders if name not in _ORDERS]
+    sweeps = {"--sizes": sizes, "--prefixes": prefixes, "--orders": orders}
+    if _usage_error("mask", checks, sweeps):
         return 2
     cfg = _load_config(args, {}, MASK_READS[args.generator], f"mask --generator {args.generator}")
     out = _out_dir(args, cfg)

@@ -122,7 +122,12 @@ class RunConfig:
         if "budget" not in gen_raw and "threshold" not in gen_raw:
             gen_raw["budget"] = 64
         if "branching" in gen_raw:
-            gen_raw["branching"] = tuple(int(b) for b in gen_raw["branching"])
+            for i, b in enumerate(gen_raw["branching"]):
+                if not isinstance(b, int) or isinstance(b, bool):
+                    raise ConfigError(
+                        f"key generation.branching[{i}] has wrong type {type(b).__name__}"
+                    )
+            gen_raw["branching"] = tuple(gen_raw["branching"])
 
         try:
             generation = GenConfig(**gen_raw)

@@ -4,23 +4,23 @@ Every tree is grown by one step, :func:`sample_at`: draw the next token at a
 position from its residual, keyed by (seed, position path, sibling index),
 and append it as a node.  A position is opened from the draft model the
 first time it is sampled, so positions that are never sampled cost no draft
-query.  Two walks repeat the step:
+query.  One walk, :func:`grow_tree`, repeats the step in priority order; the
+order is the tree's shape:
 
-* :func:`build_tree_fixed` expands greedily, one sampling at a time, always
-  popping the pending sampling with the highest estimated reach probability.
-  Each expansion pushes two new pending samplings: the next sibling at the
-  same position (reached if this token is rejected) and the first child of
-  the new node (reached if it is accepted).
+* Greedy (:func:`build_tree_fixed`): always the pending sampling with the
+  highest estimated reach probability.  Each sampling makes two pending
+  samplings: the next sibling at the same position (reached if this token
+  is rejected) and the first child of the new node (reached if it is
+  accepted).
 
-* :func:`grow_layers` visits positions layer by layer and samples each while
-  a rule ``keep(value, depth, count)`` allows, up to a size cap.  The rule is
-  the tree's shape: :func:`build_tree_threshold` keeps every sampling whose
-  estimated reach probability clears a threshold, and the fixed shapes of
-  :mod:`dyspec.engine` (chain, k chains, static tree) count samplings per
-  depth.  With the threshold set to the smallest value the greedy run kept,
-  the heap and the threshold walk realize the identical sampling set because
-  every uniform draw is keyed by (seed, position path, sibling index) rather
-  than by visit order.
+* Layered: positions layer by layer, each sampled while a rule
+  ``keep(value, depth, count)`` allows.  :func:`build_tree_threshold` keeps
+  every sampling whose estimated reach probability clears a threshold, and
+  the fixed shapes of :mod:`dyspec.engine` (chain, k chains, static tree)
+  count samplings per depth.  With the threshold set to the smallest value
+  the greedy run kept, both orders realize the identical sampling set
+  because every uniform draw is keyed by (seed, position path, sibling
+  index) rather than by visit order.
 
 :func:`expected_accepted` evaluates the expected number of accepted tokens
 for a tree under arbitrary per-node acceptance probabilities, and
@@ -41,9 +41,10 @@ from .rng import keyed_uniforms
 from .token_tree import ROOT, TokenTree
 
 UniformFn = Callable[[Tuple[int, ...], int], float]
-# keep(value, depth, count) is True when a position ``depth`` tokens into the
-# tree takes its next sampling, ``count`` samplings already drawn there and
-# the next one reached with estimated probability ``value``.
+# A layered walk's shape: keep(value, depth, count) is True when a position
+# ``depth`` tokens into the tree takes its next sampling, ``count`` samplings
+# already drawn there and the next one reached with estimated probability
+# ``value``.
 KeepRule = Callable[[float, int, int], bool]
 
 
@@ -102,6 +103,64 @@ def sample_at(
     return tree.append_sampled(state, token, value), float(residual.probs[token])
 
 
+def grow_tree(
+    draft: LanguageModel,
+    prefix: Sequence[int],
+    seed: int,
+    size_cap: int,
+    keep: Optional[KeepRule] = None,
+    uniform_fn: Optional[UniformFn] = None,
+) -> TokenTree:
+    """Repeat :func:`sample_at` in priority order until ``size_cap`` nodes exist.
+
+    Each sampling of value v and rate r queues the new node's position at
+    value ``v * r`` and makes the next sibling ``v * (1 - r)``; exhausted
+    positions yield nothing.  Without ``keep`` the walk is greedy: the
+    highest value goes first, ties by queue order with the sibling queued
+    before the child.  With a rule the walk goes layer by layer: positions
+    in ``(depth, -value of the first sampling, owner id)`` order, each
+    sampled while ``keep`` allows, and a new position is queued only when
+    ``keep`` would take its first sampling, so the draft is queried only
+    for positions that get sampled.  A position's next sibling is then the
+    queue's minimum, so it is taken without queueing it.
+    """
+    uniform = uniform_fn or construction_uniform(seed)
+    prefix = list(prefix)
+    tree = TokenTree()
+    if keep is not None and not keep(1.0, 0, 0):
+        return tree
+    # Queue entries: greedy (-value, queue counter, owner), layered (depth,
+    # -value of the first sampling, owner).  ``depth`` and ``count`` (samplings
+    # drawn so far) belong to the position the layered walk is sampling.
+    heap: List[Tuple[float, float, int]] = []
+    owner, value, counter, depth, count = ROOT, 1.0, 0, 0, 0
+    while len(tree.nodes) < size_cap:
+        got = sample_at(tree, draft, prefix, owner, value, uniform)
+        if got is not None:
+            node_id, rate = got
+            child = value * rate
+            value *= 1.0 - rate
+            if keep is None:
+                heapq.heappush(heap, (-child, counter + 2, node_id))
+                neg_value, _, owner = heapq.heappushpop(heap, (-value, counter + 1, owner))
+                value = -neg_value
+                counter += 2
+                continue
+            if keep(child, depth + 1, 0):
+                heapq.heappush(heap, (depth + 1, -child, node_id))
+            count += 1
+            if keep(value, depth, count):
+                continue
+        if not heap:
+            break
+        first, second, owner = heapq.heappop(heap)
+        if keep is None:
+            value = -first
+        else:
+            depth, value, count = first, -second, 0
+    return tree
+
+
 def build_tree_fixed(
     draft: LanguageModel,
     prefix: Sequence[int],
@@ -110,83 +169,14 @@ def build_tree_fixed(
     *,
     uniform_fn: Optional[UniformFn] = None,
 ) -> TokenTree:
-    """Greedy best-first construction up to ``budget`` nodes.
+    """Greedy best-first construction up to ``budget`` nodes (see :func:`grow_tree`).
 
-    Every step pops the maximum-value pending sampling, draws a token from
-    its residual, and pushes the sibling continuation (value scaled by the
-    rejection probability) and the child position (value scaled by the
-    sampled token's residual probability).  Exhausted positions yield no
-    node, so the tree can only fall short of the budget when every position
-    ran out of support.  Ties in value break by push order, sibling entry
-    first, matching the listing order of the greedy algorithm.
+    The tree can only fall short of the budget when every position ran out
+    of support.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    uniform = uniform_fn or construction_uniform(seed)
-    prefix = list(prefix)
-    tree = TokenTree()
-
-    # (-value, push counter, position owner)
-    heap: List[Tuple[float, int, int]] = [(-1.0, 0, ROOT)]
-    counter = 1
-    while len(tree) < budget and heap:
-        neg_value, _, owner = heapq.heappop(heap)
-        value = -neg_value
-        got = sample_at(tree, draft, prefix, owner, value, uniform)
-        if got is None:
-            continue
-        node_id, rate = got
-        heapq.heappush(heap, (-(value * (1.0 - rate)), counter, owner))
-        heapq.heappush(heap, (-(value * rate), counter + 1, node_id))
-        counter += 2
-    return tree
-
-
-def grow_layers(
-    draft: LanguageModel,
-    prefix: Sequence[int],
-    seed: int,
-    size_cap: int,
-    keep: KeepRule,
-) -> TokenTree:
-    """Layer-by-layer construction: sample each position while ``keep`` allows.
-
-    Within a layer, positions are visited in descending value (ties by node
-    id) so the cap discards the least valuable pending work first, and
-    construction stops as soon as ``size_cap`` nodes exist.  Each sampling
-    gives the new node's position the value ``value * rate`` and the next
-    sibling ``value * (1 - rate)``.  A new position queues for the next
-    layer only when ``keep`` would take its first sampling, so the draft is
-    queried only for positions that get sampled.
-    """
-    uniform = construction_uniform(seed)
-    prefix = list(prefix)
-    tree = TokenTree()
-
-    # (-value, position owner): sorting visits a layer in (-value, id) order.
-    layer: List[Tuple[float, int]] = [(-1.0, ROOT)]
-    depth = 0
-    while layer:
-        layer.sort()
-        next_layer: List[Tuple[float, int]] = []
-        for neg_value, owner in layer:
-            value = -neg_value
-            count = 0
-            while keep(value, depth, count):
-                if len(tree.nodes) >= size_cap:
-                    return tree
-                got = sample_at(tree, draft, prefix, owner, value, uniform)
-                if got is None:
-                    break
-                node_id, rate = got
-                child = value * rate
-                if keep(child, depth + 1, 0):
-                    next_layer.append((-child, node_id))
-                value *= 1.0 - rate
-                count += 1
-        layer = next_layer
-        depth += 1
-    return tree
+    return grow_tree(draft, prefix, seed, budget, uniform_fn=uniform_fn)
 
 
 def build_tree_threshold(
@@ -198,13 +188,13 @@ def build_tree_threshold(
 ) -> TokenTree:
     """Layer-by-layer construction keeping samplings with value >= threshold.
 
-    Stops as soon as ``size_cap`` nodes exist (see :func:`grow_layers`).
+    Stops as soon as ``size_cap`` nodes exist (see :func:`grow_tree`).
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
-    return grow_layers(
+    return grow_tree(
         draft, prefix, seed, size_cap, lambda value, depth, count: value >= threshold
     )
 

@@ -7,13 +7,12 @@ model charges one target evaluation per step regardless of tree size (the
 premise of tree speculation) and draft evaluations per node or per level
 depending on the construction mode.
 
-Trees come from the two walks of :mod:`dyspec.construct`: the greedy heap
-(DySpec at a fixed budget) and the layer walk, which grows the threshold
-tree and every fixed shape.  A fixed shape (single chain, k parallel
-chains, fixed-branching static tree) is only a rule for how many times each
-position is sampled, defined in :func:`check_baseline_shape`; the samplings
-themselves are the dynamic builders' keyed step, so equal budgets are
-genuinely comparable.
+Trees come from the one walk of :mod:`dyspec.construct`, greedy for DySpec
+at a fixed budget and layered for the threshold tree and every fixed shape.
+A fixed shape (single chain, k parallel chains, fixed-branching static tree)
+is only a rule for how many times each position is sampled, defined in
+:func:`check_baseline_shape`; the samplings themselves are the dynamic
+builders' keyed step, so equal budgets are genuinely comparable.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .construct import (
     build_tree_fixed,
     build_tree_threshold,
     estimate_latency,
-    grow_layers,
+    grow_tree,
 )
 from .lm import LanguageModel, TargetRows
 from .rng import derive_seed, keyed_uniform
@@ -93,7 +92,7 @@ class GenConfig:
     @property
     def latency_mode(self) -> str:
         """Draft-call accounting of the builder: one per node for the greedy
-        heap, one per level for the layer walk."""
+        walk, one per level for the layered walk."""
         return "greedy" if self.structure == "dynamic" and self.budget is not None else "layered"
 
 
@@ -191,12 +190,12 @@ def build_baseline_tree(
 ) -> TokenTree:
     """Fixed-shape trees for comparison at equal budget.
 
-    The layer walk samples each position as often as the shape's rule from
-    :func:`check_baseline_shape` allows, capped at ``budget`` nodes; a
+    The layered walk samples each position as often as the shape's rule
+    from :func:`check_baseline_shape` allows, capped at ``budget`` nodes; a
     position whose support runs out stops early.
     """
     keep = check_baseline_shape(structure, budget, k, branching)
-    return grow_layers(draft, prefix, seed, budget, keep)
+    return grow_tree(draft, prefix, seed, budget, keep)
 
 
 def build_tree_for_config(

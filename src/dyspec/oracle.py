@@ -2,7 +2,7 @@
 
 Everything here exists to check the fast paths against something slower and
 unarguable: closed-form integration of the verification process, exhaustive
-search over the realized slot tree for the production greedy heap
+search over the realized slot tree for the production greedy walk
 (:func:`dyspec.construct.build_tree_fixed`), and Monte Carlo estimators for
 the distributional claims.
 """
@@ -361,7 +361,7 @@ def suite_unbiasedness_mc(
 
 
 def suite_optimality(instances: int = 1000, seed: int = 0) -> dict:
-    """The production greedy heap reaches the brute-force optimum exactly.
+    """The production greedy walk reaches the brute-force optimum exactly.
 
     Under acceptance ~ draft probability the expected number of accepted
     tokens is the sum of node values, so :func:`build_tree_fixed` at budget

@@ -27,7 +27,7 @@ class TreeNode:
     """One sampled token.
 
     ``value`` is the estimated probability that this sampling slot is reached
-    during verification (the heap priority it was expanded at).
+    during verification (the value the construction walk sampled it at).
     """
 
     node_id: int

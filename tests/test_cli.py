@@ -95,6 +95,12 @@ class TestConfig:
             ({"models": {}, "generation": {"budget": True}}, "key generation.budget has wrong type bool"),
             ({"models": {}, "generation": {"branching": (2,)}},
              "key generation.branching has wrong type tuple"),
+            ({"models": {}, "generation": {"branching": ["x"]}},
+             "key generation.branching[0] has wrong type str"),
+            ({"models": {}, "generation": {"branching": [2.7, 2]}},
+             "key generation.branching[0] has wrong type float"),
+            ({"models": {}, "generation": {"branching": [True, 2]}},
+             "key generation.branching[0] has wrong type bool"),
             ({"models": {}, "costs": {"target_cost": None}}, "key costs.target_cost has wrong type NoneType"),
             ({"models": {}, "output": {"dir": 3}}, "key output.dir has wrong type int"),
             ({"models": []}, "section 'models' must be an object"),
@@ -649,6 +655,23 @@ class TestMaskCommand:
         argv = ["mask", "--prefixes", "-3", "--sizes", "8", "--seeds", "1", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert "prefixes must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sizes", "", "sweep needs at least one size, prefix, and order"),
+            ("--prefixes", ",", "sweep needs at least one size, prefix, and order"),
+            ("--orders", "", "sweep needs at least one size, prefix, and order"),
+            ("--sizes", "8,16,8", "--sizes repeats 8"),
+            ("--prefixes", "0,0", "--prefixes repeats 0"),
+            ("--orders", "dfs,dfs", "--orders repeats dfs"),
+        ],
+    )
+    def test_empty_or_repeated_sweep_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        argv = ["mask", "--sizes", "8", "--seeds", "1", "--out", str(tmp_path / "out")]
+        assert main(argv + [flag, value]) == 2
+        assert f"mask: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_one_tree_per_size_and_seed(self, tmp_path, monkeypatch):
         import dyspec.cli as cli

@@ -94,8 +94,8 @@ class TestSampleAt:
     def test_folds_only_positions_sampled_again(self, draft_temp, monkeypatch):
         # A position folds once before each sampling after its first; the
         # fold after its last sampling waits for a read that never comes.
-        # (The heap never revisits an exhausted position: its sibling entry
-        # has value 0 while its child's is positive.)
+        # (The greedy walk never revisits an exhausted position: its sibling
+        # entry has value 0 while its child's is positive.)
         import dyspec.token_tree as token_tree
 
         folds = []
@@ -198,6 +198,24 @@ class TestBuildTreeThreshold:
             fixed_vals = sorted(n.value for n in fixed.nodes)
             thresh_vals = sorted(n.value for n in thresh.nodes)
             np.testing.assert_allclose(fixed_vals, thresh_vals, atol=1e-12)
+
+    def test_binding_cap_keeps_a_prefix_of_the_uncapped_tree(self):
+        # The cap only stops the walk: the first c nodes are the same nodes,
+        # in the same order and with the same values, at any larger cap.  A
+        # draft with a near-certain token cycle has an unbounded threshold
+        # tree, where the large cap binds too.
+        def records(tree):
+            return [(n.parent, n.token, n.sibling_index, n.depth, n.value) for n in tree.nodes]
+
+        bounded = 0
+        for seed in range(10):
+            draft = model_draft(seed, vocab=12)
+            full = records(build_tree_threshold(draft, [1, 2], 0.03, 1000, seed=seed))
+            bounded += len(full) < 1000
+            for cap in {1, 2, len(full) // 3, len(full) // 2, len(full) - 1} - {0}:
+                capped = build_tree_threshold(draft, [1, 2], 0.03, cap, seed=seed)
+                assert records(capped) == full[:cap]
+        assert bounded >= 5
 
 
 class TestExpectedAccepted:

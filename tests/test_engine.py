@@ -79,7 +79,7 @@ class TestGenConfig:
     def test_latency_mode(self):
         assert GenConfig(budget=8).latency_mode == "greedy"
         assert GenConfig(threshold=0.1, size_cap=8).latency_mode == "layered"
-        # every fixed shape comes from the layer walk; a chain has size ==
+        # every fixed shape comes from the layered walk; a chain has size ==
         # depth, so its modeled latency is the same in either mode
         assert GenConfig(budget=8, structure="chain").latency_mode == "layered"
         assert GenConfig(budget=8, structure="k_chains", k=2).latency_mode == "layered"

@@ -1,5 +1,7 @@
-"""Every module of the package imports on its own, in a fresh interpreter."""
+"""Every module of the package imports on its own, in a fresh interpreter,
+and none of them uses ``assert``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -35,3 +37,11 @@ def test_root_exports_only_version():
     result = fresh_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['__version__']"
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "dyspec").glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # ``python -O`` strips asserts, so production checks raise instead.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} uses assert on lines {lines}"

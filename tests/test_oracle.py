@@ -3,7 +3,7 @@ import pytest
 
 from dyspec import oracle
 from dyspec.categorical import Categorical
-from dyspec.construct import build_tree_fixed, expected_accepted, grow_layers
+from dyspec.construct import build_tree_fixed, expected_accepted, grow_tree
 from dyspec.engine import GenConfig, make_prompt
 from dyspec.lm import ModelPairSpec, make_model_pair, target_distributions_for_tree
 from dyspec.oracle import (
@@ -174,7 +174,7 @@ class TestSuites:
 
     def test_optimality_suite_catches_a_non_greedy_builder(self, monkeypatch):
         def breadth_first(draft, prefix, budget, seed):
-            return grow_layers(draft, prefix, seed, budget, lambda value, depth, count: True)
+            return grow_tree(draft, prefix, seed, budget, lambda value, depth, count: True)
 
         monkeypatch.setattr(oracle, "build_tree_fixed", breadth_first)
         report = suite_optimality(instances=50, seed=2)

@@ -14,7 +14,7 @@ from dyspec.categorical import (
     sample,
     softmax_with_temperature,
 )
-from dyspec.construct import build_tree_fixed, construction_uniform, grow_layers
+from dyspec.construct import build_tree_fixed, construction_uniform, grow_tree
 from dyspec.lm import (
     MarkovModel,
     ModelPairSpec,
@@ -200,7 +200,7 @@ class TestConstructionStep:
             build_tree_fixed(draft, prompt, budget, seed=seed),
             # Up to width + 1 samplings per position: wider than the support
             # of small vocabularies and of temperature-0 rows.
-            grow_layers(draft, prompt, seed, budget, lambda value, depth, count: count <= width),
+            grow_tree(draft, prompt, seed, budget, lambda value, depth, count: count <= width),
         ]
         for tree in trees:
             for state in tree.positions.values():

@@ -32,7 +32,7 @@ def random_built_tree(seed, budget=12, vocab=8):
     return build_tree_fixed(random_draft(seed, vocab), [0, 1], budget, seed)
 
 
-# One tree per walk and shape: the heap, and the layer walk with the
+# One tree per order and shape of the walk: greedy, and layered with the
 # threshold rule and each fixed shape's rule.
 BUILDERS = {
     "fixed": lambda draft, seed: build_tree_fixed(draft, [0, 1], 12, seed),
@@ -191,11 +191,17 @@ class TestInvariantsOnBuiltTrees:
             for node in tree.nodes:
                 assert node.value == pytest.approx(closed[node.node_id], abs=1e-9)
 
-    @pytest.mark.parametrize("builder", ["threshold", "static_tree"])
+    @pytest.mark.parametrize("builder", ["threshold", "chain", "k_chains", "static_tree"])
     def test_layer_walk_creates_nodes_in_depth_order(self, builder):
+        # Layer order: depth, then the value of the position's first
+        # sampling (descending), owner id and sibling index.
         for seed in range(10):
-            depths = [n.depth for n in BUILDERS[builder](random_draft(seed), seed).nodes]
-            assert depths == sorted(depths)
+            tree = BUILDERS[builder](random_draft(seed), seed)
+            keys = []
+            for node in tree.nodes:
+                first = tree.positions[node.parent].node_ids[0]
+                keys.append((node.depth, -tree.nodes[first].value, node.parent, node.sibling_index))
+            assert keys == sorted(keys)
 
     def test_node_count_matches_sampled_totals(self):
         tree = random_built_tree(3)
