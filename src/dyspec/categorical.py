@@ -34,7 +34,7 @@ class Categorical:
         if np.any(p < 0.0):
             raise ValueError("probabilities must be non-negative")
         total = float(p.sum())
-        if total != 0.0 and abs(total - 1.0) > SUM_TOL:
+        if total != 0.0 and not abs(total - 1.0) <= SUM_TOL:  # NaN fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.probs = p
         self.is_zero = total == 0.0
@@ -85,7 +85,7 @@ def softmax_with_temperature(logits, temp: float) -> Categorical:
         raise ValueError("logits must be a non-empty 1-D vector")
     if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
-    if temp < 0.0:
+    if not temp >= 0.0:  # NaN fails too
         raise ValueError("temperature must be non-negative")
     if temp == 0.0:
         probs = np.zeros(z.size, dtype=np.float64)

@@ -105,9 +105,11 @@ def _out_dir(args: argparse.Namespace, cfg: Optional[RunConfig] = None) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(str(v) for v in row) for row in rows]
+def _write_csv(path: Path, rows: Sequence[Dict]) -> None:
+    """Write ``rows``, dicts that share one key order, under a header of the
+    first row's keys."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(str(v) for v in row.values()) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -159,14 +161,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     payload["models"] = dataclasses.asdict(cfg.models)
     payload["generated_tokens"] = tokens
     _write_json(out / "run_metrics.json", payload)
-    _write_csv(
-        out / "steps.csv",
-        ["step", "tree_size", "tree_depth", "accepted", "modeled_latency"],
-        [
-            [s.step, s.tree_size, s.tree_depth, s.accepted, s.modeled_latency]
-            for s in metrics.steps
-        ],
-    )
+    _write_csv(out / "steps.csv", payload["steps"])
     print(
         f"generated {len(tokens)} tokens in {len(metrics.steps)} steps; "
         f"mean accepted/step {metrics.mean_accepted:.3f}; wrote {out}/run_metrics.json"
@@ -182,40 +177,38 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _bench_cells(
     models: ModelPairSpec, costs: CostParams, seeds: int, cells: Sequence[GenConfig]
 ) -> List[Dict]:
-    """Rows of bench cells, all run on one pair and one prompt per seed (cells
-    share ``prefix_len``): tables, dists and prompts are made once."""
+    """One row per cell, each the seed mean of the cell run once per seed.
+
+    All cells run on one pair and one prompt per seed (cells share
+    ``prefix_len``), so tables, dists and prompts are made once.  A row's
+    keys, in order, are the bench table's columns.  ``latency_per_token`` is
+    the seed mean of each run's modeled latency per accepted token, not
+    1/``tokens_per_modeled_sec``.
+    """
     pair = make_model_pair(models)
     prompts = [make_prompt(pair[0], cells[0].prefix_len, seed) for seed in range(seeds)]
-    return [_bench_cell(pair, prompts, gen, costs) for gen in cells]
-
-
-def _bench_cell(pair: ModelPair, prompts: Sequence[List[int]], gen: GenConfig,
-                costs: CostParams) -> Dict:
-    """One row: the cell run once per seed, seed ``i`` on ``prompts[i]``."""
-    accepted, sizes, latencies, rates = [], [], [], []
-    for seed, prompt in enumerate(prompts):
-        _, metrics = generate(*pair, prompt, dataclasses.replace(gen, seed=seed), costs)
-        accepted.append(metrics.mean_accepted)
-        sizes.append(metrics.mean_tree_size)
-        rates.append(metrics.tokens_per_modeled_second)
-        total = sum(s.accepted for s in metrics.steps)
-        cost = sum(s.modeled_latency * s.accepted for s in metrics.steps)
-        latencies.append(cost / total)
-    seeds = len(prompts)
-    threshold_mode = gen.threshold is not None
-    return {
-        "structure": gen.structure,
-        "mode": "threshold" if threshold_mode else "budget",
-        "budget": "" if threshold_mode else gen.budget,
-        "threshold": gen.threshold if threshold_mode else "",
-        "size_cap": gen.size_cap if threshold_mode else "",
-        "target_temp": gen.target_temp,
-        "seeds": seeds,
-        "mean_accepted": sum(accepted) / seeds,
-        "mean_tree_size": sum(sizes) / seeds,
-        "latency_per_token": sum(latencies) / seeds,
-        "tokens_per_modeled_sec": sum(rates) / seeds,
-    }
+    rows = []
+    for gen in cells:
+        runs = [generate(*pair, prompt, dataclasses.replace(gen, seed=seed), costs)[1]
+                for seed, prompt in enumerate(prompts)]
+        threshold_mode = gen.threshold is not None
+        rows.append({
+            "structure": gen.structure,
+            "mode": "threshold" if threshold_mode else "budget",
+            "budget": "" if threshold_mode else gen.budget,
+            "threshold": gen.threshold if threshold_mode else "",
+            "size_cap": gen.size_cap if threshold_mode else "",
+            "target_temp": gen.target_temp,
+            "seeds": seeds,
+            "mean_accepted": sum(m.mean_accepted for m in runs) / seeds,
+            "mean_tree_size": sum(m.mean_tree_size for m in runs) / seeds,
+            "latency_per_token": sum(
+                sum(s.modeled_latency * s.accepted for s in m.steps)
+                / sum(s.accepted for s in m.steps) for m in runs
+            ) / seeds,
+            "tokens_per_modeled_sec": sum(m.tokens_per_modeled_second for m in runs) / seeds,
+        })
+    return rows
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -276,17 +269,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows = run_cells(cells)
     rows.sort(key=lambda r: (r["structure"], r["mode"], str(r["budget"]),
                              str(r["threshold"]), r["target_temp"]))
-
-    header = [
-        "structure", "mode", "budget", "threshold", "size_cap", "target_temp",
-        "seeds", "mean_accepted", "mean_tree_size", "latency_per_token",
-        "tokens_per_modeled_sec",
-    ]
     if args.format == "json":
         _write_json(out / "bench.json", rows)
         print(f"wrote {out}/bench.json ({len(rows)} cells)")
     else:
-        _write_csv(out / "bench.csv", header, [[r[h] for h in header] for r in rows])
+        _write_csv(out / "bench.csv", rows)
         print(f"wrote {out}/bench.csv ({len(rows)} cells)")
     return 0
 
@@ -344,11 +331,8 @@ def _mask_tree(generator: str, n: int, seed: int, pair: Optional[ModelPair]) -> 
         return mask_opt.random_tree(n, seed)
     if generator == "chain":
         return [-1] + list(range(n - 1))
-    if generator == "constructed":
-        target, draft = pair
-        prompt = make_prompt(target, 16, seed)
-        return build_tree_fixed(draft, prompt, n, seed).parent_array()
-    raise ValueError(f"unknown tree generator {generator!r}")
+    target, draft = pair  # constructed
+    return build_tree_fixed(draft, make_prompt(target, 16, seed), n, seed).parent_array()
 
 
 # Node order -> the original node ids in their new positions.
@@ -383,32 +367,23 @@ def cmd_mask(args: argparse.Namespace) -> int:
         for prefix in prefixes:
             for order_name in orders:
                 counts = []
+                cell = {"n": n, "prefix": prefix, "block": args.block, "order": order_name}
                 for seed, parents in enumerate(trees):
                     order = permutations[order_name][seed]
                     mask = mask_opt.apply_permutation(parents, order, prefix)
                     count = mask_opt.count_nonzero_blocks(mask, args.block)
                     counts.append(count)
-                    per_seed_rows.append([n, prefix, args.block, order_name, count])
+                    per_seed_rows.append({**cell, "count": count})
                     if args.dump_grids and seed == 0:
                         grid = out / f"mask_n{n}_p{prefix}_{order_name}.pbm"
                         grid.write_text(mask.to_pbm())
                 mean = sum(counts) / len(counts)
                 var = sum((c - mean) ** 2 for c in counts) / len(counts)
-                agg_rows.append(
-                    [n, prefix, args.block, order_name, mean, var ** 0.5]
-                )
+                agg_rows.append({**cell, "count_mean": mean, "count_std": var ** 0.5})
 
-    _write_csv(
-        out / "mask_counts.csv",
-        ["n", "prefix", "block", "order", "count_mean", "count_std"],
-        agg_rows,
-    )
+    _write_csv(out / "mask_counts.csv", agg_rows)
     if args.per_seed:
-        _write_csv(
-            out / "mask_counts_per_seed.csv",
-            ["n", "prefix", "block", "order", "count"],
-            per_seed_rows,
-        )
+        _write_csv(out / "mask_counts_per_seed.csv", per_seed_rows)
     print(f"wrote {out}/mask_counts.csv ({len(agg_rows)} rows)")
     return 0
 
@@ -437,11 +412,10 @@ def cmd_hypothesis(args: argparse.Namespace) -> int:
 
     rows = acceptance_vs_draft_bins(events, args.bins)
     rho = bin_rank_correlation(rows)
-    _write_csv(
-        out / "acceptance_bins.csv",
-        ["bin_lo", "bin_hi", "acc_rate", "count"],
-        [[lo, hi, rate, count] for lo, hi, rate, count in rows],
-    )
+    _write_csv(out / "acceptance_bins.csv", [
+        {"bin_lo": lo, "bin_hi": hi, "acc_rate": rate, "count": count}
+        for lo, hi, rate, count in rows
+    ])
     _write_json(
         out / "hypothesis_stats.json",
         {"events": len(events), "runs": run, "bins": args.bins, "spearman": rho},
@@ -516,18 +490,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("oracle", "run a ground-truth check suite", cmd_oracle)
     p.add_argument("--seed", type=int, default=0, help="suite seed")
     p.add_argument("--suite", required=True)
-    p.add_argument("--instances", type=positive_int, help="default 1000")
-    p.add_argument("--trials", type=positive_int, help="unbiasedness, expectation (default 20000)")
+    p.add_argument("--instances", type=positive_int,
+                   help=f"default {_ORACLE_COUNTS['instances']}")
+    p.add_argument("--trials", type=positive_int,
+                   help=f"unbiasedness, expectation (default {_ORACLE_COUNTS['trials']})")
 
     p = command("mask", "block-occupancy of tree-attention masks", cmd_mask)
     p.add_argument("--config", help="JSON run-config path")
     p.add_argument("--sizes", type=csv_list(int), default="256")
     p.add_argument("--prefixes", type=csv_list(int), default="0")
     p.add_argument("--block", type=positive_int, default=32)
-    p.add_argument("--orders", type=csv_list(str), default="original,dfs,hpd")
+    p.add_argument("--orders", type=csv_list(str), default=",".join(_ORDERS))
     p.add_argument("--seeds", type=positive_int, default=20)
-    p.add_argument("--generator", choices=("random", "chain", "constructed"),
-                   default="random")
+    p.add_argument("--generator", choices=tuple(MASK_READS), default="random")
     p.add_argument("--per-seed", dest="per_seed", action="store_true")
     p.add_argument("--dump-grids", dest="dump_grids", action="store_true")
 

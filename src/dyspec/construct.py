@@ -57,8 +57,9 @@ class CostParams:
     per_node_overhead: float = 0.0
 
     def __post_init__(self):
-        if self.draft_cost < 0 or self.target_cost < 0 or self.per_node_overhead < 0:
-            raise ValueError("cost parameters must be non-negative")
+        if not all(0 <= c < math.inf
+                   for c in (self.draft_cost, self.target_cost, self.per_node_overhead)):
+            raise ValueError("cost parameters must be non-negative and finite")
 
 
 def construction_uniform(seed: int) -> UniformFn:

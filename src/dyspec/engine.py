@@ -17,6 +17,7 @@ builders' keyed step, so equal budgets are genuinely comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -65,8 +66,8 @@ class GenConfig:
             raise ValueError("prefix_len must be >= 0")
         if self.gen_len < 1:
             raise ValueError("gen_len must be >= 1")
-        if self.draft_temp < 0 or self.target_temp < 0:
-            raise ValueError("temperatures must be >= 0")
+        if not (0 <= self.draft_temp < math.inf and 0 <= self.target_temp < math.inf):
+            raise ValueError("temperatures must be >= 0 and finite")
         if (self.budget is None) == (self.threshold is None):
             raise ValueError("exactly one of budget/threshold must be set")
         if self.budget is not None and self.budget < 1:

@@ -86,12 +86,12 @@ class ModelPairSpec:
             raise ValueError("vocab_size must be >= 2")
         if self.markov_order < 1:
             raise ValueError("markov_order must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.concentration <= 0:
-            raise ValueError("concentration must be > 0")
-        if self.entropy_spread < 0:
-            raise ValueError("entropy_spread must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be >= 0 and finite")
+        if not 0 < self.concentration < math.inf:
+            raise ValueError("concentration must be > 0 and finite")
+        if not 0 <= self.entropy_spread < math.inf:
+            raise ValueError("entropy_spread must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,8 @@ class NoisyDraftModel(LanguageModel):
 
 def derive_draft(target: LanguageModel, noise_sigma: float, seed: int) -> NoisyDraftModel:
     """Perturb a target model into a draft at divergence set by noise_sigma."""
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be >= 0 and finite")
     return NoisyDraftModel(
         base=target, sigma=noise_sigma, seed=seed, temperature=target.temperature
     )

@@ -290,11 +290,13 @@ def monte_carlo_expected_accepted(
 
 # --------------------------------------------------------------------------
 # Named check suites: shared by the command-line harness and the acceptance
-# tests, so both exercise the same code paths.
+# tests, so both exercise the same code paths.  Every caller passes the
+# counts and the seed; the command line's defaults are ``_ORACLE_COUNTS``
+# and ``--seed`` in :mod:`dyspec.cli`.
 # --------------------------------------------------------------------------
 
 
-def suite_unbiasedness_exact(instances: int = 1000, seed: int = 0, tol: float = 1e-9) -> dict:
+def suite_unbiasedness_exact(instances: int, seed: int, tol: float = 1e-9) -> dict:
     """Closed-form emission law equals the target on random instances."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -319,22 +321,22 @@ def suite_unbiasedness_exact(instances: int = 1000, seed: int = 0, tol: float = 
 
 
 def suite_unbiasedness_mc(
-    trials: int = 20000,
-    seed: int = 0,
+    trials: int,
+    seed: int,
     vocab: int = 16,
     budget: int = 8,
     temps: Sequence[float] = (0.0, 0.6),
-    sigma: float = 1.0,
     tv_limit: float = 0.01,
 ) -> dict:
-    """End-to-end first-token law matches direct target sampling."""
+    """End-to-end first-token law matches direct target sampling, on a
+    draft of noise sigma 1."""
     results = []
     for temp in temps:
         spec = ModelPairSpec(
             vocab_size=vocab,
             markov_order=1,
             target_seed=seed,
-            noise_sigma=sigma,
+            noise_sigma=1.0,
             target_temp=temp,
         )
         target, draft = make_model_pair(spec)
@@ -360,7 +362,7 @@ def suite_unbiasedness_mc(
     }
 
 
-def suite_optimality(instances: int = 1000, seed: int = 0) -> dict:
+def suite_optimality(instances: int, seed: int) -> dict:
     """The production greedy walk reaches the brute-force optimum exactly.
 
     Under acceptance ~ draft probability the expected number of accepted
@@ -400,10 +402,7 @@ def suite_optimality(instances: int = 1000, seed: int = 0) -> dict:
 
 
 def suite_expectation(
-    configs: int = 100,
-    trials: int = 10000,
-    seed: int = 0,
-    min_pass_fraction: float = 0.99,
+    configs: int, trials: int, seed: int, min_pass_fraction: float = 0.99
 ) -> dict:
     """Closed-form expected accepted tokens agrees with Monte Carlo."""
     ok = 0
@@ -439,7 +438,7 @@ def suite_expectation(
     }
 
 
-def suite_threshold_equivalence(configs: int = 100, seed: int = 0, max_budget: int = 32) -> dict:
+def suite_threshold_equivalence(configs: int, seed: int, max_budget: int = 32) -> dict:
     """Threshold construction at the m-th popped value reproduces greedy."""
     rng = np.random.default_rng(seed)
     mismatches = 0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -264,6 +265,11 @@ class TestFlagSurface:
                      if opt not in ("-h", "--help")]
             assert listed[name] == flags, name
 
+    def test_description_states_the_oracle_count_defaults(self):
+        text = " ".join(cli.__doc__.split())
+        for flag, default in cli._ORACLE_COUNTS.items():
+            assert f"--{flag} (default {default})" in text, flag
+
 
 # One valid value per schema key.  Keys that need a partner to make a valid
 # generation config bring it along; every command reading such a key reads
@@ -398,14 +404,44 @@ class TestGenerateCommand:
         assert "branching entries must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["--target-temp", "--draft-temp"])
-    def test_negative_temperature_exits_2(self, config_path, tmp_path, capsys, flag):
+    def test_bad_temperature_exits_2(self, config_path, tmp_path, capsys, flag, value):
         code = main(
-            ["generate", "--config", str(config_path), "--out", str(tmp_path), flag, "-1"]
+            ["generate", "--config", str(config_path), "--out", str(tmp_path), flag, value]
         )
         assert code == 2
-        assert "temperatures must be >= 0" in capsys.readouterr().err
+        assert "config error: temperatures must be >= 0 and finite" in capsys.readouterr().err
         assert not (tmp_path / "run_metrics.json").exists()
+
+    # json.dumps writes NaN and Infinity, which json.loads reads back.
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("generation", "target_temp", math.nan, "temperatures must be >= 0 and finite"),
+            ("generation", "draft_temp", math.inf, "temperatures must be >= 0 and finite"),
+            ("costs", "draft_cost", math.nan, "cost parameters must be non-negative and finite"),
+            ("costs", "target_cost", math.inf, "cost parameters must be non-negative and finite"),
+            ("costs", "per_node_overhead", math.nan,
+             "cost parameters must be non-negative and finite"),
+            ("models", "noise_sigma", math.nan, "noise_sigma must be >= 0 and finite"),
+            ("models", "noise_sigma", math.inf, "noise_sigma must be >= 0 and finite"),
+            ("models", "concentration", math.inf, "concentration must be > 0 and finite"),
+            ("models", "concentration", math.nan, "concentration must be > 0 and finite"),
+            ("models", "entropy_spread", math.inf, "entropy_spread must be >= 0 and finite"),
+            ("models", "entropy_spread", math.nan, "entropy_spread must be >= 0 and finite"),
+        ],
+    )
+    def test_non_finite_config_value_exits_2(
+        self, section, key, value, message, config_path, tmp_path, capsys
+    ):
+        cfg = json.loads(config_path.read_text())
+        cfg[section][key] = value
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(write_config(tmp_path, "bad.json", cfg))]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_prefix_len_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -499,13 +535,14 @@ class TestBenchCommand:
         assert "branching entries must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_temperature_exits_2(self, bench_config_path, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_temperature_exits_2(self, value, bench_config_path, tmp_path, capsys):
         code = main(
             ["bench", "--config", str(bench_config_path), "--out", str(tmp_path),
-             "--structures", "chain", "--budgets", "8", "--temps", "0.6,-1", "--seeds", "1"]
+             "--structures", "chain", "--budgets", "8", "--temps", f"0.6,{value}", "--seeds", "1"]
         )
         assert code == 2
-        assert "temperatures must be >= 0" in capsys.readouterr().err
+        assert "temperatures must be >= 0 and finite" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
     @pytest.mark.parametrize("command", ["bench", "hypothesis"])

@@ -42,6 +42,11 @@ CASES = {
         "--thresholds", "0.1", "--size-cap", "24", "--k", "2", "--branching", "2,2,2",
         "--seeds", "2",
     ],
+    "bench-csv": [
+        "bench", "--config", BENCH_CONFIG, "--format", "csv", "--budgets", "16",
+        "--thresholds", "0.1", "--size-cap", "24", "--k", "2", "--branching", "2,2,2",
+        "--seeds", "2",
+    ],
     "hypothesis": [
         "hypothesis", "--config", HYPOTHESIS_CONFIG, "--min-events", "300", "--bins", "5",
     ],

@@ -57,6 +57,17 @@ class TestCategoricalProperties:
         with pytest.raises(ValueError, match="sum to"):
             Categorical(p * scale)
 
+    @given(st.lists(st.floats(), min_size=1, max_size=8), st.data())
+    def test_nan_entry_rejected(self, entries, data):
+        entries[data.draw(st.integers(min_value=0, max_value=len(entries) - 1))] = np.nan
+        with pytest.raises(ValueError):
+            Categorical(entries)
+
+    @given(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=8))
+    def test_nan_temperature_rejected(self, logits):
+        with pytest.raises(ValueError, match="temperature"):
+            softmax_with_temperature(logits, np.nan)
+
     @given(st.integers(min_value=1, max_value=16), unit_interval)
     def test_zero_vector_is_flagged_and_never_sampled(self, size, u):
         dist = Categorical(np.zeros(size))
