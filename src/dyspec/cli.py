@@ -52,9 +52,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import mask_opt, oracle
 from .config import ConfigError, RunConfig
-from .construct import CostParams, build_tree_fixed
+from .construct import STRUCTURES, CostParams, build_tree_fixed
 from .engine import (
-    STRUCTURES,
     GenConfig,
     acceptance_vs_draft_bins,
     bin_rank_correlation,
@@ -305,6 +304,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         (runner is None,
          f"unknown suite {args.suite!r} (choose from {', '.join(sorted(_SUITES))})"),
         (args.seed < 0, "--seed must be >= 0"),
+        (args.seed >= 2**63, "--seed must be < 2**63"),
     ] + [(True, f"--{flag} does not apply to suite {args.suite}")
          for flag, value in given.items() if value is not None and flag not in reads]
     if _usage_error("oracle", checks, {}):

@@ -16,11 +16,11 @@ order is the tree's shape:
 * Layered: positions layer by layer, each sampled while a rule
   ``keep(value, depth, count)`` allows.  :func:`build_tree_threshold` keeps
   every sampling whose estimated reach probability clears a threshold, and
-  the fixed shapes of :mod:`dyspec.engine` (chain, k chains, static tree)
-  count samplings per depth.  With the threshold set to the smallest value
-  the greedy run kept, both orders realize the identical sampling set
-  because every uniform draw is keyed by (seed, position path, sibling
-  index) rather than by visit order.
+  the fixed shapes (chain, k chains, static tree) count samplings per depth.
+  :func:`tree_shape` checks every shape and gives the walk its cap and rule.
+  With the threshold set to the smallest value the greedy run kept, both
+  orders realize the identical sampling set because every uniform draw is
+  keyed by (seed, position path, sibling index) rather than by visit order.
 
 :func:`expected_accepted` evaluates the expected number of accepted tokens
 for a tree under arbitrary per-node acceptance probabilities, and
@@ -46,6 +46,8 @@ UniformFn = Callable[[Tuple[int, ...], int], float]
 # already drawn there and the next one reached with estimated probability
 # ``value``.
 KeepRule = Callable[[float, int, int], bool]
+
+STRUCTURES = ("dynamic", "chain", "k_chains", "static_tree")
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,63 @@ def grow_tree(
     return tree
 
 
+def tree_shape(
+    structure: str = "dynamic", budget: Optional[int] = None, threshold: Optional[float] = None,
+    size_cap: Optional[int] = None, k: Optional[int] = None,
+    branching: Optional[Sequence[int]] = None,
+) -> Tuple[int, Optional[KeepRule]]:
+    """Check a shape; return the ``(size_cap, keep)`` :func:`grow_tree` grows it with.
+
+    ``dynamic`` is greedy at a ``budget``, or keeps samplings of value >=
+    ``threshold`` up to ``size_cap`` nodes.  The fixed shapes are capped at
+    their budget: ``chain`` samples once per level, ``k_chains`` k times at
+    the prompt position and once below, ``budget // k`` levels deep, and
+    ``static_tree`` ``branching[d]`` times at each position of depth d.
+    A field the shape does not use, or a value it cannot take, raises ValueError.
+    """
+    if (budget is None) == (threshold is None):
+        raise ValueError("exactly one of budget/threshold must be set")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
+    if threshold is not None:
+        if not (0.0 < threshold <= 1.0):
+            raise ValueError("threshold must be in (0, 1]")
+        if size_cap is None or size_cap < 1:
+            raise ValueError("threshold mode requires size_cap >= 1")
+    elif size_cap is not None:
+        raise ValueError("size_cap applies only in threshold mode")
+    if structure not in STRUCTURES:
+        raise ValueError(f"unknown structure {structure!r}")
+    if k is not None and structure != "k_chains":
+        raise ValueError("k applies only to the k_chains structure")
+    if branching is not None and structure != "static_tree":
+        raise ValueError("branching applies only to the static_tree structure")
+    if structure == "dynamic":
+        if threshold is None:
+            return budget, None
+        return size_cap, lambda value, depth, count: value >= threshold
+    if budget is None:
+        raise ValueError("baseline structures require a budget")
+    if structure == "chain":
+        return budget, lambda value, depth, count: count < 1 and depth < budget
+    if structure == "k_chains":
+        if not k or k < 1:
+            raise ValueError("k_chains requires k >= 1")
+        if budget < k:
+            raise ValueError("budget too small for the requested chain count")
+        length = budget // k
+        return budget, lambda value, depth, count: count < (1 if depth else k) and depth < length
+    if not branching:
+        raise ValueError("static_tree requires a branching vector")
+    if min(branching) < 1:
+        raise ValueError("static_tree branching entries must be >= 1")
+    total = sum(math.prod(branching[:d]) for d in range(1, len(branching) + 1))
+    if total > budget:
+        raise ValueError(f"branching vector yields {total} nodes, exceeding budget {budget}")
+    levels = tuple(branching)
+    return budget, lambda value, depth, count: depth < len(levels) and count < levels[depth]
+
+
 def build_tree_fixed(
     draft: LanguageModel,
     prefix: Sequence[int],
@@ -170,14 +229,9 @@ def build_tree_fixed(
     *,
     uniform_fn: Optional[UniformFn] = None,
 ) -> TokenTree:
-    """Greedy best-first construction up to ``budget`` nodes (see :func:`grow_tree`).
-
-    The tree can only fall short of the budget when every position ran out
-    of support.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    return grow_tree(draft, prefix, seed, budget, uniform_fn=uniform_fn)
+    """Greedy best-first construction up to ``budget`` nodes, fewer only when
+    every position ran out of support (see :func:`grow_tree`)."""
+    return grow_tree(draft, prefix, seed, *tree_shape(budget=budget), uniform_fn=uniform_fn)
 
 
 def build_tree_threshold(
@@ -187,17 +241,9 @@ def build_tree_threshold(
     size_cap: int,
     seed: int,
 ) -> TokenTree:
-    """Layer-by-layer construction keeping samplings with value >= threshold.
-
-    Stops as soon as ``size_cap`` nodes exist (see :func:`grow_tree`).
-    """
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError("threshold must be in (0, 1]")
-    if size_cap < 1:
-        raise ValueError("size_cap must be >= 1")
-    return grow_tree(
-        draft, prefix, seed, size_cap, lambda value, depth, count: value >= threshold
-    )
+    """Layer-by-layer construction keeping samplings with value >= threshold,
+    stopping as soon as ``size_cap`` nodes exist (see :func:`grow_tree`)."""
+    return grow_tree(draft, prefix, seed, *tree_shape(threshold=threshold, size_cap=size_cap))
 
 
 def node_sampling_keys(tree: TokenTree) -> set:

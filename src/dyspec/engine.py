@@ -11,8 +11,8 @@ Trees come from the one walk of :mod:`dyspec.construct`, greedy for DySpec
 at a fixed budget and layered for the threshold tree and every fixed shape.
 A fixed shape (single chain, k parallel chains, fixed-branching static tree)
 is only a rule for how many times each position is sampled, defined in
-:func:`check_baseline_shape`; the samplings themselves are the dynamic
-builders' keyed step, so equal budgets are genuinely comparable.
+:func:`dyspec.construct.tree_shape`; the samplings themselves are the
+dynamic builders' keyed step, so equal budgets are genuinely comparable.
 """
 
 from __future__ import annotations
@@ -26,27 +26,25 @@ import numpy as np
 from .categorical import sample
 from .construct import (
     CostParams,
-    KeepRule,
     build_tree_fixed,
     build_tree_threshold,
     estimate_latency,
     grow_tree,
+    tree_shape,
 )
 from .lm import LanguageModel, TargetRows
-from .rng import derive_seed, keyed_uniform
+from .rng import check_seed, derive_seed, keyed_uniform
 from .token_tree import TokenTree
 from .verify import BranchTrace, VerificationError, VerifyResult, verify_tree
-
-STRUCTURES = ("dynamic", "chain", "k_chains", "static_tree")
 
 
 @dataclass(frozen=True)
 class GenConfig:
     """One generation run: budget or threshold, temperatures, structure.
 
-    Shape fields are rejected where the shape ignores them: ``size_cap``
-    outside threshold mode, ``k`` outside ``k_chains`` and ``branching``
-    outside ``static_tree``.
+    :func:`dyspec.construct.tree_shape` checks the shape fields, rejecting
+    ``size_cap`` outside threshold mode, ``k`` outside ``k_chains`` and
+    ``branching`` outside ``static_tree``.  ``seed`` must fit in int64.
     """
 
     prefix_len: int = 128
@@ -68,69 +66,15 @@ class GenConfig:
             raise ValueError("gen_len must be >= 1")
         if not (0 <= self.draft_temp < math.inf and 0 <= self.target_temp < math.inf):
             raise ValueError("temperatures must be >= 0 and finite")
-        if (self.budget is None) == (self.threshold is None):
-            raise ValueError("exactly one of budget/threshold must be set")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.threshold is not None:
-            if not (0.0 < self.threshold <= 1.0):
-                raise ValueError("threshold must be in (0, 1]")
-            if self.size_cap is None or self.size_cap < 1:
-                raise ValueError("threshold mode requires size_cap >= 1")
-        elif self.size_cap is not None:
-            raise ValueError("size_cap applies only in threshold mode")
-        if self.structure not in STRUCTURES:
-            raise ValueError(f"unknown structure {self.structure!r}")
-        if self.k is not None and self.structure != "k_chains":
-            raise ValueError("k applies only to the k_chains structure")
-        if self.branching is not None and self.structure != "static_tree":
-            raise ValueError("branching applies only to the static_tree structure")
-        if self.structure != "dynamic":
-            if self.budget is None:
-                raise ValueError("baseline structures require a budget")
-            check_baseline_shape(self.structure, self.budget, self.k, self.branching)
+        check_seed(self.seed, "seed")
+        tree_shape(self.structure, self.budget, self.threshold, self.size_cap,
+                   self.k, self.branching)
 
     @property
     def latency_mode(self) -> str:
         """Draft-call accounting of the builder: one per node for the greedy
         walk, one per level for the layered walk."""
         return "greedy" if self.structure == "dynamic" and self.budget is not None else "layered"
-
-
-def check_baseline_shape(
-    structure: str, budget: int, k: Optional[int], branching: Optional[Sequence[int]]
-) -> KeepRule:
-    """Validate a fixed shape against the budget; return its sampling rule.
-
-    ``chain`` samples once per level, ``budget`` levels deep; ``k_chains``
-    samples k times at the prompt position and once below it, ``budget // k``
-    levels deep; ``static_tree`` samples ``branching[d]`` times at each
-    position of depth d.  Raises ValueError for an unknown structure or a
-    shape that does not fit the budget.
-    """
-    if structure == "chain":
-        return lambda value, depth, count: count < 1 and depth < budget
-    if structure == "k_chains":
-        if not k or k < 1:
-            raise ValueError("k_chains requires k >= 1")
-        if budget < k:
-            raise ValueError("budget too small for the requested chain count")
-        length = budget // k
-        return lambda value, depth, count: count < (k if depth == 0 else 1) and depth < length
-    if structure == "static_tree":
-        if not branching:
-            raise ValueError("static_tree requires a branching vector")
-        if min(branching) < 1:
-            raise ValueError("static_tree branching entries must be >= 1")
-        total, level_size = 0, 1
-        for b in branching:
-            level_size *= b
-            total += level_size
-        if total > budget:
-            raise ValueError(f"branching vector yields {total} nodes, exceeding budget {budget}")
-        levels = tuple(branching)
-        return lambda value, depth, count: depth < len(levels) and count < levels[depth]
-    raise ValueError(f"unknown baseline structure {structure!r}")
 
 
 @dataclass
@@ -189,34 +133,12 @@ def build_baseline_tree(
     k: Optional[int] = None,
     branching: Optional[Sequence[int]] = None,
 ) -> TokenTree:
-    """Fixed-shape trees for comparison at equal budget.
-
-    The layered walk samples each position as often as the shape's rule
-    from :func:`check_baseline_shape` allows, capped at ``budget`` nodes; a
-    position whose support runs out stops early.
-    """
-    keep = check_baseline_shape(structure, budget, k, branching)
-    return grow_tree(draft, prefix, seed, budget, keep)
-
-
-def build_tree_for_config(
-    draft: LanguageModel, context: Sequence[int], config: GenConfig, seed: int
-) -> TokenTree:
-    if config.structure == "dynamic":
-        if config.budget is not None:
-            return build_tree_fixed(draft, context, config.budget, seed)
-        return build_tree_threshold(
-            draft, context, config.threshold, config.size_cap, seed
-        )
-    return build_baseline_tree(
-        config.structure,
-        draft,
-        context,
-        config.budget,
-        seed,
-        k=config.k,
-        branching=config.branching,
-    )
+    """Fixed-shape trees for comparison at equal budget: the layered walk with
+    the shape's rule from :func:`dyspec.construct.tree_shape`, capped at
+    ``budget`` nodes; a position whose support runs out stops early."""
+    if structure == "dynamic":
+        raise ValueError(f"unknown baseline structure {structure!r}")
+    return grow_tree(draft, prefix, seed, *tree_shape(structure, budget, k=k, branching=branching))
 
 
 def generate_step(
@@ -228,9 +150,15 @@ def generate_step(
 ) -> StepOutcome:
     """One construct-verify round: the unit the generation loop repeats.  The
     target's dist is read only where verification reads (prompt, accepted nodes)."""
-    construct_seed = derive_seed(seed, "construct-step")
+    cseed = derive_seed(seed, "construct-step")
     verify_seed = derive_seed(seed, "verify-step")
-    tree = build_tree_for_config(draft, context, config, construct_seed)
+    if config.structure != "dynamic":
+        tree = build_baseline_tree(config.structure, draft, context, config.budget, cseed,
+                                   k=config.k, branching=config.branching)
+    elif config.threshold is None:
+        tree = build_tree_fixed(draft, context, config.budget, cseed)
+    else:
+        tree = build_tree_threshold(draft, context, config.threshold, config.size_cap, cseed)
     result = verify_tree(tree, TargetRows(target, context, tree), verify_seed)
     return StepOutcome(tree=tree, result=result)
 

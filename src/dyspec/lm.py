@@ -10,13 +10,14 @@ entirely through ``noise_sigma``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .categorical import Categorical, softmax_with_temperature
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .token_tree import ROOT
 
 TokenSeq = Sequence[int]
@@ -68,9 +69,20 @@ class LanguageModel:
         return siblings[temp]
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
+_NOISE_SIGMA_MAX = sys.float_info.max / 16
+
+
 @dataclass(frozen=True)
 class ModelPairSpec:
-    """Parameters of one synthetic draft/target pair."""
+    """Parameters of one synthetic draft/target pair.
+
+    Row arithmetic must not overflow.  A Markov row scales its concentration
+    by ``exp(u)``, ``|u| <= entropy_spread``, so the spread and
+    ``log(concentration) + entropy_spread`` are at most log(float max) ~ 709.78.
+    Draft noise is sigma times normal draws, which numpy keeps below 13.71 in
+    size, so ``noise_sigma`` is at most float max / 16.  Seeds fit in int64.
+    """
 
     vocab_size: int = 64
     markov_order: int = 2
@@ -86,12 +98,19 @@ class ModelPairSpec:
             raise ValueError("vocab_size must be >= 2")
         if self.markov_order < 1:
             raise ValueError("markov_order must be >= 1")
+        check_seed(self.target_seed, "target_seed")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be >= 0 and finite")
+        if self.noise_sigma > _NOISE_SIGMA_MAX:
+            raise ValueError(f"noise_sigma must be <= {_NOISE_SIGMA_MAX!r}")
         if not 0 < self.concentration < math.inf:
             raise ValueError("concentration must be > 0 and finite")
         if not 0 <= self.entropy_spread < math.inf:
             raise ValueError("entropy_spread must be >= 0 and finite")
+        if self.entropy_spread > _LOG_FLOAT_MAX:
+            raise ValueError(f"entropy_spread must be <= {_LOG_FLOAT_MAX!r}")
+        if self.concentration * math.exp(self.entropy_spread) == math.inf:
+            raise ValueError("concentration * exp(entropy_spread) must be finite")
 
 
 @dataclass(frozen=True)

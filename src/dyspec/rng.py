@@ -37,6 +37,12 @@ def _digest(seed: int, domain: str, ints: Iterable[int], index: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def check_seed(seed: int, name: str) -> None:
+    """Raise ValueError unless ``seed`` fits the signed 64 bits it is packed in."""
+    if not -2**63 <= seed < 2**63:
+        raise ValueError(f"{name} must be in [-2**63, 2**63)")
+
+
 def keyed_uniform(seed: int, domain: str, tag: Iterable[int], index: int) -> float:
     """Uniform in [0, 1) fully determined by (seed, domain, tag, index)."""
     return _digest(seed, domain, tag, index) * _SCALE

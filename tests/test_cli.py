@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -7,6 +8,20 @@ import dyspec.cli as cli
 from dyspec.cli import build_parser, csv_list, main
 from dyspec.config import _SCHEMA, ConfigError, RunConfig
 
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def largest_factor(e):
+    """The largest float c with c * e finite."""
+    c = sys.float_info.max / e
+    while c * e == math.inf:
+        c = math.nextafter(c, 0.0)
+    while math.nextafter(c, math.inf) * e < math.inf:
+        c = math.nextafter(c, math.inf)
+    return c
+
+
+LARGEST_CONCENTRATION_AT_100 = largest_factor(math.exp(100.0))
 MODELS = {"vocab_size": 32, "markov_order": 1, "target_seed": 5, "noise_sigma": 0.8}
 COSTS = {"draft_cost": 1.0, "target_cost": 200.0}
 
@@ -373,6 +388,51 @@ class TestGenerateCommand:
         assert main(argv) == 0
         assert (out / "run_metrics.json").exists()
 
+    @pytest.mark.parametrize("seed, code", [
+        (2**63 - 1, 0), (-2**63, 0), (2**63, 2), (-2**63 - 1, 2),
+    ])
+    def test_seed_must_fit_int64(self, seed, code, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["generate", "--gen-len", "4", "--prefix-len", "4", "--budget", "4"]
+        assert main(argv + ["--seed", str(seed), "--out", str(out)]) == code
+        if code == 2:
+            assert "config error: seed must be in [-2**63, 2**63)" in capsys.readouterr().err
+            assert not out.exists()
+
+    # Each bound on a model parameter: the largest accepted value runs, and
+    # the next float above it exits 2 naming the key.
+    @pytest.mark.parametrize("models, message", [
+        ({"target_seed": 2**63 - 1}, None),
+        ({"target_seed": 2**63}, "target_seed must be in [-2**63, 2**63)"),
+        ({"target_seed": -2**63 - 1}, "target_seed must be in [-2**63, 2**63)"),
+        ({"entropy_spread": LOG_FLOAT_MAX}, None),
+        ({"entropy_spread": math.nextafter(LOG_FLOAT_MAX, math.inf)},
+         "entropy_spread must be <= "),
+        ({"entropy_spread": 10000.0}, "entropy_spread must be <= "),
+        ({"entropy_spread": 100.0, "concentration": LARGEST_CONCENTRATION_AT_100}, None),
+        ({"entropy_spread": 100.0,
+          "concentration": math.nextafter(LARGEST_CONCENTRATION_AT_100, math.inf)},
+         "concentration * exp(entropy_spread) must be finite"),
+        ({"entropy_spread": 100.0, "concentration": 1e300},
+         "concentration * exp(entropy_spread) must be finite"),
+        ({"noise_sigma": sys.float_info.max / 16}, None),
+        ({"noise_sigma": math.nextafter(sys.float_info.max / 16, math.inf)},
+         "noise_sigma must be <= "),
+        ({"noise_sigma": 1e308}, "noise_sigma must be <= "),
+    ])
+    def test_model_parameter_bounds(self, models, message, config_path, tmp_path, capsys):
+        cfg = json.loads(config_path.read_text())
+        cfg["models"].update(models)
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(write_config(tmp_path, "m.json", cfg))]
+        code = main(argv + ["--gen-len", "8", "--out", str(out)])
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_both_paper_temperatures_accepted(self, config_path, tmp_path):
         for temp in ("0", "0.6"):
             out = tmp_path / f"t{temp}"
@@ -625,6 +685,14 @@ class TestOracleCommand:
         assert main(["oracle", "--suite", "optimality", "--seed", "-1", "--out", str(out)]) == 2
         assert "oracle: --seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_must_fit_int64(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["oracle", "--suite", "optimality", "--instances", "2"]
+        assert main(argv + ["--seed", str(2**63), "--out", str(out)]) == 2
+        assert "oracle: --seed must be < 2**63" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--seed", str(2**63 - 1), "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("suite", ["optimality", "threshold-equivalence"])
     def test_trials_rejected_where_unread(self, suite, tmp_path, capsys):

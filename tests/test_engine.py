@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyspec.categorical import softmax_with_temperature
-from dyspec.construct import CostParams, estimate_latency
+from dyspec.construct import (
+    STRUCTURES,
+    CostParams,
+    build_tree_fixed,
+    build_tree_threshold,
+    estimate_latency,
+)
 from dyspec.engine import (
     GenConfig,
     RunMetrics,
@@ -18,6 +25,7 @@ from dyspec.engine import (
     make_prompt,
 )
 from dyspec.lm import ModelPairSpec, make_model_pair
+from dyspec.token_tree import ROOT
 from dyspec.verify import BranchTrace, VerificationError, VerifyResult
 
 
@@ -87,6 +95,91 @@ class TestGenConfig:
         assert estimate_latency(8, 8, 3.0, costs, "greedy") == estimate_latency(
             8, 8, 3.0, costs, "layered"
         )
+
+
+SHAPE_FIELDS = ("budget", "threshold", "size_cap", "k", "branching")
+# Every structure with every set or unset combination of the shape fields,
+# then the misfits: values that a field takes but the shape cannot.
+SHAPES = [
+    (structure, dict(zip(SHAPE_FIELDS, values)))
+    for structure in STRUCTURES
+    for values in itertools.product([None, 12], [None, 0.05], [None, 10], [None, 3], [None, (2, 2)])
+] + [
+    ("dynamic", {"budget": 0}),
+    ("dynamic", {"threshold": 0.0, "size_cap": 10}),
+    ("dynamic", {"threshold": 1.5, "size_cap": 10}),
+    ("dynamic", {"threshold": 0.05, "size_cap": 0}),
+    ("chain", {"budget": 0}),
+    ("k_chains", {"budget": 12, "k": 13}),
+    ("k_chains", {"budget": 12, "k": 0}),
+    ("k_chains", {"budget": 13, "k": 3}),
+    ("static_tree", {"budget": 12, "branching": (4, 4)}),
+    ("static_tree", {"budget": 12, "branching": (2, 0)}),
+    ("static_tree", {"budget": 12, "branching": ()}),
+    ("static_tree", {"budget": 14, "branching": (2, 2, 2)}),
+]
+
+
+def shape_builder(structure, budget=None, threshold=None, size_cap=None, k=None, branching=None):
+    """The builder call that expresses a shape, or None where no builder can."""
+    if structure != "dynamic":
+        if threshold is None and size_cap is None:
+            return lambda draft: build_baseline_tree(
+                structure, draft, [0, 1], budget, 5, k=k, branching=branching
+            )
+    elif k is None and branching is None:
+        if threshold is None and size_cap is None:
+            return lambda draft: build_tree_fixed(draft, [0, 1], budget, 5)
+        if budget is None:
+            return lambda draft: build_tree_threshold(draft, [0, 1], threshold, size_cap, 5)
+    return None
+
+
+def fixed_shape_count(structure, depth, budget, k=None, branching=None, **_):
+    """Samplings a fixed shape takes at a position ``depth`` tokens deep."""
+    if structure == "chain":
+        return int(depth < budget)
+    if structure == "k_chains":
+        return (k if depth == 0 else 1) if depth < budget // k else 0
+    return branching[depth] if depth < len(branching) else 0
+
+
+class TestShapeTable:
+    """GenConfig and the builders accept and reject the same shapes, with
+    the same messages, and an accepted shape grows by its rule."""
+
+    @pytest.mark.parametrize(
+        "structure, fields",
+        [(structure, fields) for structure, fields in SHAPES
+         if shape_builder(structure, **fields)],
+        ids=lambda v: v if isinstance(v, str) else ",".join(
+            f"{f}={v[f]}" for f in v if v[f] is not None
+        ) or "unset",
+    )
+    def test_config_and_builder_agree(self, structure, fields):
+        # A temperature-1 draft whose rows have full support, so no position
+        # runs out within a shape's few samplings.
+        _, draft = pair(seed=4, vocab=16, concentration=1.0, draft_temp=1.0)
+        build = shape_builder(structure, **fields)
+        try:
+            GenConfig(structure=structure, **fields)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                build(draft)
+            assert str(raised.value) == str(exc)
+            return
+        tree = build(draft)
+        if structure != "dynamic":
+            for owner in [ROOT] + [n.node_id for n in tree.nodes]:
+                depth = 0 if owner == ROOT else tree.nodes[owner].depth
+                state = tree.positions.get(owner)
+                taken = len(state.sampled) if state is not None else 0
+                assert taken == fixed_shape_count(structure, depth, **fields)
+        elif fields.get("threshold") is None:
+            assert len(tree) == fields["budget"]
+        else:
+            assert 0 < len(tree) <= fields["size_cap"]
+            assert all(n.value >= fields["threshold"] for n in tree.nodes)
 
 
 class TestMakePrompt:
