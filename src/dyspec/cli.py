@@ -63,7 +63,6 @@ from .engine import (
 from .lm import LanguageModel, ModelPairSpec, make_model_pair
 from .rng import derive_seed
 
-DEFAULT_CONFIG: Dict = {"models": {}}
 ModelPair = Tuple[LanguageModel, LanguageModel]  # (target, draft)
 
 
@@ -82,19 +81,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _load_config(
-    args: argparse.Namespace,
-    overrides: Dict,
-    reads: Optional[Sequence[str]] = None,
-    command: Optional[str] = None,
-) -> RunConfig:
-    """The run config; a key outside ``reads`` (None: every key) exits 2."""
-    command = command or args.command
-    if args.config:
-        return RunConfig.load(args.config, overrides, reads, command)
-    return RunConfig.from_dict(dict(DEFAULT_CONFIG), overrides, reads, command)
 
 
 def _out_dir(args: argparse.Namespace, cfg: Optional[RunConfig] = None) -> Path:
@@ -152,7 +138,7 @@ def _run_single(pair: ModelPair, gen: GenConfig, costs: CostParams):
 def cmd_generate(args: argparse.Namespace) -> int:
     # generate has one flag per GenConfig field, with the field's name as dest.
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(GenConfig)}
-    cfg = _load_config(args, overrides)
+    cfg = RunConfig.load(args.config or None, overrides, None, "generate")
     out = _out_dir(args, cfg)
     tokens, metrics = _run_single(make_model_pair(cfg.models), cfg.generation, cfg.costs)
 
@@ -211,9 +197,9 @@ def _bench_cells(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, {}, BENCH_READS)
+    cfg = RunConfig.load(args.config or None, {}, BENCH_READS, "bench")
     structures, budgets, temps = args.structures, args.budgets, args.temps
-    thresholds = args.thresholds or []
+    thresholds = args.thresholds
     checks = [
         (not structures or (not budgets and not thresholds) or not temps,
          "sweep needs at least one structure, budget/threshold, and temp"),
@@ -354,7 +340,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
     sweeps = {"--sizes": sizes, "--prefixes": prefixes, "--orders": orders}
     if _usage_error("mask", checks, sweeps):
         return 2
-    cfg = _load_config(args, {}, MASK_READS[args.generator], f"mask --generator {args.generator}")
+    cfg = RunConfig.load(args.config or None, {}, MASK_READS[args.generator],
+                         f"mask --generator {args.generator}")
     out = _out_dir(args, cfg)
     pair = make_model_pair(cfg.models) if args.generator == "constructed" else None
 
@@ -394,7 +381,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 
 
 def cmd_hypothesis(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, {}, HYPOTHESIS_READS)
+    cfg = RunConfig.load(args.config or None, {}, HYPOTHESIS_READS, "hypothesis")
     out = _out_dir(args, cfg)
     events = []
     run = 0
@@ -478,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run-config path")
     p.add_argument("--structures", type=csv_list(str), default=",".join(STRUCTURES))
     p.add_argument("--budgets", type=csv_list(int), default="64")
-    p.add_argument("--thresholds", type=csv_list(float), help="dynamic-only threshold points")
+    p.add_argument("--thresholds", type=csv_list(float), default="",
+                   help="dynamic-only threshold points")
     p.add_argument("--size-cap", dest="size_cap", type=int,
                    help="threshold cells only (default 768)")
     p.add_argument("--temps", type=csv_list(float), default="0.0,0.6")

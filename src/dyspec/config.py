@@ -96,18 +96,20 @@ class RunConfig:
         ``models`` section is required only where a models key is read.
         None reads everything.
         """
+        if reads is None:
+            reads = tuple(_SCHEMA)
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         unknown = set(raw) - set(_SCHEMA)
         if unknown:
             raise ConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
-        reads_models = reads is None or any(r.split(".")[0] == "models" for r in reads)
+        reads_models = any(r.split(".")[0] == "models" for r in reads)
         if "models" not in raw and reads_models:
             raise ConfigError("missing required section 'models'")
 
         for section, allowed in _SCHEMA.items():
             _check_keys(section, raw.get(section, {}), allowed)
-        for section in _SCHEMA if reads is not None else ():
+        for section in _SCHEMA:
             for key in raw.get(section, {}):
                 if section not in reads and f"{section}.{key}" not in reads:
                     raise ConfigError(f"{command} does not read config key {section}.{key}")
@@ -149,13 +151,15 @@ class RunConfig:
     @classmethod
     def load(
         cls,
-        path: str | Path,
+        path: Optional[str | Path],
         overrides: Optional[Dict[str, Any]] = None,
         reads: Optional[Sequence[str]] = None,
         command: str = "this command",
     ) -> "RunConfig":
+        """:meth:`from_dict` of the JSON file at ``path``; with no path, of
+        ``{"models": {}}``, every key at its default."""
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = {"models": {}} if path is None else json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -357,7 +357,7 @@ def estimate_latency(
         raise ValueError("accepted_per_step must be > 0")
     if mode not in ("greedy", "layered"):
         raise ValueError(f"unknown mode {mode!r}")
-    overhead = costs.per_node_overhead * tree_size * math.log2(tree_size) if tree_size > 1 else 0.0
+    overhead = costs.per_node_overhead * tree_size * math.log2(tree_size)
     draft_units = tree_size if mode == "greedy" else tree_depth
     step_cost = overhead + costs.target_cost + draft_units * costs.draft_cost
     return step_cost / accepted_per_step

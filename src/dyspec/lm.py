@@ -73,6 +73,14 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 _NOISE_SIGMA_MAX = sys.float_info.max / 16
 
 
+def check_noise_sigma(noise_sigma: float) -> None:
+    """ValueError unless draft noise of scale ``noise_sigma`` keeps rows finite."""
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be >= 0 and finite")
+    if noise_sigma > _NOISE_SIGMA_MAX:
+        raise ValueError(f"noise_sigma must be <= {_NOISE_SIGMA_MAX!r}")
+
+
 @dataclass(frozen=True)
 class ModelPairSpec:
     """Parameters of one synthetic draft/target pair.
@@ -99,10 +107,7 @@ class ModelPairSpec:
         if self.markov_order < 1:
             raise ValueError("markov_order must be >= 1")
         check_seed(self.target_seed, "target_seed")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be >= 0 and finite")
-        if self.noise_sigma > _NOISE_SIGMA_MAX:
-            raise ValueError(f"noise_sigma must be <= {_NOISE_SIGMA_MAX!r}")
+        check_noise_sigma(self.noise_sigma)
         if not 0 < self.concentration < math.inf:
             raise ValueError("concentration must be > 0 and finite")
         if not 0 <= self.entropy_spread < math.inf:
@@ -138,10 +143,8 @@ class MarkovModel(LanguageModel):
     )
 
     def context_key(self, context: TokenSeq) -> Tuple[int, ...]:
-        ctx = tuple(context[-self.order:]) if len(context) >= self.order else tuple(context)
-        if len(ctx) < self.order:
-            ctx = (0,) * (self.order - len(ctx)) + ctx
-        return ctx
+        ctx = tuple(context[-self.order:])
+        return (0,) * (self.order - len(ctx)) + ctx
 
     def next_logits(self, context: TokenSeq) -> np.ndarray:
         key = self.context_key(context)
@@ -217,8 +220,7 @@ class NoisyDraftModel(LanguageModel):
 
 def derive_draft(target: LanguageModel, noise_sigma: float, seed: int) -> NoisyDraftModel:
     """Perturb a target model into a draft at divergence set by noise_sigma."""
-    if not 0 <= noise_sigma < math.inf:
-        raise ValueError("noise_sigma must be >= 0 and finite")
+    check_noise_sigma(noise_sigma)
     return NoisyDraftModel(
         base=target, sigma=noise_sigma, seed=seed, temperature=target.temperature
     )

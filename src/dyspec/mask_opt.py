@@ -103,19 +103,21 @@ def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
 
     Tiles are grid-aligned at index 0; ragged edge tiles count like full
     ones, matching how kernels launch.  Each row block is OR-ed into one
-    row first, then each column block of that small matrix.
+    row first, then each column block of that small matrix.  An axis pads
+    to a multiple of ``min(block, its length)``: a longer block is one tile.
     """
     if block < 1:
         raise ValueError("block size must be >= 1")
     bits = mask.bits
     rows, cols = bits.shape
-    pad_r = (-rows) % block
-    pad_c = (-cols) % block
+    br, bc = min(block, max(rows, 1)), min(block, max(cols, 1))
+    pad_r = (-rows) % br
+    pad_c = (-cols) % bc
     if pad_r or pad_c:
         bits = np.pad(bits, ((0, pad_r), (0, pad_c)))
     r, c = bits.shape
-    row_blocks = bits.reshape(r // block, block, c).any(axis=1)
-    return int(np.count_nonzero(row_blocks.reshape(r // block, c // block, block).any(axis=2)))
+    row_blocks = bits.reshape(r // br, br, c).any(axis=1)
+    return int(np.count_nonzero(row_blocks.reshape(r // br, c // bc, bc).any(axis=2)))
 
 
 def _preorder(parents: np.ndarray, heavy: bool) -> List[int]:
@@ -180,18 +182,19 @@ def apply_permutation(
     permutation that keeps every parent ahead of its children (otherwise
     the mask would lose causality), else ValueError.  The parent array is
     relabeled (``new_parent[i]`` is the new id of ``order[i]``'s parent, a
-    root stays -1) and its mask built directly; the bits equal the original
-    mask with rows and tree columns permuted along ``order``.
+    root stays -1), which keeps parents first exactly when every
+    ``new_parent[i] < i``, and its mask built directly; the bits equal the
+    original mask with rows and tree columns permuted along ``order``.
     """
     parents = _parents_of(parents)
     idx = np.asarray(order, dtype=np.int64)
     if not np.array_equal(np.sort(idx), np.arange(parents.size)):
         raise ValueError("order must be a permutation of the node ids")
-    if not is_topological(parents, idx):
-        raise ValueError("permutation must keep parents before children")
     new_id = np.argsort(idx)
     old_parent = parents[idx]
     relabeled = np.where(old_parent >= 0, new_id[old_parent], -1)
+    if np.any(relabeled >= np.arange(parents.size)):
+        raise ValueError("permutation must keep parents before children")
     return TreeMask(_mask_bits(relabeled, prefix_len))
 
 

@@ -6,14 +6,16 @@ sampling order: branch ``y`` is accepted when a uniform draw falls below
 ``D`` as the position's original draft distribution.  Each rejection folds
 the draft mass out of both: ``R <- norm(relu(R - D))`` and ``D`` drops the
 rejected token, becoming the stored draft residual the next branch was
-drawn from.  An accepted branch descends the walk to its node; if no branch
-survives, a corrective token is drawn from the final ``R``.
+drawn from.  An accepted branch descends the walk to its node; the walk
+stops at the first position where no branch survives, and a corrective
+token is drawn from the final ``R`` there.
 
-A bonus token is always emitted: from the residual after total rejection,
-or from the raw target distribution at the deepest accepted node.  This
-guarantees at least one token per verification pass and is counted in the
-accepted-per-step metric (recorded as ``accepted_includes_bonus`` in all
-run outputs, since it shifts that metric by one).
+A bonus token is always emitted: from the residual at the stopping
+position, which is the raw target distribution when nothing there was
+rejected (a leaf has no branches to reject).  This guarantees at least one
+token per verification pass and is counted in the accepted-per-step metric
+(recorded as ``accepted_includes_bonus`` in all run outputs, since it
+shifts that metric by one).
 
 Only the uniforms are random: a position's thresholds and folds are fixed
 by its target row and draft chain.  :func:`verify_tree` keeps them on the
@@ -96,18 +98,14 @@ def verify_tree(
         if target is None:
             raise KeyError(f"missing target distribution for position {owner}")
         state = tree.positions.get(owner)
-        if state is None or not state.node_ids:
-            # No samplings here: bonus from the raw target at this position.
-            bonus = sample(target, uniform_fn())
-            accepted_tokens.append(bonus)
-            return VerifyResult(accepted_tokens, accepted_ids, bonus, False, trace)
-
-        memo = state.verdicts
-        if memo is None or memo[0] is not target:
-            memo = state.verdicts = (target, [], [])
-        _, tests, folds = memo
+        node_ids = state.node_ids if state is not None else ()
+        if node_ids:
+            memo = state.verdicts
+            if memo is None or memo[0] is not target:
+                memo = state.verdicts = (target, [], [])
+            _, tests, folds = memo
         residual = target
-        for k, node_id in enumerate(state.node_ids):
+        for k, node_id in enumerate(node_ids):
             if k == len(tests):
                 # Branch k was drawn from draft residual k, always in the
                 # chain; only a position's last sampling can exhaust it, so
@@ -137,7 +135,7 @@ def verify_tree(
         else:
             bonus = sample(residual, uniform_fn())
             accepted_tokens.append(bonus)
-            return VerifyResult(accepted_tokens, accepted_ids, bonus, True, trace)
+            return VerifyResult(accepted_tokens, accepted_ids, bonus, bool(node_ids), trace)
 
 
 def true_branch_acceptance(

@@ -146,6 +146,14 @@ class TestConfig:
         assert cfg.generation.budget == 64
         assert cfg.costs.target_cost == 2000.0
 
+    @pytest.mark.parametrize("reads", [
+        None, cli.BENCH_READS, cli.HYPOTHESIS_READS, *cli.MASK_READS.values(),
+    ])
+    def test_no_path_loads_the_empty_config(self, reads):
+        overrides = {"budget": 8, "target_temp": 0.0}
+        expected = RunConfig.from_dict({"models": {}}, overrides, reads, "cmd")
+        assert RunConfig.load(None, overrides, reads, "cmd") == expected
+
 
 class TestFlagSurface:
     """Every flag a command accepts takes effect; the rest exit 2 before any run."""
@@ -234,6 +242,9 @@ class TestFlagSurface:
         assert csv_list(int)("4,,2,") == [4, 2]
         assert csv_list(float)("") == []
         assert build_parser().parse_args(["bench", "--temps", "0.6,"]).temps == [0.6]
+
+    def test_bench_thresholds_default_to_no_points(self):
+        assert build_parser().parse_args(["bench"]).thresholds == []
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -509,6 +520,13 @@ class TestGenerateCommand:
         assert main(argv + ["--out", str(out)]) == 2
         assert "config error: prefix_len must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_config_path_runs_on_defaults(self, tmp_path):
+        flags = ["--gen-len", "4", "--prefix-len", "4", "--budget", "4"]
+        assert main(["generate", "--config", "", "--out", str(tmp_path / "a"), *flags]) == 0
+        assert main(["generate", "--out", str(tmp_path / "b"), *flags]) == 0
+        for name in ("run_metrics.json", "steps.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -303,6 +303,12 @@ class TestEstimateLatency:
         costs = CostParams(draft_cost=1.0, target_cost=100.0, per_node_overhead=0.0)
         assert estimate_latency(1, 1, 1.0, costs, "greedy") == pytest.approx(101.0)
 
+    def test_one_node_pays_no_heap_overhead(self):
+        # log2(1) is 0.0, so a size-1 tree adds exactly nothing for the heap.
+        costs = CostParams(per_node_overhead=0.5)
+        for mode in ("greedy", "layered"):
+            assert estimate_latency(1, 1, 1.0, costs, mode) == costs.target_cost + costs.draft_cost
+
     def test_layered_saves_draft_calls(self):
         costs = CostParams(draft_cost=1.0, target_cost=100.0, per_node_overhead=0.0)
         greedy = estimate_latency(64, 8, 1.0, costs, "greedy")

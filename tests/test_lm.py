@@ -9,6 +9,7 @@ import pytest
 from dyspec.categorical import Categorical, softmax_with_temperature
 from dyspec.construct import build_tree_fixed
 from dyspec.lm import (
+    _NOISE_SIGMA_MAX,
     MarkovModel,
     ModelPairSpec,
     derive_draft,
@@ -60,6 +61,9 @@ class TestMarkovModel:
         m = small_model(order=3)
         assert m.context_key([5]) == (0, 0, 5)
         assert m.context_key([1, 2, 3, 4]) == (2, 3, 4)
+        assert m.context_key([]) == (0, 0, 0)
+        assert m.context_key([1, 2, 3]) == (1, 2, 3)
+        assert m.context_key((4, 5, 6)) == (4, 5, 6)
 
     def test_order_limits_dependence(self):
         m = small_model(order=2)
@@ -92,6 +96,18 @@ class TestDeriveDraft:
                 np.mean([kl_divergence(draft.dist(c), target.dist(c)) for c in contexts])
             )
         assert means[0] <= means[1] <= means[2]
+
+    def test_noise_sigma_bounds_match_the_spec(self):
+        # derive_draft takes exactly the noise scales ModelPairSpec takes.
+        target = MarkovModel(vocab_size=8, order=1, seed=0)
+        for sigma, message in ((1e308, "must be <="), (math.inf, "finite"), (-0.1, ">= 0")):
+            with pytest.raises(ValueError, match=message):
+                derive_draft(target, sigma, 1)
+            with pytest.raises(ValueError, match=message):
+                ModelPairSpec(noise_sigma=sigma)
+        draft = derive_draft(target, _NOISE_SIGMA_MAX, 1)
+        for c in range(8):
+            assert draft.dist([c]).probs.sum() == pytest.approx(1.0)
 
     def test_draft_deterministic(self):
         target = small_model(vocab=8)

@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,8 @@ class TestCountNonzeroBlocks:
     def test_all_zero_mask(self):
         mask = TreeMask(np.zeros((8, 8), dtype=bool))
         assert count_nonzero_blocks(mask, 4) == 0
+        for shape in ((0, 0), (0, 3)):
+            assert count_nonzero_blocks(TreeMask(np.zeros(shape, dtype=bool)), 4) == 0
 
     def test_upper_bound(self):
         for seed in range(5):
@@ -99,6 +102,17 @@ class TestCountNonzeroBlocks:
     def test_ragged_edges_count(self):
         mask = mask_from_tree([-1, 0, 1], 0)  # 3x3 with block 2 -> 2x2 grid
         assert count_nonzero_blocks(mask, 2) == 3
+
+    def test_block_longer_than_the_mask_allocates_no_padding(self):
+        # Padding to a multiple of the block would ask for block**2 bytes.
+        mask = mask_from_tree(STAR3, 2)
+        tracemalloc.start()
+        try:
+            assert count_nonzero_blocks(mask, 10**9) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestDfsOrder:
@@ -212,10 +226,14 @@ class TestApplyPermutation:
 
     def test_non_topological_rejected(self):
         parents = [-1, 0, 1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="keep parents before children"):
             apply_permutation(parents, [2, 1, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="keep parents before children"):
+            apply_permutation(STAR3, [1, 0, 2])
+        with pytest.raises(ValueError, match="permutation of the node ids"):
             apply_permutation(parents, [0, 0, 1])
+        with pytest.raises(ValueError, match="permutation of the node ids"):
+            apply_permutation(parents, [0, 1])
 
     def test_dfs_improves_constructed_tree(self):
         parents = built_tree_parents(5)
@@ -416,6 +434,15 @@ def tile_loop_count(bits, block):
     )
 
 
+def block_padded_count(bits, block):
+    """Tile count with both axes zero-padded to a multiple of ``block`` itself."""
+    rows, cols = bits.shape
+    padded = np.pad(bits, ((0, (-rows) % block), (0, (-cols) % block)))
+    r, c = padded.shape
+    tiles = padded.reshape(r // block, block, c // block, block).any(axis=(1, 3))
+    return int(np.count_nonzero(tiles))
+
+
 def row_copy_bits(parents, prefix):
     """Reference mask: row i copies its parent's finished row, then sets bit i."""
     n = len(parents)
@@ -451,6 +478,12 @@ class TestWholeArrayProperties:
     )
     def test_block_count_equals_tile_loop(self, bits, block):
         assert count_nonzero_blocks(TreeMask(bits), block) == tile_loop_count(bits, block)
+
+    @settings(deadline=None, max_examples=200)
+    @given(parents=forests(max_nodes=89), prefix=st.integers(0, 39), block=st.integers(1, 149))
+    def test_block_count_equals_padding_to_the_block(self, parents, prefix, block):
+        mask = mask_from_tree(parents, prefix)
+        assert count_nonzero_blocks(mask, block) == block_padded_count(mask.bits, block)
 
     @settings(deadline=None)
     @given(case=forests_with_order(), prefix=st.integers(0, 5))

@@ -85,6 +85,20 @@ class TestSingleBranch:
         assert res.accepted == [0, 0]  # branch token then bonus from target
         assert not res.bonus_from_residual
 
+    @pytest.mark.parametrize("opened", [False, True])
+    def test_position_without_branches_samples_raw_target(self, opened):
+        # An unopened position and an opened one with no samplings alike:
+        # one uniform, read against the target row itself.
+        tree = TokenTree()
+        if opened:
+            tree.open_position(ROOT, Categorical([0.5, 0.5]))
+        dists = {ROOT: Categorical([0.25, 0.75])}
+        for u, token in ((0.2, 0), (0.3, 1)):
+            res = verify_tree(tree, dists, 0, uniform_fn=uniforms(u))
+            assert (res.accepted, res.accepted_node_ids, res.trace) == ([token], [], [])
+            assert res.bonus_token == token
+            assert not res.bonus_from_residual
+
     def test_identical_distributions_always_accept(self):
         for u in (0.0, 0.5, 0.999999):
             tree = single_branch_tree([0.6, 0.4], 0)
