@@ -5,12 +5,19 @@ rows are drawn from a symmetric Dirichlet construction, plus a noisy wrapper
 that perturbs the target's logits to produce a draft model at a controllable
 divergence.  The draft/target gap (and hence acceptance behaviour) is tuned
 entirely through ``noise_sigma``.
+
+Each Markov or draft-noise row draws from a Philox counter-based generator
+(Salmon et al., SC 2011) keyed by ``derive_seed(seed, domain, *row key)`` at
+counter 0, so a row depends only on (seed, domain, row key), not on the rows,
+model instance or thread before it.  Each thread keeps one generator and
+re-keys it per row, at about a tenth of the cost of building one.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
@@ -67,6 +74,32 @@ class LanguageModel:
         if temp not in siblings:
             siblings[temp] = replace(self, temperature=temp)
         return siblings[temp]
+
+
+class _RowGenerator(threading.local):
+    """The calling thread's Philox generator, re-keyed for each row."""
+
+    def __init__(self):
+        self._generator = np.random.Generator(np.random.Philox(0))
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # buffer empty: the next draw runs the counter
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def keyed(self, seed: int, domain: str, key: Tuple[int, ...]) -> np.random.Generator:
+        """The generator keyed by ``derive_seed(seed, domain, *key)`` at
+        counter 0, the same stream as a new ``Philox`` of that key.  Draw a
+        row's values before keying another row in the same thread."""
+        self._state["state"]["key"] = (derive_seed(seed, domain, *key), 0)
+        self._generator.bit_generator.state = self._state
+        return self._generator
+
+
+_ROW_GENERATOR = _RowGenerator()
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
@@ -128,8 +161,11 @@ class MarkovModel(LanguageModel):
     Dirichlet row exactly.  The per-row concentration is the configured
     value jittered on a log scale, so one model mixes near-deterministic
     contexts with flat ones the way natural text does; ``entropy_spread = 0``
-    disables the jitter.  Rows are cached; the cache is an implementation
-    detail and does not affect determinism.
+    disables the jitter.  A row draws the jitter uniform, then ``vocab_size``
+    gammas, from the Philox stream keyed by ``(seed, "markov-row", row
+    key)``, so it is the same whenever and wherever it is made.  Rows are
+    cached; the cache is an implementation detail and does not affect
+    determinism.
     """
 
     vocab_size: int
@@ -150,7 +186,7 @@ class MarkovModel(LanguageModel):
         key = self.context_key(context)
         row = self._rows.get(key)
         if row is None:
-            rng = np.random.default_rng(derive_seed(self.seed, "markov-row", *key))
+            rng = _ROW_GENERATOR.keyed(self.seed, "markov-row", key)
             alpha = self.concentration * math.exp(
                 rng.uniform(-self.entropy_spread, self.entropy_spread)
             )
@@ -181,7 +217,8 @@ class NoisyDraftModel(LanguageModel):
     high-probability tokens, while zero-mean noise alone would leave
     acceptance independent of draft confidence.  Noise is keyed on the
     base model's context key, so an order-n target yields an order-n
-    draft.
+    draft: a row's ``vocab_size`` normals come from the Philox stream keyed
+    by ``(seed, "draft-noise", context key)``.
     """
 
     base: LanguageModel
@@ -206,7 +243,8 @@ class NoisyDraftModel(LanguageModel):
         perturbed = self._noise.get(key)
         if perturbed is None:
             base_logits = self.base.next_logits(context)
-            rng = np.random.default_rng(derive_seed(self.seed, "draft-noise", *key))
+            # Keyed only now: making the base row re-keys this thread's generator.
+            rng = _ROW_GENERATOR.keyed(self.seed, "draft-noise", key)
             shifted = base_logits - base_logits.max()
             base_probs = np.exp(shifted)
             base_probs /= base_probs.sum()

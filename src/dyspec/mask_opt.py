@@ -128,14 +128,15 @@ def _preorder(parents: np.ndarray, heavy: bool) -> List[int]:
     siblings ranked ahead of it: a cumsum over one lexsort by parent and
     rank, restarted at each parent, then placed top-down level by level.
     """
-    sizes = subtree_sizes(parents)
+    levels = _levels(parents)
+    sizes = _sizes(parents, levels)
     rank = np.lexsort((-sizes, parents)) if heavy else np.argsort(parents, kind="stable")
     ahead = np.cumsum(sizes[rank]) - sizes[rank]
     first = np.diff(parents[rank], prepend=-2) != 0
     offset = np.empty_like(ahead)
     offset[rank] = ahead - np.maximum.accumulate(np.where(first, ahead, 0))
     slot = np.full(parents.size + 1, -1, dtype=np.int64)  # slot[-1]: the prompt
-    for level in _levels(parents):
+    for level in levels:
         slot[level] = slot[parents[level]] + 1 + offset[level]
     return np.argsort(slot[:-1]).tolist()
 
@@ -148,8 +149,12 @@ def dfs_order(parents: Sequence[int]) -> List[int]:
 def subtree_sizes(parents: np.ndarray) -> np.ndarray:
     """Nodes in each node's subtree, itself included; summed bottom-up by level."""
     parents = _parents_of(parents)
+    return _sizes(parents, _levels(parents))
+
+
+def _sizes(parents: np.ndarray, levels: List[np.ndarray]) -> np.ndarray:
     sizes = np.ones(parents.size, dtype=np.int64)
-    for level in reversed(_levels(parents)[1:]):
+    for level in reversed(levels[1:]):
         np.add.at(sizes, parents[level], sizes[level])
     return sizes
 

@@ -6,6 +6,11 @@ sampling at a given tree position receives the same uniform no matter which
 algorithm (greedy fixed-budget or layer-by-layer threshold) asks for it, and
 no matter when.  That property is what lets the two construction algorithms
 be compared node-for-node.
+
+A key is hashed to a 64-bit blake2b digest.  A uniform keeps its top 53
+bits, ``(digest >> 11) * 2**-53``: every float in [0, 1) on that grid is
+equally likely, 0 included, and 1.0 never comes out (scaling all 64 bits
+rounds the largest digests up to 1.0).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import struct
 from functools import lru_cache
 from typing import Callable, Iterable, Tuple
 
-_SCALE = 2.0 ** -64
+_SCALE = 2.0 ** -53
 _pack_index = struct.Struct("<q").pack
 
 
@@ -45,7 +50,7 @@ def check_seed(seed: int, name: str) -> None:
 
 def keyed_uniform(seed: int, domain: str, tag: Iterable[int], index: int) -> float:
     """Uniform in [0, 1) fully determined by (seed, domain, tag, index)."""
-    return _digest(seed, domain, tag, index) * _SCALE
+    return (_digest(seed, domain, tag, index) >> 11) * _SCALE
 
 
 def keyed_uniforms(seed: int, domain: str, tag: Tuple[int, ...]) -> Callable[[int], float]:
@@ -58,7 +63,7 @@ def keyed_uniforms(seed: int, domain: str, tag: Tuple[int, ...]) -> Callable[[in
     def fn(index: int) -> float:
         h = prefix.copy()
         h.update(_pack_index(index))
-        return int.from_bytes(h.digest(), "little") * _SCALE
+        return (int.from_bytes(h.digest(), "little") >> 11) * _SCALE
 
     return fn
 

@@ -117,7 +117,7 @@ def verify_tree(
             else:
                 threshold, d_prob = tests[k]
             u = uniform_fn()
-            ok = u <= threshold
+            ok = u < threshold
             trace.append(BranchTrace(node_id, ok, u, threshold, d_prob))
             if ok:
                 accepted_tokens.append(state.sampled[k])
@@ -178,6 +178,6 @@ def replay_trace(
     expected = true_branch_acceptance(tree, target_dists)
     return all(
         abs(expected[t.node_id] - t.threshold) <= 1e-12
-        and t.accepted == (t.uniform <= t.threshold)
+        and t.accepted == (t.uniform < t.threshold)
         for t in result.trace
     )

@@ -10,7 +10,8 @@ from dyspec.categorical import (
     sample,
     softmax_with_temperature,
 )
-from dyspec.rng import derive_seed, keyed_uniform
+from dyspec import rng
+from dyspec.rng import derive_seed, keyed_uniform, keyed_uniforms
 
 
 class TestSoftmaxWithTemperature:
@@ -152,6 +153,22 @@ class TestCategoricalInvariants:
         assert Categorical([0.5, 0.0, 0.5]).support_size == 2
 
 
+class FixedDigest:
+    """Stands in for a blake2b state whose digest is always ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def copy(self):
+        return self
+
+    def update(self, data):
+        pass
+
+    def digest(self):
+        return self.value.to_bytes(8, "little")
+
+
 class TestKeyedUniform:
     def test_deterministic(self):
         a = keyed_uniform(42, "construct", (1, 2, 3), 0)
@@ -174,9 +191,20 @@ class TestKeyedUniform:
     def test_pinned_values(self):
         # Every seeded output rests on these streams; a change to the key
         # encoding shows up here before it shows up in the golden fixtures.
-        assert keyed_uniform(0, "construct", (), 0) == 0.8226771311031331
+        assert keyed_uniform(0, "construct", (), 0) == 0.822677131103133
         assert keyed_uniform(7, "verify", (3, -1, 2), 5) == 0.9409963379954277
-        assert keyed_uniform(2**62, "x", (1,), 2**40) == 0.9372870148898862
+        assert keyed_uniform(2**62, "x", (1,), 2**40) == 0.9372870148898861
         assert derive_seed(0, "draft") == 1874194164889341805
         assert derive_seed(123, "markov-row", 4, 17) == 5459639155950737558
         assert derive_seed(-5, "mc-verify", 9) == 7137721377220351249
+
+    @pytest.mark.parametrize("digest, expected", [
+        (2**64 - 1, 1.0 - 2.0**-53),  # scaling all 64 bits would round to 1.0
+        (2**11 - 1, 0.0),
+        (2**11, 2.0**-53),
+        (0, 0.0),
+    ])
+    def test_top_53_bits_of_the_digest(self, monkeypatch, digest, expected):
+        monkeypatch.setattr(rng, "_domain_hash", lambda domain: FixedDigest(digest))
+        assert keyed_uniform(1, "x", (2,), 3) == expected
+        assert keyed_uniforms(1, "x", (2,))(3) == expected

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -10,12 +12,14 @@ from dyspec.categorical import Categorical, softmax_with_temperature
 from dyspec.construct import build_tree_fixed
 from dyspec.lm import (
     _NOISE_SIGMA_MAX,
+    _ROW_GENERATOR,
     MarkovModel,
     ModelPairSpec,
     derive_draft,
     make_model_pair,
     target_distributions_for_tree,
 )
+from dyspec.rng import derive_seed
 from dyspec.token_tree import ROOT, TokenTree
 
 
@@ -195,6 +199,88 @@ class TestWithTemperature:
             assert [ref() for ref in refs] == [None] * 4
         finally:
             gc.enable()
+
+
+ROW_KEYS = [(0, 0), (3, 5), (15, 2), (7, 7), (5, 3)]
+
+
+def fresh_model(which, seed=11):
+    """The target (a MarkovModel) or the draft (a NoisyDraftModel) of a
+    fresh V=16 order-2 pair, every row still ungenerated."""
+    target, draft = make_model_pair(ModelPairSpec(vocab_size=16, target_seed=seed))
+    return target if which == "target" else draft
+
+
+@pytest.mark.parametrize("which", ["target", "draft"])
+class TestRowIndependence:
+    """A row's draws depend only on (seed, domain, row key)."""
+
+    def test_same_row_first_or_after_other_rows(self, which):
+        first = fresh_model(which).next_logits([3, 5])
+        model = fresh_model(which)
+        fresh_model(which, seed=12).next_logits([3, 5])  # another seed's stream
+        for key in ROW_KEYS[2:] + ROW_KEYS[:1]:
+            model.next_logits(list(key))
+        getattr(model, "base", model).next_logits([3, 5])  # a draft's base row made first
+        np.testing.assert_array_equal(model.next_logits([3, 5]), first)
+
+    def test_fresh_model_of_the_same_seed_makes_the_same_rows(self, which):
+        a, b = fresh_model(which), fresh_model(which)
+        for key in ROW_KEYS:
+            row = a.next_logits(list(key))
+            other = b.next_logits(list(key))
+            assert other is not row
+            np.testing.assert_array_equal(other, row)
+
+    def test_rows_made_in_two_threads_at_once(self, which):
+        # A short switch interval interleaves the threads between re-keying
+        # and drawing, which a generator shared across threads would not
+        # survive.
+        keys = [(a, b) for a in range(16) for b in range(16)]
+        made = {}
+
+        def make(name):
+            model = fresh_model(which)
+            made[name] = [model.next_logits(list(key)) for key in keys]
+
+        threads = [threading.Thread(target=make, args=(n,)) for n in ("a", "b")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        main = fresh_model(which)
+        for key, a, b in zip(keys, made["a"], made["b"]):
+            np.testing.assert_array_equal(a, main.next_logits(list(key)))
+            np.testing.assert_array_equal(b, main.next_logits(list(key)))
+
+    def test_rows_of_other_keys_or_seeds_differ(self, which):
+        model, other_seed = fresh_model(which), fresh_model(which, seed=12)
+        rows = [model.next_logits(list(key)) for key in ROW_KEYS]
+        for i, row in enumerate(rows):
+            assert not np.array_equal(row, other_seed.next_logits(list(ROW_KEYS[i])))
+            for later in rows[i + 1:]:
+                assert not np.array_equal(row, later)
+
+
+def test_row_streams_are_philox_keyed_by_domain():
+    # The per-thread generator, re-keyed, is a new Philox of the row's key.
+    for domain in ("markov-row", "draft-noise"):
+        expected = np.random.Generator(
+            np.random.Philox(key=[derive_seed(11, domain, 3, 5), 0])
+        ).standard_normal(8)
+        _ROW_GENERATOR.keyed(0, "other", (1,)).standard_normal(3)  # leave a stream mid-way
+        np.testing.assert_array_equal(
+            _ROW_GENERATOR.keyed(11, domain, (3, 5)).standard_normal(8), expected
+        )
+    markov = _ROW_GENERATOR.keyed(11, "markov-row", (3, 5)).standard_normal(8)
+    noise = _ROW_GENERATOR.keyed(11, "draft-noise", (3, 5)).standard_normal(8)
+    assert not np.array_equal(markov, noise)
 
 
 class TestKLDivergence:

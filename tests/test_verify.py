@@ -85,6 +85,18 @@ class TestSingleBranch:
         assert res.accepted == [0, 0]  # branch token then bonus from target
         assert not res.bonus_from_residual
 
+    def test_zero_uniform_rejects_a_token_the_target_cannot_emit(self):
+        # T[y] = 0 makes the threshold 0, which no uniform in [0, 1) passes,
+        # 0 included; a trace that accepted there fails the replay.
+        tree = single_branch_tree([0.6, 0.4], 0)
+        dists = {ROOT: Categorical([0.0, 1.0])}
+        res = verify_tree(tree, dists, 0, uniform_fn=uniforms(0.0, 0.0))
+        assert (res.trace[0].threshold, res.trace[0].accepted) == (0.0, False)
+        assert res.accepted == [1] and res.bonus_from_residual
+        assert replay_trace(tree, dists, res)
+        res.trace[0].accepted = True
+        assert not replay_trace(tree, dists, res)
+
     @pytest.mark.parametrize("opened", [False, True])
     def test_position_without_branches_samples_raw_target(self, opened):
         # An unopened position and an opened one with no samplings alike:
@@ -215,7 +227,10 @@ class TestVerifyTreeOnBuiltTrees:
 
     def test_replay_does_not_read_the_memo(self):
         # A corrupted memoized threshold steers the next walk, and the
-        # replay, which folds from scratch, must reject that walk.
+        # replay, which folds from scratch, must reject that walk.  A
+        # tampered threshold can also reject a branch the true fold cannot
+        # reject, and the walk then raises on the vanished residual: either
+        # way the tampering is detected.
         for seed in range(10):
             tree, dists = built_case(seed)
             before = true_branch_acceptance(tree, dists)
@@ -223,9 +238,13 @@ class TestVerifyTreeOnBuiltTrees:
             tests = tree.positions[ROOT].verdicts[1]
             threshold, d_prob = tests[0]
             tests[0] = ((threshold + 0.5) % 1.0, d_prob)
-            res = verify_tree(tree, dists, seed)
-            assert res.trace[0].threshold == (threshold + 0.5) % 1.0
-            assert not replay_trace(tree, dists, res)
+            try:
+                res = verify_tree(tree, dists, seed)
+            except VerificationError:
+                pass
+            else:
+                assert res.trace[0].threshold == (threshold + 0.5) % 1.0
+                assert not replay_trace(tree, dists, res)
             assert true_branch_acceptance(tree, dists) == before
 
     def test_missing_distribution_raises(self):
