@@ -12,10 +12,12 @@ All operations take a parent-id array: ``parents[i] < i``, and ``-1`` for
 a node hanging off the prompt (node 0 always does).  Token trees are
 forests under the prompt: successive samplings there are parentless siblings.
 
-Mask rows, subtree sizes and preorder slots are filled as whole-array numpy
-over the nodes split by depth (a level's parents sit one level up), at a few
-microseconds per level: DySpec and random trees of thousands of nodes are
-tens of levels deep, while a chain pays that cost once per node.
+Masks are packed rows, one ``uint8`` per 8 columns (``TreeMask``): a
+2048-node mask is 512 KB, not 4 MB.  Mask rows, subtree sizes and preorder
+slots are filled as whole-array numpy over the nodes split by depth (a
+level's parents sit one level up), at a few microseconds per level of
+several nodes and about one per single-node level, which is indexed
+plainly: a 2048-node chain takes a few milliseconds.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ def _parents_of(parents: Sequence[int]) -> np.ndarray:
     return arr
 
 
-def _levels(parents: np.ndarray) -> List[np.ndarray]:
-    """Node ids split by depth, each level ascending.  Depth comes from pointer
-    jumping (log2(depth) passes); index -1 is a sentinel above the top level."""
+def _levels(parents: np.ndarray) -> List[object]:
+    """Node ids split by depth, each level ascending; a single-node level is
+    its bare id, so indexing with it is basic, not fancy.  Depth comes from
+    pointer jumping (log2(depth) passes); index -1 is a sentinel above the
+    top level."""
     up = np.append(parents, -1)
     depth = (up >= 0).astype(np.int64)
     while (up >= 0).any():
@@ -47,55 +51,75 @@ def _levels(parents: np.ndarray) -> List[np.ndarray]:
         up = up[up]
     by_depth = np.argsort(depth[:-1], kind="stable")
     ends = np.cumsum(np.bincount(depth[:-1])).tolist()
-    return [by_depth[start:end] for start, end in zip([0] + ends, ends)]
+    return [int(by_depth[s]) if e - s == 1 else by_depth[s:e] for s, e in zip([0] + ends, ends)]
 
 
-def _mask_bits(parents: np.ndarray, prefix_len: int) -> np.ndarray:
-    """Prompt block of ones, then row i marks i itself and every ancestor of i:
-    level by level, each row copies its parent's finished row."""
+def _mask(parents: np.ndarray, prefix_len: int) -> TreeMask:
+    """Prompt bytes and every node's own bit in one pass; then, level by
+    level, each row ORs in its parent's finished row."""
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
-    bits = np.zeros((parents.size, prefix_len + parents.size), dtype=bool)
-    bits[:, :prefix_len] = True
-    for depth, level in enumerate(_levels(parents)):
-        if depth:
-            bits[level] = bits[parents[level]]
-        bits[level, prefix_len + level] = True
-    return bits
+    n = parents.size
+    cols = prefix_len + n
+    packed = np.tile(np.packbits(np.arange(cols) < prefix_len), (n, 1))
+    own = prefix_len + np.arange(n)
+    packed[np.arange(n), own >> 3] |= (0x80 >> (own & 7)).astype(np.uint8)
+    for level in _levels(parents)[1:]:
+        packed[level] |= packed[parents[level]]
+    return TreeMask(packed, cols)
 
 
 def ancestor_self_matrix(parents: np.ndarray) -> np.ndarray:
     """Boolean matrix: row i marks i itself and every ancestor of i."""
-    return _mask_bits(_parents_of(parents), 0)
+    return _mask(_parents_of(parents), 0).dense()
+
+
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 
 
 @dataclass
 class TreeMask:
-    """Ancestor mask with a dense prompt block.
+    """Ancestor mask with a dense prompt block, stored as packed rows.
 
     Rows are tree nodes; the leading prompt columns are all ones (every
     token attends to the prompt), and the square tree block marks self plus
     ancestors.  Under any parents-before-children order the tree block is
     lower-triangular including the diagonal.
+
+    ``bits`` is ``np.packbits`` layout over ``cols`` columns: column ``c`` is
+    bit ``0x80 >> (c & 7)`` of byte ``c >> 3``.  Padding bits past the last
+    column stay zero, so byte-wise ORs and popcounts need no masking.
     """
 
     bits: np.ndarray
+    cols: int
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "TreeMask":
+        """Packs a 2-D ``bool`` matrix."""
+        dense = np.asarray(dense, dtype=bool)
+        return cls(np.packbits(dense, axis=1), dense.shape[1])
+
+    def dense(self) -> np.ndarray:
+        """The mask as a ``bool`` matrix of ``cols`` columns."""
+        return np.unpackbits(self.bits, axis=1, count=self.cols).view(bool)
 
     def set_bit_count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        return int(_POPCOUNT[self.bits].sum(dtype=np.int64))
 
     def to_pbm(self) -> str:
         """Plain PBM text grid (rows of 0/1) for visual inspection."""
-        rows, cols = self.bits.shape
+        dense = self.dense()
+        rows, cols = dense.shape
         grid = np.full((rows, cols, 2), ord(" "), dtype=np.uint8)
-        grid[:, :, 0] = self.bits.view(np.uint8) + ord("0")
+        grid[:, :, 0] = dense.view(np.uint8) + ord("0")
         grid[:, -1, 1] = ord("\n")
         return f"P1\n{cols} {rows}\n" + grid.tobytes().decode("ascii")
 
 
 def mask_from_tree(parents: Sequence[int], prefix_len: int = 0) -> TreeMask:
     """Tree-attention mask in the given node order."""
-    return TreeMask(_mask_bits(_parents_of(parents), prefix_len))
+    return _mask(_parents_of(parents), prefix_len)
 
 
 def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
@@ -103,21 +127,21 @@ def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
 
     Tiles are grid-aligned at index 0; ragged edge tiles count like full
     ones, matching how kernels launch.  Each row block is OR-ed into one
-    row first, then each column block of that small matrix.  An axis pads
-    to a multiple of ``min(block, its length)``: a longer block is one tile.
+    packed row first; only that small matrix is unpacked and each of its
+    column blocks tested.  An axis pads to a multiple of
+    ``min(block, its length)``: a longer block is one tile.
     """
     if block < 1:
         raise ValueError("block size must be >= 1")
-    bits = mask.bits
-    rows, cols = bits.shape
+    packed, cols = mask.bits, mask.cols
+    rows = packed.shape[0]
     br, bc = min(block, max(rows, 1)), min(block, max(cols, 1))
-    pad_r = (-rows) % br
-    pad_c = (-cols) % bc
-    if pad_r or pad_c:
-        bits = np.pad(bits, ((0, pad_r), (0, pad_c)))
-    r, c = bits.shape
-    row_blocks = bits.reshape(r // br, br, c).any(axis=1)
-    return int(np.count_nonzero(row_blocks.reshape(r // br, c // bc, bc).any(axis=2)))
+    if rows % br:
+        packed = np.pad(packed, ((0, br - rows % br), (0, 0)))
+    r, nbytes = packed.shape
+    row_blocks = np.bitwise_or.reduce(packed.reshape(r // br, br, nbytes), axis=1)
+    bits = np.unpackbits(row_blocks, axis=1, count=cols + (-cols) % bc)
+    return int(np.count_nonzero(bits.reshape(r // br, bits.shape[1] // bc, bc).any(axis=2)))
 
 
 def _preorder(parents: np.ndarray, heavy: bool) -> List[int]:
@@ -152,10 +176,13 @@ def subtree_sizes(parents: np.ndarray) -> np.ndarray:
     return _sizes(parents, _levels(parents))
 
 
-def _sizes(parents: np.ndarray, levels: List[np.ndarray]) -> np.ndarray:
+def _sizes(parents: np.ndarray, levels: List[object]) -> np.ndarray:
     sizes = np.ones(parents.size, dtype=np.int64)
     for level in reversed(levels[1:]):
-        np.add.at(sizes, parents[level], sizes[level])
+        if isinstance(level, int):
+            sizes[parents[level]] += sizes[level]
+        else:
+            np.add.at(sizes, parents[level], sizes[level])
     return sizes
 
 
@@ -200,7 +227,7 @@ def apply_permutation(
     relabeled = np.where(old_parent >= 0, new_id[old_parent], -1)
     if np.any(relabeled >= np.arange(parents.size)):
         raise ValueError("permutation must keep parents before children")
-    return TreeMask(_mask_bits(relabeled, prefix_len))
+    return _mask(relabeled, prefix_len)
 
 
 def random_tree(n: int, seed: int) -> List[int]:
@@ -214,22 +241,24 @@ def random_tree(n: int, seed: int) -> List[int]:
     return parents
 
 
-def _check_attention_inputs(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: TreeMask) -> None:
+def _dense_attention_mask(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: TreeMask) -> np.ndarray:
+    """The mask unpacked, once Q, K and V are checked against it."""
     if q.shape[0] != mask.bits.shape[0]:
         raise ValueError("Q rows must match mask height")
-    if k.shape[0] != mask.bits.shape[1] or v.shape[0] != mask.bits.shape[1]:
+    if k.shape[0] != mask.cols or v.shape[0] != mask.cols:
         raise ValueError("K/V rows must match mask width")
     if not mask.bits.any(axis=1).all():
         raise ValueError("every query row needs at least one unmasked key")
+    return mask.dense()
 
 
 def dense_masked_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: TreeMask
 ) -> np.ndarray:
     """Reference implementation: full softmax(QK^T) with -inf at zero bits."""
-    _check_attention_inputs(q, k, v, mask)
+    bits = _dense_attention_mask(q, k, v, mask)
     scores = q @ k.T
-    scores = np.where(mask.bits, scores, -np.inf)
+    scores = np.where(bits, scores, -np.inf)
     scores -= scores.max(axis=1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=1, keepdims=True)
@@ -249,9 +278,9 @@ def blocked_masked_attention_reference(
     """
     if block < 1:
         raise ValueError("block size must be >= 1")
-    _check_attention_inputs(q, k, v, mask)
+    bits = _dense_attention_mask(q, k, v, mask)
 
-    rows, cols = mask.bits.shape
+    rows, cols = bits.shape
     dim_out = v.shape[1]
     out = np.zeros((rows, dim_out), dtype=np.float64)
 
@@ -263,7 +292,7 @@ def blocked_masked_attention_reference(
         acc = np.zeros((r1 - r0, dim_out), dtype=np.float64)
         for c0 in range(0, cols, block):
             c1 = min(c0 + block, cols)
-            tile_mask = mask.bits[r0:r1, c0:c1]
+            tile_mask = bits[r0:r1, c0:c1]
             if not tile_mask.any():
                 continue
             scores = q_blk @ k[c0:c1].T

@@ -49,24 +49,24 @@ def built_tree_parents(seed, budget=64):
 class TestMaskFromTree:
     def test_chain_is_lower_triangular(self):
         mask = mask_from_tree(CHAIN3, 0)
-        np.testing.assert_array_equal(mask.bits, np.tril(np.ones((3, 3), dtype=bool)))
+        np.testing.assert_array_equal(mask.dense(), np.tril(np.ones((3, 3), dtype=bool)))
 
     def test_star_rows(self):
         mask = mask_from_tree(STAR3, 0)
         np.testing.assert_array_equal(
-            mask.bits, np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)
+            mask.dense(), np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1]], dtype=bool)
         )
 
     def test_prefix_columns_are_dense(self):
         mask = mask_from_tree(STAR3, 2)
-        assert mask.bits[:, :2].all()
-        assert mask.bits.shape == (3, 5)
+        assert mask.dense()[:, :2].all()
+        assert mask.dense().shape == (3, 5)
 
     def test_triangular_under_creation_order(self):
         for seed in range(5):
             parents = random_tree(40, seed)
             mask = mask_from_tree(parents, 0)
-            assert not np.triu(mask.bits, k=1).any()
+            assert not np.triu(mask.dense(), k=1).any()
 
     def test_rejects_bad_parent_order(self):
         with pytest.raises(ValueError):
@@ -85,17 +85,17 @@ class TestCountNonzeroBlocks:
         assert count_nonzero_blocks(mask, 32) == 3
 
     def test_all_zero_mask(self):
-        mask = TreeMask(np.zeros((8, 8), dtype=bool))
+        mask = TreeMask.from_dense(np.zeros((8, 8), dtype=bool))
         assert count_nonzero_blocks(mask, 4) == 0
         for shape in ((0, 0), (0, 3)):
-            assert count_nonzero_blocks(TreeMask(np.zeros(shape, dtype=bool)), 4) == 0
+            assert count_nonzero_blocks(TreeMask.from_dense(np.zeros(shape, dtype=bool)), 4) == 0
 
     def test_upper_bound(self):
         for seed in range(5):
             parents = random_tree(100, seed)
             mask = mask_from_tree(parents, 7)
             for block in (16, 32):
-                rows, cols = mask.bits.shape
+                rows, cols = mask.dense().shape
                 bound = -(-rows // block) * (-(-cols // block))
                 assert count_nonzero_blocks(mask, block) <= bound
 
@@ -184,7 +184,7 @@ class TestApplyPermutation:
         parents = random_tree(20, 3)
         base = mask_from_tree(parents, 4)
         same = apply_permutation(parents, list(range(20)), 4)
-        np.testing.assert_array_equal(base.bits, same.bits)
+        np.testing.assert_array_equal(base.dense(), same.dense())
 
     def test_bit_count_invariant(self):
         for seed in range(50):
@@ -206,8 +206,8 @@ class TestApplyPermutation:
         for parents in tiny:
             for order in enumerate_topological_orders(parents):
                 mask = apply_permutation(parents, order, prefix)
-                assert mask.bits.shape == (len(parents), prefix + len(parents))
-                np.testing.assert_array_equal(mask.bits, self.gathered(parents, order, prefix))
+                assert mask.dense().shape == (len(parents), prefix + len(parents))
+                np.testing.assert_array_equal(mask.dense(), self.gathered(parents, order, prefix))
 
     @pytest.mark.parametrize("prefix", [0, 7])
     def test_dfs_and_hpd_orders_match_gather(self, prefix):
@@ -216,7 +216,7 @@ class TestApplyPermutation:
             for order_fn in (dfs_order, hpd_order):
                 order = order_fn(parents)
                 mask = apply_permutation(parents, order, prefix)
-                np.testing.assert_array_equal(mask.bits, self.gathered(parents, order, prefix))
+                np.testing.assert_array_equal(mask.dense(), self.gathered(parents, order, prefix))
 
     def test_negative_prefix_rejected(self):
         with pytest.raises(ValueError):
@@ -269,7 +269,7 @@ class TestBlockedAttention:
 
     def test_full_mask_equals_unmasked(self):
         n, d = 12, 4
-        mask = TreeMask(np.ones((n, n), dtype=bool))
+        mask = TreeMask.from_dense(np.ones((n, n), dtype=bool))
         q, k, v = self.rand_qkv(n, n, d, 0)
         scores = q @ k.T
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -300,7 +300,7 @@ class TestBlockedAttention:
     def test_fully_masked_row_rejected(self):
         bits = np.ones((4, 4), dtype=bool)
         bits[2] = False
-        mask = TreeMask(bits)
+        mask = TreeMask.from_dense(bits)
         q, k, v = self.rand_qkv(4, 4, 2, 3)
         with pytest.raises(ValueError):
             blocked_masked_attention_reference(q, k, v, mask, 2)
@@ -381,12 +381,12 @@ class TestTreeMaskPbm:
     @pytest.mark.parametrize("prefix", [0, 3])
     def test_matches_per_bit_join(self, prefix):
         for parents in ([-1], CHAIN3, STAR3, [-1, 0, -1, 2, 1], random_tree(17, 4)):
-            bits = mask_from_tree(parents, prefix).bits
-            assert TreeMask(bits).to_pbm() == self.joined(bits)
+            mask = mask_from_tree(parents, prefix)
+            assert mask.to_pbm() == self.joined(mask.dense())
 
     def test_ragged_matrix(self):
         bits = np.random.default_rng(0).random((5, 9)) < 0.4
-        assert TreeMask(bits).to_pbm() == self.joined(bits)
+        assert TreeMask.from_dense(bits).to_pbm() == self.joined(bits)
 
 
 # --------------------------------------------------------------------------
@@ -455,6 +455,12 @@ def row_copy_bits(parents, prefix):
     return bits
 
 
+def assert_mask_equals(mask, dense):
+    """Same bits as ``dense``, in packed rows whose padding bits are zero."""
+    np.testing.assert_array_equal(mask.dense(), dense)
+    np.testing.assert_array_equal(mask.bits, np.packbits(dense, axis=1))
+
+
 def recursive_sizes(parents):
     def size(u):
         return 1 + sum(size(c) for c, p in enumerate(parents) if p == u)
@@ -477,26 +483,60 @@ class TestWholeArrayProperties:
         block=st.integers(1, 45),
     )
     def test_block_count_equals_tile_loop(self, bits, block):
-        assert count_nonzero_blocks(TreeMask(bits), block) == tile_loop_count(bits, block)
+        assert count_nonzero_blocks(TreeMask.from_dense(bits), block) == tile_loop_count(bits, block)
 
     @settings(deadline=None, max_examples=200)
     @given(parents=forests(max_nodes=89), prefix=st.integers(0, 39), block=st.integers(1, 149))
     def test_block_count_equals_padding_to_the_block(self, parents, prefix, block):
         mask = mask_from_tree(parents, prefix)
-        assert count_nonzero_blocks(mask, block) == block_padded_count(mask.bits, block)
+        assert count_nonzero_blocks(mask, block) == block_padded_count(mask.dense(), block)
 
     @settings(deadline=None)
-    @given(case=forests_with_order(), prefix=st.integers(0, 5))
+    @given(case=forests_with_order(), prefix=st.integers(0, 20))
     def test_mask_bits_equal_row_copy(self, case, prefix):
         parents, order = case
-        np.testing.assert_array_equal(
-            mask_from_tree(parents, prefix).bits, row_copy_bits(parents, prefix)
-        )
+        assert_mask_equals(mask_from_tree(parents, prefix), row_copy_bits(parents, prefix))
         new_id = {old: new for new, old in enumerate(order)}
         relabeled = [-1 if parents[old] < 0 else new_id[parents[old]] for old in order]
-        np.testing.assert_array_equal(
-            apply_permutation(parents, order, prefix).bits, row_copy_bits(relabeled, prefix)
+        assert_mask_equals(
+            apply_permutation(parents, order, prefix), row_copy_bits(relabeled, prefix)
         )
+
+    @settings(deadline=None)
+    @given(
+        bits=st.integers(1, 40).flatmap(
+            lambda cols: arrays(bool, st.tuples(st.integers(0, 12), st.just(cols)))
+        )
+    )
+    def test_packed_round_trip_and_popcount(self, bits):
+        mask = TreeMask.from_dense(bits)
+        assert mask.cols == bits.shape[1]
+        np.testing.assert_array_equal(mask.dense(), bits)
+        assert mask.set_bit_count() == np.count_nonzero(bits)
+
+    @pytest.mark.parametrize("prefix", range(18))
+    def test_pbm_equals_row_copy_pbm(self, prefix):
+        parents = [-1, 0, 1, 0, -1, 4, 2, 6, 1, 8, 9]
+        expected = TestTreeMaskPbm.joined(row_copy_bits(parents, prefix))
+        assert mask_from_tree(parents, prefix).to_pbm() == expected
+
+    @pytest.mark.parametrize("prefix", [0, 5, 8])
+    def test_deep_chain_equals_row_copy_and_recursive_walk(self, prefix):
+        # A 300-node chain with a leaf off every seventh node: almost every
+        # depth level holds one node, some hold two.
+        parents = [-1] + list(range(299)) + [i for i in range(0, 299, 7)]
+        assert_mask_equals(mask_from_tree(parents, prefix), row_copy_bits(parents, prefix))
+        sizes = [1] * len(parents)
+        for i in reversed(range(len(parents))):
+            if parents[i] >= 0:
+                sizes[parents[i]] += sizes[i]
+        assert subtree_sizes(np.asarray(parents)).tolist() == sizes
+        assert dfs_order(parents) == recursive_preorder(parents, lambda c: c)
+        hpd = hpd_order(parents)
+        assert hpd == recursive_preorder(parents, lambda c: (-sizes[c], c))
+        new_id = {old: new for new, old in enumerate(hpd)}
+        relabeled = [-1 if parents[old] < 0 else new_id[parents[old]] for old in hpd]
+        assert_mask_equals(apply_permutation(parents, hpd, prefix), row_copy_bits(relabeled, prefix))
 
     @settings(deadline=None)
     @given(parents=forests())
