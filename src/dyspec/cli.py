@@ -33,20 +33,15 @@ as --seeds must be at least 1.
 oracle's --instances (default 1000) reaches every suite, its --trials
 (default 20000) only unbiasedness and expectation; other suites exit 2.
 Exit codes: 0 success, 1 a check suite failed, 2 usage or configuration
-error.  DYSPEC_THREADS sets the worker count of bench, capped by the CPU
-count and the number of cells; every command is deterministic for a
-fixed config and seeds, regardless of worker count.
+error.  Every command is deterministic for a fixed config and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,15 +59,6 @@ from .lm import LanguageModel, ModelPairSpec, make_model_pair
 from .rng import derive_seed
 
 ModelPair = Tuple[LanguageModel, LanguageModel]  # (target, draft)
-
-
-def worker_count(jobs: int) -> int:
-    """Workers for ``jobs`` tasks: DYSPEC_THREADS (default 1), capped by CPUs and jobs."""
-    try:
-        requested = int(os.environ.get("DYSPEC_THREADS", "1"))
-    except ValueError:
-        requested = 1
-    return max(1, min(requested, os.cpu_count() or 1, jobs))
 
 
 def positive_int(text: str) -> int:
@@ -196,6 +182,11 @@ def _bench_cells(
     return rows
 
 
+# Shape flags with their defaults, each applied only to the cells that read
+# it: --k to k_chains, --branching to static_tree, --size-cap to threshold.
+_BENCH_SHAPES = {"k": 4, "branching": (4, 2, 2, 2), "size_cap": 768}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = RunConfig.load(args.config or None, {}, BENCH_READS, "bench")
     structures, budgets, temps = args.structures, args.budgets, args.temps
@@ -217,10 +208,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if _usage_error("bench", checks, sweeps):
         return 2
 
-    # The documented flag defaults, applied only to the cells that use them.
-    k = 4 if args.k is None else args.k
-    branching = (4, 2, 2, 2) if args.branching is None else tuple(args.branching)
-    size_cap = 768 if args.size_cap is None else args.size_cap
+    shape = {flag: _BENCH_SHAPES[flag] if getattr(args, flag) is None else getattr(args, flag)
+             for flag in _BENCH_SHAPES}
     cells = []
     for structure in structures:
         for temp in temps:
@@ -235,25 +224,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         target_temp=temp,
                         budget=value if mode == "budget" else None,
                         threshold=value if mode == "threshold" else None,
-                        size_cap=size_cap if mode == "threshold" else None,
-                        k=k if structure == "k_chains" else None,
-                        branching=branching if structure == "static_tree" else None,
+                        size_cap=shape["size_cap"] if mode == "threshold" else None,
+                        k=shape["k"] if structure == "k_chains" else None,
+                        branching=tuple(shape["branching"]) if structure == "static_tree" else None,
                     )
                 except ValueError as exc:
                     raise ConfigError(f"bench cell {structure} {mode}={value}: {exc}") from exc
                 cells.append(gen)
     out = _out_dir(args, cfg)
-
-    workers = worker_count(len(cells))
-    run_cells = functools.partial(_bench_cells, cfg.models, cfg.costs, args.seeds)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = pool.map(run_cells, [cells[i::workers] for i in range(workers)])
-            rows = [row for share in shares for row in share]
-    else:
-        rows = run_cells(cells)
-    rows.sort(key=lambda r: (r["structure"], r["mode"], str(r["budget"]),
-                             str(r["threshold"]), r["target_temp"]))
+    rows = _bench_cells(cfg.models, cfg.costs, args.seeds, cells)
+    # Within one structure and mode, budgets and thresholds are all numbers
+    # or all "", so each sorts as numbers.
+    rows.sort(key=lambda r: (r["structure"], r["mode"], r["budget"], r["threshold"],
+                             r["target_temp"]))
     if args.format == "json":
         _write_json(out / "bench.json", rows)
         print(f"wrote {out}/bench.json ({len(rows)} cells)")
@@ -468,11 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=csv_list(float), default="",
                    help="dynamic-only threshold points")
     p.add_argument("--size-cap", dest="size_cap", type=int,
-                   help="threshold cells only (default 768)")
+                   help=f"threshold cells only (default {_BENCH_SHAPES['size_cap']})")
     p.add_argument("--temps", type=csv_list(float), default="0.0,0.6")
     p.add_argument("--seeds", type=positive_int, default=3)
-    p.add_argument("--k", type=int, help="k_chains only (default 4)")
-    p.add_argument("--branching", type=csv_list(int), help="static_tree only (default 4,2,2,2)")
+    p.add_argument("--k", type=int, help=f"k_chains only (default {_BENCH_SHAPES['k']})")
+    p.add_argument("--branching", type=csv_list(int), help="static_tree only (default "
+                   f"{','.join(map(str, _BENCH_SHAPES['branching']))})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = command("oracle", "run a ground-truth check suite", cmd_oracle)

@@ -296,6 +296,13 @@ class TestFlagSurface:
         for flag, default in cli._ORACLE_COUNTS.items():
             assert f"--{flag} (default {default})" in text, flag
 
+    def test_bench_help_states_the_shape_defaults(self):
+        bench = build_parser()._subparsers._group_actions[0].choices["bench"]
+        helps = {action.dest: action.help for action in bench._actions}
+        assert helps["k"].endswith("(default 4)")
+        assert helps["branching"].endswith("(default 4,2,2,2)")
+        assert helps["size_cap"].endswith("(default 768)")
+
 
 # One valid value per schema key.  Keys that need a partner to make a valid
 # generation config bring it along; every command reading such a key reads
@@ -567,7 +574,6 @@ class TestBenchCommand:
 
         monkeypatch.setattr(cli, "make_model_pair", counting)
         monkeypatch.setattr(cli, "make_prompt", counting_prompt)
-        monkeypatch.setenv("DYSPEC_THREADS", "1")
         args = ["bench", "--config", str(bench_config_path), "--structures", "dynamic,chain",
                 "--budgets", "8", "--temps", "0.0,0.6", "--seeds", "3"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -577,6 +583,62 @@ class TestBenchCommand:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert len(made) == 2
         assert (tmp_path / "a" / "bench.csv").read_bytes() == (tmp_path / "b" / "bench.csv").read_bytes()
+
+    @pytest.mark.parametrize("budgets, thresholds", [("8,16,64", "0.05,0.2,1e-05"),
+                                                     ("64,8,16", "0.2,1e-05,0.05")])
+    def test_rows_sort_budgets_and_thresholds_as_numbers(
+        self, budgets, thresholds, bench_config_path, tmp_path
+    ):
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(bench_config_path), "--out", str(out),
+                     "--structures", "dynamic", "--budgets", budgets, "--thresholds", thresholds,
+                     "--size-cap", "24", "--temps", "0.6", "--seeds", "1",
+                     "--format", "json"]) == 0
+        rows = json.loads((out / "bench.json").read_text())
+        assert [(r["mode"], r["budget"], r["threshold"]) for r in rows] == [
+            ("budget", 8, ""), ("budget", 16, ""), ("budget", 64, ""),
+            ("threshold", "", 1e-05), ("threshold", "", 0.05), ("threshold", "", 0.2),
+        ]
+
+    @pytest.mark.parametrize("flags, shape", [
+        (["--structures", "dynamic", "--budgets", "", "--thresholds", "0.1", "--size-cap", "24"],
+         {"structure": "dynamic", "budget": None, "threshold": 0.1, "size_cap": 24}),
+        (["--structures", "k_chains", "--budgets", "12"],  # k at its default, 4
+         {"structure": "k_chains", "budget": 12, "k": 4}),
+        (["--structures", "dynamic", "--budgets", "", "--thresholds", "0.1"],  # size cap 768
+         {"structure": "dynamic", "budget": None, "threshold": 0.1, "size_cap": 768}),
+        (["--structures", "dynamic", "--budgets", "10"],
+         {"structure": "dynamic", "budget": 10}),
+        (["--structures", "chain", "--budgets", "6"],
+         {"structure": "chain", "budget": 6}),
+        (["--structures", "static_tree", "--budgets", "60"],  # branching 4,2,2,2
+         {"structure": "static_tree", "budget": 60, "branching": (4, 2, 2, 2)}),
+    ])
+    def test_row_equals_its_recomputation(self, flags, shape, bench_config_path, tmp_path):
+        import dataclasses
+
+        from dyspec.engine import generate, make_prompt
+        from dyspec.lm import make_model_pair
+
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(bench_config_path), "--out", str(out),
+                     "--temps", "0.6", "--seeds", "2", "--format", "json"] + flags) == 0
+        [row] = json.loads((out / "bench.json").read_text())
+
+        cfg = RunConfig.load(str(bench_config_path), {}, cli.BENCH_READS, "bench")
+        target, draft = make_model_pair(cfg.models)
+        runs = []
+        for seed in range(2):
+            gen = dataclasses.replace(cfg.generation, target_temp=0.6, seed=seed, **shape)
+            prompt = make_prompt(target, gen.prefix_len, seed)
+            runs.append(generate(target, draft, prompt, gen, cfg.costs)[1])
+        assert row["mean_accepted"] == sum(m.mean_accepted for m in runs) / 2
+        assert row["mean_tree_size"] == sum(m.mean_tree_size for m in runs) / 2
+        assert row["latency_per_token"] == sum(
+            sum(s.modeled_latency * s.accepted for s in m.steps) / sum(s.accepted for s in m.steps)
+            for m in runs
+        ) / 2
+        assert row["tokens_per_modeled_sec"] == sum(m.tokens_per_modeled_second for m in runs) / 2
 
     def test_threshold_mode_reports_realized_tree_size(self, bench_config_path, tmp_path):
         out = tmp_path / "bench-thr"
@@ -907,45 +969,3 @@ class TestHypothesisCommand:
             _, _, rate, count = row.split(",")
             if int(count):
                 assert float(rate) == 1.0
-
-
-class TestWorkerCount:
-    def test_env_variable_caps_workers(self, monkeypatch):
-        from dyspec.cli import worker_count
-
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setenv("DYSPEC_THREADS", "4")
-        assert worker_count(100) == 4
-        monkeypatch.setenv("DYSPEC_THREADS", "junk")
-        assert worker_count(100) == 1
-        monkeypatch.delenv("DYSPEC_THREADS")
-        assert worker_count(100) == 1
-
-    @pytest.mark.parametrize(
-        "threads, cpus, jobs, expected",
-        [
-            ("16", 2, 100, 2),
-            ("16", None, 100, 1),
-            ("16", 8, 3, 3),
-            ("0", 8, 100, 1),
-            ("-3", 8, 100, 1),
-            ("4", 8, 0, 1),
-        ],
-    )
-    def test_cap_is_min_of_threads_cpus_and_jobs(self, threads, cpus, jobs, expected, monkeypatch):
-        from dyspec.cli import worker_count
-
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        monkeypatch.setenv("DYSPEC_THREADS", threads)
-        assert worker_count(jobs) == expected
-
-    def test_bench_parallel_matches_serial(self, bench_config_path, tmp_path, monkeypatch):
-        args = ["bench", "--config", str(bench_config_path), "--structures", "dynamic,chain",
-                "--budgets", "6", "--temps", "0.6", "--seeds", "2"]
-        monkeypatch.setenv("DYSPEC_THREADS", "1")
-        main(args + ["--out", str(tmp_path / "serial")])
-        monkeypatch.setenv("DYSPEC_THREADS", "2")
-        main(args + ["--out", str(tmp_path / "par")])
-        serial = (tmp_path / "serial" / "bench.csv").read_bytes()
-        parallel = (tmp_path / "par" / "bench.csv").read_bytes()
-        assert serial == parallel
