@@ -69,10 +69,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+class UsageError(Exception):
+    """A flag value the command cannot run with; :func:`main` prints it after
+    the command's name and exits 2."""
+
+
 def _out_dir(args: argparse.Namespace, cfg: Optional[RunConfig] = None) -> Path:
-    out = args.out or (cfg.output_dir if cfg else None) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or (cfg.output_dir if cfg else None) or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc.strerror}") from exc
     return path
 
 
@@ -98,16 +105,16 @@ def csv_list(cast):
     return parse
 
 
-def _usage_error(command: str, checks, sweeps) -> bool:
-    """Print the first failed ``(failed, message)`` check, or the first value
-    a sweep flag repeats (it would run one cell twice); True if either."""
-    checks = list(checks) + [(True, f"{flag} repeats {value}") for flag, values in sweeps.items()
+def _check_usage(checks, sweeps=None) -> None:
+    """Raise :class:`UsageError` on the first failed ``(failed, message)``
+    check, or on the first value a sweep flag repeats (it would run one cell
+    twice)."""
+    checks = list(checks) + [(True, f"{flag} repeats {value}")
+                             for flag, values in (sweeps or {}).items()
                              for i, value in enumerate(values) if value in values[:i]]
     for failed, message in checks:
         if failed:
-            print(f"{command}: {message}", file=sys.stderr)
-            return True
-    return False
+            raise UsageError(message)
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +152,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+# Bench metric column -> the RunMetrics field it is the seed mean of (so
+# latency_per_token is not 1/tokens_per_modeled_sec).
+_BENCH_METRICS = {
+    "mean_accepted": "mean_accepted",
+    "mean_tree_size": "mean_tree_size",
+    "latency_per_token": "latency_per_token",
+    "tokens_per_modeled_sec": "tokens_per_modeled_second",
+}
+
+
 def _bench_cells(
     models: ModelPairSpec, costs: CostParams, seeds: int, cells: Sequence[GenConfig]
 ) -> List[Dict]:
@@ -152,9 +169,7 @@ def _bench_cells(
 
     All cells run on one pair and one prompt per seed (cells share
     ``prefix_len``), so tables, dists and prompts are made once.  A row's
-    keys, in order, are the bench table's columns.  ``latency_per_token`` is
-    the seed mean of each run's modeled latency per accepted token, not
-    1/``tokens_per_modeled_sec``.
+    keys, in order, are the bench table's columns.
     """
     pair = make_model_pair(models)
     prompts = [make_prompt(pair[0], cells[0].prefix_len, seed) for seed in range(seeds)]
@@ -171,13 +186,8 @@ def _bench_cells(
             "size_cap": gen.size_cap if threshold_mode else "",
             "target_temp": gen.target_temp,
             "seeds": seeds,
-            "mean_accepted": sum(m.mean_accepted for m in runs) / seeds,
-            "mean_tree_size": sum(m.mean_tree_size for m in runs) / seeds,
-            "latency_per_token": sum(
-                sum(s.modeled_latency * s.accepted for s in m.steps)
-                / sum(s.accepted for s in m.steps) for m in runs
-            ) / seeds,
-            "tokens_per_modeled_sec": sum(m.tokens_per_modeled_second for m in runs) / seeds,
+            **{column: sum(getattr(m, name) for m in runs) / seeds
+               for column, name in _BENCH_METRICS.items()},
         })
     return rows
 
@@ -205,18 +215,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # --branching is a shape, not a sweep: its entries may repeat.
     sweeps = {"--structures": structures, "--budgets": budgets,
               "--thresholds": thresholds, "--temps": temps}
-    if _usage_error("bench", checks, sweeps):
-        return 2
+    _check_usage(checks, sweeps)
 
     shape = {flag: _BENCH_SHAPES[flag] if getattr(args, flag) is None else getattr(args, flag)
              for flag in _BENCH_SHAPES}
+    # Cells in the table's row order.
     cells = []
-    for structure in structures:
-        for temp in temps:
-            points = [("budget", b) for b in budgets]
-            if structure == "dynamic":
-                points += [("threshold", c) for c in thresholds]
-            for mode, value in points:
+    for structure in sorted(structures):
+        points = [("budget", b) for b in sorted(budgets)]
+        if structure == "dynamic":
+            points += [("threshold", c) for c in sorted(thresholds)]
+        for mode, value in points:
+            for temp in sorted(temps):
                 try:
                     gen = dataclasses.replace(
                         cfg.generation,
@@ -233,10 +243,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 cells.append(gen)
     out = _out_dir(args, cfg)
     rows = _bench_cells(cfg.models, cfg.costs, args.seeds, cells)
-    # Within one structure and mode, budgets and thresholds are all numbers
-    # or all "", so each sorts as numbers.
-    rows.sort(key=lambda r: (r["structure"], r["mode"], r["budget"], r["threshold"],
-                             r["target_temp"]))
     if args.format == "json":
         _write_json(out / "bench.json", rows)
         print(f"wrote {out}/bench.json ({len(rows)} cells)")
@@ -276,11 +282,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         (args.seed >= 2**63, "--seed must be < 2**63"),
     ] + [(True, f"--{flag} does not apply to suite {args.suite}")
          for flag, value in given.items() if value is not None and flag not in reads]
-    if _usage_error("oracle", checks, {}):
-        return 2
+    _check_usage(checks)
+    out = _out_dir(args)
     counts = {flag: _ORACLE_COUNTS[flag] if v is None else v for flag, v in given.items()}
     reports = runner(args.seed, counts)
-    out = _out_dir(args)
     _write_json(out / "oracle_report.json", reports)
     ok = all(r["pass"] for r in reports)
     for r in reports:
@@ -321,8 +326,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
         (any(p < 0 for p in prefixes), "prefixes must be >= 0"),
     ] + [(True, f"unknown order {name!r}") for name in orders if name not in _ORDERS]
     sweeps = {"--sizes": sizes, "--prefixes": prefixes, "--orders": orders}
-    if _usage_error("mask", checks, sweeps):
-        return 2
+    _check_usage(checks, sweeps)
     cfg = RunConfig.load(args.config or None, {}, MASK_READS[args.generator],
                          f"mask --generator {args.generator}")
     out = _out_dir(args, cfg)
@@ -376,9 +380,6 @@ def cmd_hypothesis(args: argparse.Namespace) -> int:
         _, metrics = _run_single(make_model_pair(spec), gen, cfg.costs)
         events.extend(metrics.branch_events)
         run += 1
-    if not events:
-        print("hypothesis: no branch events collected", file=sys.stderr)
-        return 2
 
     rows = acceptance_vs_draft_bins(events, args.bins)
     rho = bin_rank_correlation(rows)
@@ -492,6 +493,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

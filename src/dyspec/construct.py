@@ -62,6 +62,9 @@ class CostParams:
         if not all(0 <= c < math.inf
                    for c in (self.draft_cost, self.target_cost, self.per_node_overhead)):
             raise ValueError("cost parameters must be non-negative and finite")
+        # Every step has at least one draft unit, so every step costs > 0.
+        if self.draft_cost == self.target_cost == 0:
+            raise ValueError("draft_cost and target_cost must not both be 0")
 
 
 def construction_uniform(seed: int) -> UniformFn:

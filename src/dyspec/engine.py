@@ -88,10 +88,13 @@ class StepMetrics:
 
 @dataclass
 class RunMetrics:
+    """Per-step records and their aggregates; ``to_dict`` omits ``latency_per_token``."""
+
     steps: List[StepMetrics]
     mean_accepted: float
     mean_tree_size: float
     tokens_per_modeled_second: float
+    latency_per_token: float
     branch_events: List[BranchTrace] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
@@ -113,6 +116,7 @@ class RunMetrics:
             mean_accepted=total_accepted / len(steps),
             mean_tree_size=sum(s.tree_size for s in steps) / len(steps),
             tokens_per_modeled_second=total_accepted / total_cost if total_cost > 0 else 0.0,
+            latency_per_token=total_cost / total_accepted,
             branch_events=events,
         )
 
@@ -207,11 +211,7 @@ def generate(
                 tree_depth=depth,
                 accepted=accepted,
                 modeled_latency=estimate_latency(
-                    max(len(outcome.tree), 1),
-                    max(depth, 1),
-                    accepted,
-                    costs,
-                    config.latency_mode,
+                    len(outcome.tree), depth, accepted, costs, config.latency_mode
                 ),
             )
         )
@@ -245,19 +245,13 @@ def acceptance_vs_draft_bins(
         raise ValueError("bin_count must be >= 1")
     if not events:
         raise ValueError("no branch events to bin")
-    edges = np.linspace(0.0, 1.0, bin_count + 1)
-    accepted = np.zeros(bin_count, dtype=np.int64)
-    totals = np.zeros(bin_count, dtype=np.int64)
-    for ev in events:
-        idx = min(int(ev.draft_prob * bin_count), bin_count - 1)
-        totals[idx] += 1
-        if ev.accepted:
-            accepted[idx] += 1
-    rows = []
-    for i in range(bin_count):
-        rate = accepted[i] / totals[i] if totals[i] else float("nan")
-        rows.append((float(edges[i]), float(edges[i + 1]), rate, int(totals[i])))
-    return rows
+    probs = np.array([ev.draft_prob for ev in events])
+    bins = np.minimum((probs * bin_count).astype(np.int64), bin_count - 1)
+    totals = np.bincount(bins, minlength=bin_count)
+    accepted = np.bincount(bins[np.array([ev.accepted for ev in events])], minlength=bin_count)
+    rates = np.divide(accepted, totals, out=np.full(bin_count, np.nan), where=totals > 0)
+    edges = np.linspace(0.0, 1.0, bin_count + 1).tolist()
+    return list(zip(edges[:-1], edges[1:], rates.tolist(), totals.tolist()))
 
 
 def bin_rank_correlation(rows: Sequence[Tuple[float, float, float, int]]) -> float:

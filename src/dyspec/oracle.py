@@ -19,6 +19,7 @@ from .categorical import Categorical, remove_and_renorm, residual_target, sample
 from .construct import (
     build_tree_fixed,
     build_tree_threshold,
+    construction_uniform,
     expected_accepted,
     node_sampling_keys,
 )
@@ -29,7 +30,7 @@ from .lm import (
     make_model_pair,
     target_distributions_for_tree,
 )
-from .rng import derive_seed, keyed_uniform
+from .rng import derive_seed
 from .token_tree import TokenTree
 from .verify import true_branch_acceptance, verify_tree
 
@@ -202,6 +203,7 @@ def realized_slot_tree(
     slot subtrees is a valid optimality oracle for them.
     """
     prefix = list(prefix)
+    uniform = construction_uniform(seed)
     children: List[List[int]] = [[]]
     weights: List[float] = [1.0]
     # slot id -> (path, sibling index, residual, lcrs depth)
@@ -210,7 +212,7 @@ def realized_slot_tree(
         slot_id, path, k, residual, depth = pending.pop()
         if depth >= max_depth:
             continue
-        token = sample(residual, keyed_uniform(seed, "construct", path, k))
+        token = sample(residual, uniform(path, k))
         rate = residual[token]
         value = weights[slot_id]
 

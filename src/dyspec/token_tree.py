@@ -42,10 +42,10 @@ class TreeNode:
 class PositionState:
     """Sampling state at one tree position (owned by a node or ROOT).
 
-    ``residuals[k]`` is ``draft_full`` with the first k sampled tokens
-    removed and renormalized: the k-th sampling was drawn from it, and the
-    last entry is what the next sampling draws from.  ``chain`` is the part
-    made so far: the fold after the latest sampling waits for a read.
+    ``chain[k]`` is ``draft_full`` with the first k sampled tokens removed
+    and renormalized: the k-th sampling was drawn from it.  The fold after
+    the latest sampling waits for a read of :attr:`residual`, which makes
+    the chain one entry longer than ``sampled``.
 
     ``verdicts`` is verification's memo for the target row it last read
     here: ``(row, [(threshold, draft prob) per branch], [target fold after
@@ -72,12 +72,6 @@ class PositionState:
         if len(chain) == len(self.sampled):
             chain.append(remove_and_renorm(chain[-1], self.sampled[-1]))
         return chain[-1]
-
-    @property
-    def residuals(self) -> List[Categorical]:
-        """The chain completed: one entry per sampling plus the next residual."""
-        self.residual  # folds the pending entry, if any
-        return self.chain
 
 
 class TokenTree:
@@ -164,10 +158,11 @@ class TokenTree:
     def check_residuals(self, tol: float = RESIDUAL_TOL) -> None:
         """Assert each stored residual equals draft_full folded over the samplings before it."""
         for state in self.positions.values():
-            if len(state.residuals) != len(state.sampled) + 1:
+            state.residual  # folds the pending entry, if any
+            if len(state.chain) != len(state.sampled) + 1:
                 raise AssertionError(f"residual chain length drifted at position {state.owner}")
             acc = state.draft_full
-            for k, stored in enumerate(state.residuals):
+            for k, stored in enumerate(state.chain):
                 if k:
                     acc = remove_and_renorm(acc, state.sampled[k - 1])
                 if acc.is_zero != stored.is_zero:

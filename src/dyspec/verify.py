@@ -157,7 +157,7 @@ def true_branch_acceptance(
             raise KeyError(f"missing target distribution for position {owner}")
         draft = state.draft_full
         residual = target
-        for node_id, token in zip(state.node_ids, state.sampled):
+        for k, (node_id, token) in enumerate(zip(state.node_ids, state.sampled)):
             d_prob = draft[token]
             probs[node_id] = min(1.0, residual[token] / d_prob) if d_prob > 0 else 1.0
             residual = residual_target(residual, draft)
@@ -165,7 +165,7 @@ def true_branch_acceptance(
             if residual.is_zero or draft.is_zero:
                 # Remaining branches (none exist in well-formed trees) would
                 # never be tested.
-                for later in state.node_ids[state.node_ids.index(node_id) + 1 :]:
+                for later in state.node_ids[k + 1 :]:
                     probs[later] = 0.0
                 break
     return probs

@@ -350,6 +350,50 @@ COMMAND_READS = {
 }
 
 
+class TestOutputDirectory:
+    """An output directory that cannot be made exits 2 before any run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--gen-len", "4", "--prefix-len", "4", "--budget", "4"],
+        ["bench", "--structures", "chain", "--budgets", "4", "--temps", "0.6", "--seeds", "1"],
+        ["oracle", "--suite", "optimality", "--instances", "2"],
+        ["mask", "--sizes", "8", "--seeds", "1"],
+        ["hypothesis", "--min-events", "1", "--max-runs", "1"],
+    ])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_naming_a_file_exits_2(self, argv, under, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"{argv[0]}: cannot create output directory {out}" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [taken]
+
+    def test_config_output_dir_naming_a_file_exits_2(self, config_path, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg = json.loads(config_path.read_text())
+        cfg["output"] = {"dir": str(taken)}
+        assert main(["generate", "--config", str(write_config(tmp_path, "o.json", cfg))]) == 2
+        assert f"generate: cannot create output directory {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("suite", ["unbiasedness", "optimality", "expectation",
+                                       "threshold-equivalence"])
+    def test_oracle_runs_no_suite(self, suite, tmp_path, capsys, monkeypatch):
+        def fail(**kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in ("suite_unbiasedness_exact", "suite_unbiasedness_mc", "suite_optimality",
+                     "suite_expectation", "suite_threshold_equivalence"):
+            monkeypatch.setattr(cli.oracle, name, fail)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["oracle", "--suite", suite, "--out", str(taken)]) == 2
+        assert "oracle: cannot create output directory" in capsys.readouterr().err
+
+
 class TestConfigKeysPerCommand:
     """Each command accepts exactly the config keys it reads."""
 
@@ -521,6 +565,19 @@ class TestGenerateCommand:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    # A zero step cost was reported as zero throughput.
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_zero_step_cost_exits_2(self, command, config_path, bench_config_path, tmp_path,
+                                    capsys):
+        cfg = json.loads((config_path if command == "generate" else bench_config_path).read_text())
+        cfg["costs"] = {"draft_cost": 0, "target_cost": 0.0, "per_node_overhead": 1.0}
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path, "free.json", cfg))]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "config error: draft_cost and target_cost must not both be 0" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_negative_prefix_len_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         argv = ["generate", "--config", str(config_path), "--prefix-len", "-3"]
@@ -598,6 +655,18 @@ class TestBenchCommand:
         assert [(r["mode"], r["budget"], r["threshold"]) for r in rows] == [
             ("budget", 8, ""), ("budget", 16, ""), ("budget", 64, ""),
             ("threshold", "", 1e-05), ("threshold", "", 0.05), ("threshold", "", 0.2),
+        ]
+
+    def test_rows_follow_structure_point_then_temp(self, bench_config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(bench_config_path), "--out", str(out),
+                     "--structures", "static_tree,chain,dynamic", "--budgets", "16,14",
+                     "--branching", "2,2,2", "--temps", "0.6,0.0", "--seeds", "1",
+                     "--format", "json"]) == 0
+        rows = json.loads((out / "bench.json").read_text())
+        assert [(r["structure"], r["budget"], r["target_temp"]) for r in rows] == [
+            (structure, budget, temp) for structure in ("chain", "dynamic", "static_tree")
+            for budget in (14, 16) for temp in (0.0, 0.6)
         ]
 
     @pytest.mark.parametrize("flags, shape", [

@@ -322,6 +322,16 @@ class TestEstimateLatency:
             two = estimate_latency(32, 6, 3.0, costs, mode)
             assert one == pytest.approx(2.0 * two)
 
+    @pytest.mark.parametrize("draft_cost, target_cost", [(0.0, 1e-300), (1e-300, 0.0)])
+    def test_one_zero_cost_is_positive(self, draft_cost, target_cost):
+        costs = CostParams(draft_cost=draft_cost, target_cost=target_cost)
+        assert estimate_latency(1, 1, 1.0, costs) > 0
+
+    @pytest.mark.parametrize("overhead", [0.0, 0.5])
+    def test_zero_draft_and_target_cost_rejected(self, overhead):
+        with pytest.raises(ValueError, match="draft_cost and target_cost must not both be 0"):
+            CostParams(draft_cost=0.0, target_cost=0, per_node_overhead=overhead)
+
     def test_invalid_inputs(self):
         costs = CostParams()
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -258,6 +259,10 @@ class TestGenerate:
         assert rebuilt.mean_accepted == metrics.mean_accepted
         assert rebuilt.mean_tree_size == metrics.mean_tree_size
         assert rebuilt.tokens_per_modeled_second == metrics.tokens_per_modeled_second
+        assert metrics.latency_per_token == sum(
+            s.modeled_latency * s.accepted for s in metrics.steps
+        ) / sum(s.accepted for s in metrics.steps)
+        assert "latency_per_token" not in metrics.to_dict()
 
     def test_step_metrics_bounds(self):
         target, draft = pair(seed=8)
@@ -430,6 +435,26 @@ class TestAcceptanceBins:
     def test_empty_events_rejected(self):
         with pytest.raises(ValueError):
             acceptance_vs_draft_bins([], 10)
+
+    # Probabilities on and next to bin edges, where truncation decides the bin.
+    edge_probs = st.integers(0, 40).flatmap(
+        lambda i: st.sampled_from([i / 40, np.nextafter(i / 40, 0.0), np.nextafter(i / 40, 1.0)])
+    ).map(lambda p: float(min(max(p, 0.0), 1.0)))
+
+    @given(st.lists(st.tuples(st.one_of(edge_probs, st.floats(0.0, 1.0)), st.booleans()),
+                    min_size=1, max_size=30),
+           st.integers(1, 41))
+    def test_bins_equal_per_event_loop(self, draws, bin_count):
+        events = [BranchTrace(i, accepted, 0.5, 0.5, p) for i, (p, accepted) in enumerate(draws)]
+        accepted, totals = [0] * bin_count, [0] * bin_count
+        for ev in events:
+            idx = min(int(ev.draft_prob * bin_count), bin_count - 1)
+            totals[idx] += 1
+            accepted[idx] += ev.accepted
+        rows = acceptance_vs_draft_bins(events, bin_count)
+        assert [row[3] for row in rows] == totals
+        for (_, _, rate, _), a, n in zip(rows, accepted, totals):
+            assert rate == a / n if n else math.isnan(rate)
 
     def test_rank_correlation_on_monotone_rows(self):
         rows = [(i / 10, (i + 1) / 10, i / 10, 100) for i in range(10)]

@@ -1,6 +1,11 @@
 """Property-based tests of the numeric core: Categorical, sampling, the
 target rows of a tree, verification and exact verification."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -216,7 +221,8 @@ class TestConstructionStep:
         for tree in trees:
             for state in tree.positions.values():
                 assert len(set(state.sampled)) == len(state.sampled)
-                for token, drawn_from in zip(state.sampled, state.residuals):
+                state.residual
+                for token, drawn_from in zip(state.sampled, state.chain):
                     assert not drawn_from.is_zero
                     assert drawn_from.probs[token] > 0.0
                 # The path built once when the position opened is its token path.
@@ -499,3 +505,37 @@ class TestTargetPass:
         again = target_distributions_for_tree(target, prompt, tree)
         assert target.keys == []
         assert all(again[owner] is dists[owner] for owner in dists)
+
+
+FAILING_PROPERTY = textwrap.dedent("""
+    import warnings
+
+    from hypothesis import given, strategies as st
+
+    @given(st.integers())
+    def test_property_fails(x):
+        assert x < 5
+
+    def test_own_warning_fails():
+        warnings.warn("raised by the code under test", DeprecationWarning)
+
+    def test_after_them_runs():
+        pass
+""")
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    """Under the repository's pytest settings a failing ``@given`` test is one
+    failure with its falsifying example, not an internal error ending the
+    session; any other warning still fails its test."""
+    ini = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(ini), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_failing_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1, run.stdout
+    assert "Falsifying example: test_property_fails(" in run.stdout
+    assert "2 failed, 1 passed" in run.stdout

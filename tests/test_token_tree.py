@@ -158,16 +158,18 @@ class TestInvariantsOnBuiltTrees:
         tree.add_node(ROOT, 0, 1.0)
         tree.add_node(ROOT, 1, 0.5)
         state = tree.positions[ROOT]
-        assert len(state.residuals) == len(state.sampled) + 1
-        assert state.residuals[0] is state.draft_full
-        np.testing.assert_allclose(state.residuals[1].probs, [0.0, 0.6, 0.4])
-        np.testing.assert_allclose(state.residuals[2].probs, [0.0, 0.0, 1.0])
-        assert state.residual is state.residuals[-1]
+        residual = state.residual
+        assert len(state.chain) == len(state.sampled) + 1
+        assert state.chain[0] is state.draft_full
+        np.testing.assert_allclose(state.chain[1].probs, [0.0, 0.6, 0.4])
+        np.testing.assert_allclose(state.chain[2].probs, [0.0, 0.0, 1.0])
+        assert residual is state.chain[-1]
 
     def test_check_residuals_catches_a_drifted_middle_entry(self):
         tree = random_built_tree(3)
         state = next(s for s in tree.positions.values() if len(s.sampled) >= 2)
-        state.residuals[1] = state.draft_full
+        state.residual
+        state.chain[1] = state.draft_full
         with pytest.raises(AssertionError, match="residual drifted"):
             tree.check_residuals()
 
