@@ -9,6 +9,8 @@ position.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 SUM_TOL = 1e-9
@@ -95,11 +97,13 @@ def softmax_with_temperature(logits, temp: float) -> Categorical:
     return Categorical._wrap(e / e.sum())
 
 
-def sample(dist: Categorical, u: float) -> int:
-    """Inverse-CDF sample over the stored order using one uniform in [0, 1)."""
+def sample(dist: Categorical, u: float, cdf: list[float] | None = None) -> int:
+    """Inverse-CDF sample over the stored order using one uniform in [0, 1);
+    ``cdf`` may be the caller's kept ``_cumsum(dist.probs).tolist()``."""
     if dist.is_zero:
         raise ValueError("cannot sample from an exhausted (zero) distribution")
-    idx = int(_cumsum(dist.probs).searchsorted(u, "right"))
+    idx = (bisect_right(cdf, u) if cdf is not None
+           else int(_cumsum(dist.probs).searchsorted(u, "right")))
     if idx >= dist.probs.size or dist.probs[idx] == 0.0:
         # u landed past the last positive entry by rounding; clamp to it.
         idx = int(np.flatnonzero(dist.probs > 0.0)[-1])

@@ -41,14 +41,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import mask_opt, oracle
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .construct import STRUCTURES, CostParams, build_tree_fixed
 from .engine import (
+    ConfigError,
     GenConfig,
     acceptance_vs_draft_bins,
     bin_rank_correlation,
@@ -178,6 +180,11 @@ def _bench_cells(
         runs = [generate(*pair, prompt, dataclasses.replace(gen, seed=seed), costs)[1]
                 for seed, prompt in enumerate(prompts)]
         threshold_mode = gen.threshold is not None
+        # Each run's figures are finite, but their sum over seeds may not be.
+        means = {column: sum(getattr(m, name) for m in runs) / seeds
+                 for column, name in _BENCH_METRICS.items()}
+        if not all(map(math.isfinite, means.values())):
+            raise ConfigError(f"costs out of float range: seed means {means}")
         rows.append({
             "structure": gen.structure,
             "mode": "threshold" if threshold_mode else "budget",
@@ -186,8 +193,7 @@ def _bench_cells(
             "size_cap": gen.size_cap if threshold_mode else "",
             "target_temp": gen.target_temp,
             "seeds": seeds,
-            **{column: sum(getattr(m, name) for m in runs) / seeds
-               for column, name in _BENCH_METRICS.items()},
+            **means,
         })
     return rows
 

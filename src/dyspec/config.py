@@ -19,12 +19,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
 from .construct import CostParams
-from .engine import GenConfig
+from .engine import ConfigError, GenConfig
 from .lm import ModelPairSpec
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; message carries the diagnostics."""
 
 
 def _json_types(cls, skip=()) -> Dict[str, Any]:

@@ -38,6 +38,10 @@ from .token_tree import TokenTree
 from .verify import BranchTrace, VerificationError, VerifyResult, verify_tree
 
 
+class ConfigError(ValueError):
+    """Invalid run configuration; message carries the diagnostics."""
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """One generation run: budget or threshold, temperatures, structure.
@@ -111,11 +115,14 @@ class RunMetrics:
     def from_steps(cls, steps: List[StepMetrics], events: List[BranchTrace]) -> "RunMetrics":
         total_accepted = sum(s.accepted for s in steps)
         total_cost = sum(s.modeled_latency * s.accepted for s in steps)
+        throughput = total_accepted / total_cost if total_cost > 0 else math.inf
+        if not 0 < throughput < math.inf:  # the cost sum underflowed or overflowed
+            raise ConfigError(f"costs out of float range: modeled throughput {throughput!r}")
         return cls(
             steps=steps,
             mean_accepted=total_accepted / len(steps),
             mean_tree_size=sum(s.tree_size for s in steps) / len(steps),
-            tokens_per_modeled_second=total_accepted / total_cost if total_cost > 0 else 0.0,
+            tokens_per_modeled_second=throughput,
             latency_per_token=total_cost / total_accepted,
             branch_events=events,
         )

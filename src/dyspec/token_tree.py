@@ -75,11 +75,12 @@ class PositionState:
 
 
 class TokenTree:
-    """Rooted tree of drafted tokens plus per-position sampling state."""
+    """Rooted tree of drafted tokens, per-position sampling state and verify's ``bonus_cdfs``."""
 
     def __init__(self):
         self.nodes: List[TreeNode] = []
         self.positions: Dict[int, PositionState] = {}
+        self.bonus_cdfs: Dict[int, Tuple[Categorical, List[float]]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -17,21 +17,22 @@ token per verification pass and is counted in the accepted-per-step metric
 (recorded as ``accepted_includes_bonus`` in all run outputs, since it
 shifts that metric by one).
 
-Only the uniforms are random: a position's thresholds and folds are fixed
-by its target row and draft chain.  :func:`verify_tree` keeps them on the
-position, keyed by the identity of the target row object it read, so a
-tree verified many times (the expectation oracle) folds each position once.
-:func:`true_branch_acceptance` and :func:`replay_trace` fold from scratch
-and never read that memo, so they stay an independent check of the walk.
+Only the uniforms are random: a position's thresholds, folds and bonus row
+are fixed by its target row and draft chain.  :func:`verify_tree` keeps them
+and the bonus row's CDF, keyed by the identity of the row they came from, so
+a tree verified many times (the expectation oracle) folds each position and
+cumsums each bonus row once.  :func:`true_branch_acceptance` and
+:func:`replay_trace` fold and sample from scratch and never read those memos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count
 from typing import Callable, Dict, List, Mapping, Optional
 
-from .categorical import Categorical, remove_and_renorm, residual_target, sample
+from .categorical import Categorical, _cumsum, remove_and_renorm, residual_target, sample
 from .rng import keyed_uniforms
 from .token_tree import ROOT, TokenTree
 
@@ -53,13 +54,14 @@ class BranchTrace:
 
 @dataclass(slots=True)
 class VerifyResult:
-    """Accepted root-to-node path, bonus token, and per-branch trace."""
+    """Accepted root-to-node path, bonus token and its uniform, per-branch trace."""
 
     accepted: List[int]
     accepted_node_ids: List[int]
     bonus_token: int
     bonus_from_residual: bool
     trace: List[BranchTrace]
+    bonus_uniform: float
 
     @property
     def num_accepted(self) -> int:
@@ -83,7 +85,8 @@ def verify_tree(
 
     Thresholds and target folds are kept on the position
     (``PositionState.verdicts``) for the target row object read there
-    (``is``, not ``==``), filled only as far as rejections reach.
+    (``is``, not ``==``), filled only as far as rejections reach; so is the
+    CDF of the bonus row where a walk stops (``tree.bonus_cdfs``).
     """
     if uniform_fn is None:
         uniform_fn = map(keyed_uniforms(seed, "verify", ()), count()).__next__
@@ -98,14 +101,15 @@ def verify_tree(
         if target is None:
             raise KeyError(f"missing target distribution for position {owner}")
         state = tree.positions.get(owner)
-        node_ids = state.node_ids if state is not None else ()
-        if node_ids:
-            memo = state.verdicts
-            if memo is None or memo[0] is not target:
-                memo = state.verdicts = (target, [], [])
-            _, tests, folds = memo
+        if state is None or not state.node_ids:
+            row, from_residual = target, False
+            break
+        memo = state.verdicts
+        if memo is None or memo[0] is not target:
+            memo = state.verdicts = (target, [], [])
+        _, tests, folds = memo
         residual = target
-        for k, node_id in enumerate(node_ids):
+        for k, node_id in enumerate(state.node_ids):
             if k == len(tests):
                 # Branch k was drawn from draft residual k, always in the
                 # chain; only a position's last sampling can exhaust it, so
@@ -133,9 +137,15 @@ def verify_tree(
             if residual.is_zero:
                 raise VerificationError(f"target residual vanished after rejecting node {node_id}")
         else:
-            bonus = sample(residual, uniform_fn())
-            accepted_tokens.append(bonus)
-            return VerifyResult(accepted_tokens, accepted_ids, bonus, bool(node_ids), trace)
+            row, from_residual = residual, True
+            break
+    u = uniform_fn()
+    kept = tree.bonus_cdfs.get(owner)
+    if kept is None or kept[0] is not row:
+        kept = tree.bonus_cdfs[owner] = (row, _cumsum(row.probs).tolist())
+    bonus = sample(row, u, kept[1])
+    accepted_tokens.append(bonus)
+    return VerifyResult(accepted_tokens, accepted_ids, bonus, from_residual, trace, u)
 
 
 def true_branch_acceptance(
@@ -174,9 +184,15 @@ def true_branch_acceptance(
 def replay_trace(
     tree: TokenTree, target_dists: Mapping[int, Categorical], result: VerifyResult
 ) -> bool:
-    """Recompute every trace threshold from scratch; True when all match."""
+    """Recompute every trace threshold and the bonus from scratch; True when all match."""
     expected = true_branch_acceptance(tree, target_dists)
-    return all(
+    owner = result.accepted_node_ids[-1] if result.accepted_node_ids else ROOT
+    state = tree.positions.get(owner)
+    drafts = state.chain[: len(state.sampled)] if state is not None else []
+    row = reduce(residual_target, drafts, target_dists[owner])
+    if result.bonus_from_residual != bool(drafts) or row.is_zero:
+        return False
+    return sample(row, result.bonus_uniform) == result.bonus_token and all(
         abs(expected[t.node_id] - t.threshold) <= 1e-12
         and t.accepted == (t.uniform < t.threshold)
         for t in result.trace

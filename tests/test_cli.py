@@ -1,12 +1,14 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
 import dyspec.cli as cli
 from dyspec.cli import build_parser, csv_list, main
-from dyspec.config import _SCHEMA, ConfigError, RunConfig
+from dyspec.config import _SCHEMA, RunConfig
+from dyspec.engine import ConfigError
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -577,6 +579,41 @@ class TestGenerateCommand:
         assert "config error: draft_cost and target_cost must not both be 0" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    # Each cost is finite, but tokens over the summed step costs is not: on
+    # the golden configs tiny costs wrote an Infinity throughput (not JSON),
+    # and huge ones would write a zero.
+    @pytest.mark.parametrize("command, config", [("generate", "config.json"),
+                                                 ("bench", "config-bench.json")])
+    @pytest.mark.parametrize("costs", [
+        {"draft_cost": 5e-324, "target_cost": 0},
+        {"draft_cost": 0, "target_cost": 2.3e-308},
+        {"draft_cost": 1e308, "target_cost": 1e308},
+    ])
+    def test_costs_out_of_float_range_exit_2(self, command, config, costs, tmp_path, capsys):
+        cfg = json.loads((Path(__file__).parent / "golden" / config).read_text())
+        cfg["costs"] = costs
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path, "tiny.json", cfg)),
+                "--out", str(out)]
+        if command == "bench":
+            argv += ["--structures", "dynamic", "--budgets", "64", "--temps", "0.6", "--seeds", "1"]
+        assert main(argv) == 2
+        assert "config error: costs out of float range: modeled throughput" in (
+            capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    def test_bench_seed_means_out_of_float_range_exit_2(self, bench_config_path, tmp_path,
+                                                         capsys):
+        # Each seed's throughput is finite, about 1e308, but their sum is not.
+        cfg = json.loads(bench_config_path.read_text())
+        cfg["costs"] = {"draft_cost": 0, "target_cost": 3e-308}
+        out = tmp_path / "out"
+        argv = ["bench", "--config", str(write_config(tmp_path, "tiny.json", cfg)),
+                "--out", str(out), "--structures", "dynamic", "--budgets", "8", "--temps", "0.6"]
+        assert main(argv + ["--seeds", "1"]) == 0
+        assert main(argv + ["--seeds", "2"]) == 2
+        assert "config error: costs out of float range: seed means" in capsys.readouterr().err
 
     def test_negative_prefix_len_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

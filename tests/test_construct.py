@@ -16,6 +16,7 @@ from dyspec.construct import (
     path_weight_sum,
     sample_at,
 )
+from dyspec.engine import ConfigError, GenConfig, generate, make_prompt
 from dyspec.lm import LanguageModel, ModelPairSpec, make_model_pair
 from dyspec.oracle import brute_force_optimal_subtree, realized_slot_tree
 from dyspec.rng import derive_seed
@@ -326,6 +327,18 @@ class TestEstimateLatency:
     def test_one_zero_cost_is_positive(self, draft_cost, target_cost):
         costs = CostParams(draft_cost=draft_cost, target_cost=target_cost)
         assert estimate_latency(1, 1, 1.0, costs) > 0
+
+    # Finite costs whose summed step costs underflow (the first two) or
+    # overflow: tokens per modeled second would read inf or 0.
+    @pytest.mark.parametrize("draft_cost, target_cost", [(5e-324, 0.0), (0.0, 2.3e-308),
+                                                         (1e308, 1e308)])
+    def test_costs_out_of_float_range_rejected(self, draft_cost, target_cost):
+        target, draft = make_model_pair(ModelPairSpec(vocab_size=64, markov_order=2,
+                                                      target_seed=7, noise_sigma=0.5))
+        prompt = make_prompt(target, 16, 5)
+        costs = CostParams(draft_cost=draft_cost, target_cost=target_cost)
+        with pytest.raises(ConfigError, match="costs out of float range"):
+            generate(target, draft, prompt, GenConfig(prefix_len=16, gen_len=32, budget=64), costs)
 
     @pytest.mark.parametrize("overhead", [0.0, 0.5])
     def test_zero_draft_and_target_cost_rejected(self, overhead):

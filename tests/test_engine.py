@@ -228,9 +228,8 @@ class TestGenerate:
         # a result longer than the tree's depth plus the bonus is impossible
         import dyspec.engine as engine
 
-        monkeypatch.setattr(
-            engine, "verify_tree", lambda tree, dists, seed: VerifyResult([0] * 9, [], 0, False, [])
-        )
+        result = VerifyResult([0] * 9, [], 0, False, [], 0.0)
+        monkeypatch.setattr(engine, "verify_tree", lambda tree, dists, seed: result)
         target, draft = pair(seed=2)
         prompt = make_prompt(target, 4, seed=0)
         with pytest.raises(VerificationError, match="depth"):

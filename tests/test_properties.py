@@ -114,6 +114,19 @@ class TestCategoricalProperties:
                 idx = int(np.flatnonzero(dist.probs > 0.0)[-1])
             assert sample(dist, u) == idx
 
+    @given(weights, st.integers(0, 3), unit_interval, st.floats(min_value=-0.5, max_value=0.5))
+    def test_sample_with_a_kept_cdf_equals_sample_without(self, w, trailing_zeros, u, frac):
+        # verify_tree bisects a kept CDF list where sample alone cumsums the
+        # row and searchsorts it; the index, clamp included, must not change,
+        # also for u on a CDF entry or next to one.
+        probs = normalized(w + [0.0] * trailing_zeros) * (1.0 + frac * SUM_TOL)
+        assume(abs(float(probs.sum()) - 1.0) <= SUM_TOL)
+        dist = Categorical(probs)
+        cdf = np.cumsum(dist.probs).tolist()
+        near = [v for c in cdf for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 2.0))]
+        for v in [u] + near:
+            assert sample(dist, float(v), cdf) == sample(dist, float(v))
+
     @given(weights)
     def test_sample_just_below_one_takes_last_positive(self, w):
         dist = Categorical(normalized(w))

@@ -247,11 +247,76 @@ class TestVerifyTreeOnBuiltTrees:
                 assert not replay_trace(tree, dists, res)
             assert true_branch_acceptance(tree, dists) == before
 
+    def test_replay_draws_the_bonus_without_the_memo(self):
+        # A tampered kept CDF steers the next walk's bonus to another token
+        # with mass in the same row; the replay, which folds and samples
+        # from scratch, must reject that walk.  It must also reject a result
+        # whose bonus source flag was flipped.
+        tampered_walks = 0
+        for seed in range(10):
+            tree, dists = built_case(seed)
+            res = verify_tree(tree, dists, seed)
+            assert replay_trace(tree, dists, res)
+            res.bonus_from_residual = not res.bonus_from_residual
+            assert not replay_trace(tree, dists, res)
+            owner = res.accepted_node_ids[-1] if res.accepted_node_ids else ROOT
+            row, cdf = tree.bonus_cdfs[owner]
+            others = [int(t) for t in np.flatnonzero(row.probs > 0.0) if t != res.bonus_token]
+            if not others:
+                continue
+            cdf[:] = [0.0] * others[0] + [1.0] * (len(cdf) - others[0])
+            steered = verify_tree(tree, dists, seed)
+            assert steered.bonus_token == others[0]
+            assert not replay_trace(tree, dists, steered)
+            tampered_walks += 1
+        assert tampered_walks > 0
+
     def test_missing_distribution_raises(self):
         tree, dists = built_case(1)
         incomplete = {k: v for k, v in dists.items() if k != ROOT}
         with pytest.raises(KeyError):
             verify_tree(tree, incomplete, 0)
+
+
+class TestBonusMemo:
+    @pytest.fixture
+    def cumsums(self, monkeypatch):
+        """The rows verify_tree cumsums, in order."""
+        import dyspec.verify as verify_mod
+
+        rows = []
+        monkeypatch.setattr(verify_mod, "_cumsum", lambda p: rows.append(p) or np.cumsum(p))
+        return rows
+
+    @pytest.mark.parametrize("stop", ["leaf", "all rejected"])
+    def test_a_position_walked_many_times_cumsums_its_bonus_row_once(self, cumsums, stop):
+        tree = TokenTree()
+        tree.open_position(ROOT, Categorical([0.5, 0.3, 0.2]))
+        tree.add_node(ROOT, 0, 1.0)
+        tree.add_node(ROOT, 2, 0.5)
+        if stop == "leaf":
+            # the draft's own row accepts the first branch on every walk
+            dists = {ROOT: Categorical([0.5, 0.3, 0.2]), 0: Categorical([0.25, 0.75, 0.0])}
+        else:
+            # the target cannot emit either branch, so both are always rejected
+            dists = {ROOT: Categorical([0.0, 1.0, 0.0])}
+        for seed in range(50):
+            res = verify_tree(tree, dists, seed)
+            assert res.bonus_from_residual == (stop != "leaf")
+            assert replay_trace(tree, dists, res)
+        assert len(cumsums) == 1
+
+    def test_an_equal_valued_copy_of_the_row_cuts_a_new_cdf(self, cumsums):
+        tree = TokenTree()
+        dists = {ROOT: Categorical([0.25, 0.75])}
+        verify_tree(tree, dists, 0)
+        row, cdf = tree.bonus_cdfs[ROOT]
+        dists[ROOT] = Categorical(row.probs.copy())
+        for seed in range(3):
+            verify_tree(tree, dists, seed)
+        assert len(cumsums) == 2
+        assert tree.bonus_cdfs[ROOT][0] is dists[ROOT]
+        assert tree.bonus_cdfs[ROOT][1] == cdf and tree.bonus_cdfs[ROOT][1] is not cdf
 
 
 class TestTrueBranchAcceptance:
