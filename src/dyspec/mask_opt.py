@@ -17,19 +17,30 @@ Masks are packed rows, one ``uint8`` per 8 columns (``TreeMask``): a
 slots are filled as whole-array numpy over the nodes split by depth (a
 level's parents sit one level up), at a few microseconds per level of
 several nodes and about one per single-node level, which is indexed
-plainly: a 2048-node chain takes a few milliseconds.
+plainly: a 2048-node chain takes a few milliseconds.  The depth split and
+the sibling ranks are stable sorts in the smallest integer type holding the
+node count, radix sorts up to 2**15 nodes; each permutation is inverted,
+and checked, by one scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 
+def _ids(values: Sequence[int]) -> np.ndarray:
+    """Node ids as int64; float or bool entries raise instead of truncating."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"node ids must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _parents_of(parents: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(parents, dtype=np.int64)
+    arr = _ids(parents)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("tree must have at least one node")
     if arr[0] != -1:
@@ -42,10 +53,11 @@ def _parents_of(parents: Sequence[int]) -> np.ndarray:
 def _levels(parents: np.ndarray) -> List[object]:
     """Node ids split by depth, each level ascending; a single-node level is
     its bare id, so indexing with it is basic, not fancy.  Depth comes from
-    pointer jumping (log2(depth) passes); index -1 is a sentinel above the
-    top level."""
+    pointer jumping (log2(depth) passes), in the smallest type holding
+    ``-n`` (16 bits or fewer are radix-sorted); index -1 is a sentinel
+    above the top level."""
     up = np.append(parents, -1)
-    depth = (up >= 0).astype(np.int64)
+    depth = (up >= 0).astype(np.min_scalar_type(-parents.size))
     while (up >= 0).any():
         depth += depth[up]
         up = up[up]
@@ -127,8 +139,9 @@ def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
 
     Tiles are grid-aligned at index 0; ragged edge tiles count like full
     ones, matching how kernels launch.  Each row block is OR-ed into one
-    packed row first; only that small matrix is unpacked and each of its
-    column blocks tested.  An axis pads to a multiple of
+    packed row first.  A tile 8, 16, 32 or 64 columns wide is one word of
+    that row, so non-zero words are counted; other widths unpack the row
+    blocks and test each column block.  An axis pads to a multiple of
     ``min(block, its length)``: a longer block is one tile.
     """
     if block < 1:
@@ -140,6 +153,10 @@ def count_nonzero_blocks(mask: TreeMask, block: int) -> int:
         packed = np.pad(packed, ((0, br - rows % br), (0, 0)))
     r, nbytes = packed.shape
     row_blocks = np.bitwise_or.reduce(packed.reshape(r // br, br, nbytes), axis=1)
+    if bc in (8, 16, 32, 64):
+        words = np.zeros((r // br, nbytes + (-nbytes) % (bc // 8)), dtype=np.uint8)
+        words[:, :nbytes] = row_blocks
+        return int(np.count_nonzero(words.view(f"u{bc // 8}")))
     bits = np.unpackbits(row_blocks, axis=1, count=cols + (-cols) % bc)
     return int(np.count_nonzero(bits.reshape(r // br, bits.shape[1] // bc, bc).any(axis=2)))
 
@@ -149,20 +166,24 @@ def _preorder(parents: np.ndarray, heavy: bool) -> List[int]:
     with ``heavy`` in descending subtree size, ties in ascending id.
 
     A node's slot is its parent's slot + 1 plus the subtree sizes of the
-    siblings ranked ahead of it: a cumsum over one lexsort by parent and
-    rank, restarted at each parent, then placed top-down level by level.
+    siblings ranked ahead of it: a cumsum over the nodes radix-sorted by
+    parent (after ``n - size`` with ``heavy``), restarted at each parent,
+    then placed top-down level by level.  The order inverts the slots.
     """
+    n = parents.size
     levels = _levels(parents)
     sizes = _sizes(parents, levels)
-    rank = np.lexsort((-sizes, parents)) if heavy else np.argsort(parents, kind="stable")
+    key = np.min_scalar_type(-n)
+    rank = np.argsort((n - sizes).astype(key), kind="stable") if heavy else np.arange(n)
+    rank = rank[np.argsort(parents[rank].astype(key), kind="stable")]
     ahead = np.cumsum(sizes[rank]) - sizes[rank]
     first = np.diff(parents[rank], prepend=-2) != 0
     offset = np.empty_like(ahead)
     offset[rank] = ahead - np.maximum.accumulate(np.where(first, ahead, 0))
-    slot = np.full(parents.size + 1, -1, dtype=np.int64)  # slot[-1]: the prompt
+    slot = np.full(n + 1, -1, dtype=np.int64)  # slot[-1]: the prompt
     for level in levels:
         slot[level] = slot[parents[level]] + 1 + offset[level]
-    return np.argsort(slot[:-1]).tolist()
+    return _positions(slot[:-1], n)[:-1].tolist()
 
 
 def dfs_order(parents: Sequence[int]) -> List[int]:
@@ -195,14 +216,22 @@ def hpd_order(parents: Sequence[int]) -> List[int]:
     return _preorder(_parents_of(parents), heavy=True)
 
 
+def _positions(order: Sequence[int], n: int) -> Optional[np.ndarray]:
+    """Each node's index in ``order`` and a last -1 for the prompt, or None if
+    ``order`` is no permutation of ``range(n)``: one scatter, range-checked
+    first (a -1 would wrap onto the prompt), where a repeat leaves a hole."""
+    idx = _ids(order)
+    if idx.shape != (n,) or np.any((idx < 0) | (idx >= n)):
+        return None
+    position = np.full(n + 1, -1, dtype=np.int64)
+    position[idx] = np.arange(n)
+    return None if np.any(position[:-1] < 0) else position
+
+
 def is_topological(parents: np.ndarray, order: Sequence[int]) -> bool:
     """True when ``order`` is a permutation of the node ids with parents first."""
-    order = np.asarray(order, dtype=np.int64)
-    if not np.array_equal(np.sort(order), np.arange(parents.size)):
-        return False
-    position = np.argsort(order)
-    child = parents >= 0
-    return bool(np.all(position[parents[child]] < position[child]))
+    position = _positions(order, parents.size)
+    return position is not None and bool(np.all(position[parents] < position[:-1]))
 
 
 def apply_permutation(
@@ -219,14 +248,14 @@ def apply_permutation(
     original mask with rows and tree columns permuted along ``order``.
     """
     parents = _parents_of(parents)
-    idx = np.asarray(order, dtype=np.int64)
-    if not np.array_equal(np.sort(idx), np.arange(parents.size)):
+    new_id = _positions(order, parents.size)
+    if new_id is None:
         raise ValueError("order must be a permutation of the node ids")
-    new_id = np.argsort(idx)
-    old_parent = parents[idx]
-    relabeled = np.where(old_parent >= 0, new_id[old_parent], -1)
-    if np.any(relabeled >= np.arange(parents.size)):
+    new_parent = new_id[parents]
+    if np.any(new_parent >= new_id[:-1]):
         raise ValueError("permutation must keep parents before children")
+    relabeled = np.empty_like(new_parent)
+    relabeled[new_id[:-1]] = new_parent
     return _mask(relabeled, prefix_len)
 
 

@@ -114,6 +114,25 @@ class TestCountNonzeroBlocks:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("block", [8, 16, 24, 32, 64])
+    def test_word_widths_equal_tile_loop(self, block):
+        rng = np.random.default_rng(block)
+        masks = [
+            mask_from_tree(random_tree(n, n), prefix)
+            for n in (1, 7, 8, 16, 33, 70, 130)  # ragged rows; small trees are narrower than blocks
+            for prefix in (0, 3, 13)  # packed widths that are no whole number of words
+        ]
+        sparse = [rng.random(shape) < 0.01 for shape in ((70, 100), (129, 200))]
+        masks += [TreeMask.from_dense(bits) for bits in sparse]
+        wide = mask_from_tree(random_tree(90, 1), 30)  # 120 columns, 15 bytes a row
+        masks += [
+            TreeMask(wide.bits[::3], wide.cols),  # strided rows
+            TreeMask(wide.bits[:, 2:], wide.cols - 16),  # a column slice, not contiguous
+            TreeMask(np.asfortranarray(wide.bits), wide.cols),
+        ]
+        for mask in masks:
+            assert count_nonzero_blocks(mask, block) == tile_loop_count(mask.dense(), block)
+
 
 class TestDfsOrder:
     def test_chain_is_identity(self):
@@ -157,14 +176,17 @@ class TestHpdOrder:
 
 def recursive_preorder(parents, rank):
     """Reference walk: siblings (top-level nodes too) in ascending ``rank``."""
+    children = {}
+    for c, p in enumerate(parents):
+        children.setdefault(p, []).append(c)
     order = []
 
     def visit(u):
         order.append(u)
-        for c in sorted((c for c, p in enumerate(parents) if p == u), key=rank):
+        for c in sorted(children.get(u, ()), key=rank):
             visit(c)
 
-    for top in sorted((i for i, p in enumerate(parents) if p < 0), key=rank):
+    for top in sorted(children.get(-1, ()), key=rank):
         visit(top)
     return order
 
@@ -177,6 +199,62 @@ def test_orders_match_recursive_reference_on_forests(seed):
     sizes = subtree_sizes(np.asarray(parents))
     assert dfs_order(parents) == recursive_preorder(parents, lambda c: c)
     assert hpd_order(parents) == recursive_preorder(parents, lambda c: (-int(sizes[c]), c))
+
+
+@pytest.mark.parametrize("n", [128, 2**15, 40_000])
+def test_orders_match_recursive_reference_on_large_forests(n):
+    # Past 2**15 nodes the sort keys no longer fit 16 bits; no mask is built
+    # (40,000 nodes would take 200 MB).
+    parents = random_tree(n, n)
+    for i in range(5, n, 97):
+        parents[i] = -1
+    sizes = [1] * n
+    for i in reversed(range(n)):
+        if parents[i] >= 0:
+            sizes[parents[i]] += sizes[i]
+    assert subtree_sizes(np.asarray(parents)).tolist() == sizes
+    assert dfs_order(parents) == recursive_preorder(parents, lambda c: c)
+    assert hpd_order(parents) == recursive_preorder(parents, lambda c: (-sizes[c], c))
+
+
+class TestIntegerIds:
+    @pytest.mark.parametrize(
+        "parents",
+        [[-1, 0.5, 1], [-1, 0.0, 1.0], np.array([-1.0, 0.0, 1.0]), np.array([True, False, False])],
+    )
+    def test_parents_that_are_not_integers_rejected(self, parents):
+        calls = [dfs_order, hpd_order, mask_from_tree, subtree_sizes, ancestor_self_matrix]
+        calls += [
+            lambda p: list(enumerate_topological_orders(p)),
+            lambda p: apply_permutation(p, [0, 1, 2]),
+            lambda p: min_block_count_exhaustive(p, 0, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="node ids must be integers"):
+                call(parents)
+
+    @pytest.mark.parametrize(
+        "order", [[0, 1.7, 2], [0, 1.2, 2.9], [0.0, 1.0, 2.0], np.array([False, True, True])]
+    )
+    def test_orders_that_are_not_integers_rejected(self, order):
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            apply_permutation(CHAIN3, order)
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            is_topological(np.asarray(CHAIN3), order)
+
+    def test_empty_tree_is_rejected_as_empty(self):
+        for call in (dfs_order, hpd_order, mask_from_tree, subtree_sizes):
+            for empty in ([], np.array([], dtype=float)):
+                with pytest.raises(ValueError, match="tree must have at least one node"):
+                    call(empty)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    def test_integer_arrays_of_any_width_accepted(self, dtype):
+        parents = np.array([-1, 0, 0, 1], dtype=dtype)
+        order = np.array([0, 1, 3, 2], dtype=np.uint8)
+        assert dfs_order(parents) == order.tolist()
+        assert is_topological(parents, order)
+        assert apply_permutation(parents, order).set_bit_count() == 8
 
 
 class TestApplyPermutation:
@@ -555,7 +633,9 @@ class TestWholeArrayProperties:
     @settings(deadline=None)
     @given(
         case=forests().flatmap(lambda p: st.tuples(st.just(p), st.permutations(range(len(p))))),
-        fault=st.sampled_from(["missing", "repeated", "too_high", "negative"]),
+        fault=st.sampled_from(
+            ["missing", "repeated", "too_high", "negative", "wrapping", "extra", "nested"]
+        ),
         where=st.integers(0, 39),
     )
     def test_non_permutation_is_not_topological(self, case, fault, where):
@@ -567,8 +647,14 @@ class TestWholeArrayProperties:
             del order[i]
         elif fault == "repeated" and n > 1:
             order[i] = order[i - 1]
-        elif fault == "repeated":
+        elif fault in ("repeated", "extra"):
             order.append(order[i])
+        elif fault == "nested":
+            order = [order]
+        elif fault == "wrapping":  # numpy would wrap this index back onto the same node
+            order[i] -= n + 1
         else:
             order[i] = n if fault == "too_high" else -1
         assert not is_topological(np.asarray(parents), order)
+        with pytest.raises(ValueError, match="order must be a permutation of the node ids"):
+            apply_permutation(parents, order)
