@@ -249,12 +249,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 cells.append(gen)
     out = _out_dir(args, cfg)
     rows = _bench_cells(cfg.models, cfg.costs, args.seeds, cells)
-    if args.format == "json":
-        _write_json(out / "bench.json", rows)
-        print(f"wrote {out}/bench.json ({len(rows)} cells)")
-    else:
-        _write_csv(out / "bench.csv", rows)
-        print(f"wrote {out}/bench.csv ({len(rows)} cells)")
+    {"csv": _write_csv, "json": _write_json}[args.format](out / f"bench.{args.format}", rows)
+    print(f"wrote {out}/bench.{args.format} ({len(rows)} cells)")
     return 0
 
 

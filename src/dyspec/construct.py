@@ -265,13 +265,8 @@ def expected_accepted(tree: TokenTree, sd: Mapping[int, float]) -> float:
     given its branch is tested.  A branch is tested only after all ancestors
     were accepted and every earlier sibling along the way was rejected, so
     the reach probability threads through the tree exactly like the
-    verification walk does.
+    verification walk does; it checks each ``sd[node]`` is in [0, 1].
     """
-    for node in tree.nodes:
-        p = sd[node.node_id]
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"acceptance probability {p} outside [0, 1]")
-
     total = 0.0
     stack: List[Tuple[int, float]] = [(ROOT, 1.0)]
     while stack:
@@ -281,6 +276,8 @@ def expected_accepted(tree: TokenTree, sd: Mapping[int, float]) -> float:
             continue
         for node_id in state.node_ids:
             p = sd[node_id]
+            if not (0.0 <= p <= 1.0):
+                raise ValueError(f"acceptance probability {p} outside [0, 1]")
             total += reach * p
             stack.append((node_id, reach * p))
             reach *= 1.0 - p

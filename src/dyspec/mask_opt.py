@@ -263,11 +263,7 @@ def random_tree(n: int, seed: int) -> List[int]:
     """Uniform random-attachment tree: parent of node i uniform on [0, i)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    parents = [-1]
-    for i in range(1, n):
-        parents.append(int(rng.integers(0, i)))
-    return parents
+    return [-1] + np.random.default_rng(seed).integers(0, np.arange(1, n)).tolist()
 
 
 def _dense_attention_mask(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: TreeMask) -> np.ndarray:

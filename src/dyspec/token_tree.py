@@ -98,16 +98,14 @@ class TokenTree:
     def open_position(
         self, owner: int, draft_full: Categorical, path: Optional[Tuple[int, ...]] = None
     ) -> PositionState:
-        """Attach the draft distribution for the position owned by a node.
+        """Make and store the state of the position owned by a node, from its draft row.
 
-        ``path`` is :meth:`position_path` of ``owner``, when the caller has it.
+        A position is opened once.  ``path`` is :meth:`position_path` of
+        ``owner``, when the caller has it.
         """
-        state = self.positions.get(owner)
-        if state is None:
-            if path is None:
-                path = self.position_path(owner)
-            state = PositionState(owner=owner, draft_full=draft_full, path=path)
-            self.positions[owner] = state
+        if path is None:
+            path = self.position_path(owner)
+        state = self.positions[owner] = PositionState(owner, draft_full, path)
         return state
 
     def add_node(self, owner: int, token: int, value: float) -> int:

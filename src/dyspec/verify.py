@@ -80,8 +80,9 @@ def verify_tree(
 
     ``target_dists`` must cover every position the walk can visit: the
     prompt position and the position of every node (accepted leaves sample
-    their bonus there); only visited ones are read, once each.  Uniform
-    draws are keyed by ``seed`` in visit order, so results are reproducible.
+    their bonus there); only visited ones are read, once each, and a missing
+    one raises the mapping's own ``KeyError``.  Uniform draws are keyed by
+    ``seed`` in visit order, so results are reproducible.
 
     Thresholds and target folds are kept on the position
     (``PositionState.verdicts``) for the target row object read there
@@ -97,9 +98,7 @@ def verify_tree(
     owner = ROOT
 
     while True:
-        target = target_dists.get(owner)
-        if target is None:
-            raise KeyError(f"missing target distribution for position {owner}")
+        target = target_dists[owner]
         state = tree.positions.get(owner)
         if state is None or not state.node_ids:
             row, from_residual = target, False
@@ -162,11 +161,8 @@ def true_branch_acceptance(
     for owner, state in tree.positions.items():
         if not state.node_ids:
             continue
-        target = target_dists.get(owner)
-        if target is None:
-            raise KeyError(f"missing target distribution for position {owner}")
         draft = state.draft_full
-        residual = target
+        residual = target_dists[owner]
         for k, (node_id, token) in enumerate(zip(state.node_ids, state.sampled)):
             d_prob = draft[token]
             probs[node_id] = min(1.0, residual[token] / d_prob) if d_prob > 0 else 1.0

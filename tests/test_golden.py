@@ -54,6 +54,11 @@ CASES = {
         "mask", "--config", MASK_CONFIG, "--generator", "constructed", "--sizes", "48",
         "--block", "8", "--seeds", "2", "--per-seed",
     ],
+    # The random generator reads only ``output`` from a config, so none is passed.
+    "mask-random": [
+        "mask", "--generator", "random", "--sizes", "1,17,64", "--prefixes", "0,8",
+        "--block", "8", "--seeds", "3", "--per-seed",
+    ],
     "oracle-threshold-equivalence": [
         "oracle", "--suite", "threshold-equivalence", "--instances", "20", "--seed", "2",
     ],

@@ -335,6 +335,15 @@ class TestRandomTree:
         with pytest.raises(ValueError):
             random_tree(0, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 2048])
+    def test_equals_one_bounded_draw_per_node(self, n):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            reference = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
+            parents = random_tree(n, seed)
+            assert parents == reference
+            assert all(type(p) is int for p in parents)
+
 
 class TestBlockedAttention:
     def rand_qkv(self, rows, cols, dim, seed):

@@ -1,6 +1,7 @@
 """Property-based tests of the numeric core: Categorical, sampling, the
 target rows of a tree, verification and exact verification."""
 
+import itertools
 import subprocess
 import sys
 import textwrap
@@ -27,7 +28,7 @@ from dyspec.lm import (
     make_model_pair,
     target_distributions_for_tree,
 )
-from dyspec.oracle import exact_verify_distribution
+from dyspec.oracle import exact_verify_distribution, fixed_chain_emission
 from dyspec.rng import keyed_uniform
 from dyspec.token_tree import ROOT
 from dyspec.verify import VerificationError, replay_trace, verify_tree
@@ -267,6 +268,28 @@ class TestExactVerifyNearEqual:
         k = data.draw(st.integers(min_value=0, max_value=draft.support_size))
         law = exact_verify_distribution(draft, target, k)
         np.testing.assert_allclose(law.probs, target.probs, atol=1e-12)
+
+
+class TestExactVerifyIsTheSumOverChains:
+    """The integrated law is each ordered draft draw's fixed-chain law,
+    weighted by the draw's probability under the draft residual chain."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_exact_law_equals_the_sum_of_fixed_chain_laws(self, vocab, data):
+        row = st.lists(weight_entries, min_size=vocab, max_size=vocab)
+        row = row.filter(lambda w: any(x > 0.0 for x in w))
+        draft, target = (Categorical(normalized(data.draw(row))) for _ in range(2))
+        k = data.draw(st.integers(1, min(3, draft.support_size)))
+        total = np.zeros(draft.size)
+        for draw in itertools.permutations(np.flatnonzero(draft.probs).tolist(), k):
+            prob, residual = 1.0, draft
+            for token in draw:
+                prob *= residual[token]
+                residual = remove_and_renorm(residual, token)
+            total += prob * fixed_chain_emission(draft, target, list(draw))
+        law = exact_verify_distribution(draft, target, k)
+        np.testing.assert_allclose(total, law.probs, rtol=0.0, atol=1e-12)
 
 
 class TestVerifyProperties:

@@ -205,6 +205,24 @@ class TestInvariantsOnBuiltTrees:
                 keys.append((node.depth, -tree.nodes[first].value, node.parent, node.sibling_index))
             assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("builder", ["fixed", "threshold"])
+    def test_each_position_is_opened_once_from_the_draft(self, builder, monkeypatch):
+        opened = []
+        open_position = TokenTree.open_position
+
+        def counting(tree, *args):
+            opened.append(args[0])
+            return open_position(tree, *args)
+
+        monkeypatch.setattr(TokenTree, "open_position", counting)
+        for seed in range(5):
+            draft = random_draft(seed)
+            opened.clear()
+            tree = BUILDERS[builder](draft, seed)
+            assert sorted(opened) == sorted(tree.positions)
+            for state in tree.positions.values():
+                assert state.draft_full == draft.dist([0, 1] + list(state.path))
+
     def test_node_count_matches_sampled_totals(self):
         tree = random_built_tree(3)
         total = sum(len(p.sampled) for p in tree.positions.values())

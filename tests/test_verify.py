@@ -5,7 +5,7 @@ import pytest
 
 from dyspec.categorical import Categorical
 from dyspec.construct import build_tree_fixed
-from dyspec.lm import ModelPairSpec, make_model_pair, target_distributions_for_tree
+from dyspec.lm import ModelPairSpec, TargetRows, make_model_pair, target_distributions_for_tree
 from dyspec.rng import keyed_uniform
 from dyspec.token_tree import ROOT, TokenTree
 from dyspec.verify import (
@@ -271,11 +271,21 @@ class TestVerifyTreeOnBuiltTrees:
             tampered_walks += 1
         assert tampered_walks > 0
 
-    def test_missing_distribution_raises(self):
+    @pytest.mark.parametrize("check", [
+        lambda tree, rows: verify_tree(tree, rows, 0, uniform_fn=lambda: 0.0),
+        true_branch_acceptance,
+    ], ids=["verify_tree", "true_branch_acceptance"])
+    def test_missing_row_raises_the_mappings_key_error(self, check):
         tree, dists = built_case(1)
-        incomplete = {k: v for k, v in dists.items() if k != ROOT}
+        assert tree.positions[0].node_ids  # the first accepted node's position is read
         with pytest.raises(KeyError):
-            verify_tree(tree, incomplete, 0)
+            check(tree, {k: v for k, v in dists.items() if k != ROOT})
+        with pytest.raises(KeyError):
+            check(tree, {k: v for k, v in dists.items() if k != 0})
+        # Rows of an empty tree cover only ROOT: node 0 is past its last node.
+        target, _ = make_model_pair(ModelPairSpec(vocab_size=8, markov_order=1, target_seed=1))
+        with pytest.raises(KeyError):
+            check(tree, TargetRows(target, [1, 2], TokenTree()))
 
 
 class TestBonusMemo:
