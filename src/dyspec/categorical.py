@@ -93,8 +93,9 @@ def softmax_with_temperature(logits, temp: float) -> Categorical:
         probs = np.zeros(z.size, dtype=np.float64)
         probs[int(np.argmax(z))] = 1.0
         return Categorical._wrap(probs)
-    e = np.exp((z - z.max()) / temp)
-    return Categorical._wrap(e / e.sum())
+    # exp is 0 below -745.2; the clip keeps gaps / temp finite at tiny temperatures.
+    e = np.exp(np.maximum(z - z.max(), -746.0 * temp) / temp)
+    return Categorical._wrap(np.divide(e, _total(e), out=e))
 
 
 def sample(dist: Categorical, u: float, cdf: list[float] | None = None) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -181,6 +182,11 @@ def tree_shape(
     ``static_tree`` ``branching[d]`` times at each position of depth d.
     A field the shape does not use, or a value it cannot take, raises ValueError.
     """
+    counts = [("budget", budget), ("size_cap", size_cap), ("k", k)]
+    counts += [(f"branching[{i}]", b) for i, b in enumerate(branching or ())]
+    for name, value in counts:
+        if isinstance(value, bool) or not isinstance(value, (numbers.Integral, type(None))):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if (budget is None) == (threshold is None):
         raise ValueError("exactly one of budget/threshold must be set")
     if budget is not None and budget < 1:

@@ -46,10 +46,6 @@ class PositionState:
     and renormalized: the k-th sampling was drawn from it.  The fold after
     the latest sampling waits for a read of :attr:`residual`, which makes
     the chain one entry longer than ``sampled``.
-
-    ``verdicts`` is verification's memo for the target row it last read
-    here: ``(row, [(threshold, draft prob) per branch], [target fold after
-    each rejection])``; entry k depends only on the row and ``chain[:k+1]``.
     """
 
     owner: int
@@ -58,9 +54,6 @@ class PositionState:
     sampled: List[int] = field(default_factory=list)
     node_ids: List[int] = field(default_factory=list)
     chain: List[Categorical] = field(init=False)
-    verdicts: Optional[Tuple[Categorical, List[Tuple[float, float]], List[Categorical]]] = field(
-        default=None, init=False
-    )
 
     def __post_init__(self):
         self.chain = [self.draft_full]
@@ -75,12 +68,12 @@ class PositionState:
 
 
 class TokenTree:
-    """Rooted tree of drafted tokens, per-position sampling state and verify's ``bonus_cdfs``."""
+    """Rooted tree of drafted tokens and per-position sampling state."""
 
     def __init__(self):
         self.nodes: List[TreeNode] = []
         self.positions: Dict[int, PositionState] = {}
-        self.bonus_cdfs: Dict[int, Tuple[Categorical, List[float]]] = {}
+        self.verify_memo: Dict[int, list] = {}  # owner -> verify_tree's memo there
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -154,7 +147,7 @@ class TokenTree:
         """Parent id per node (ROOT mapped to -1), in creation order."""
         return [n.parent for n in self.nodes]
 
-    def check_residuals(self, tol: float = RESIDUAL_TOL) -> None:
+    def check_residuals(self) -> None:
         """Assert each stored residual equals draft_full folded over the samplings before it."""
         for state in self.positions.values():
             state.residual  # folds the pending entry, if any
@@ -166,5 +159,5 @@ class TokenTree:
                     acc = remove_and_renorm(acc, state.sampled[k - 1])
                 if acc.is_zero != stored.is_zero:
                     raise AssertionError(f"residual flag drifted at position {state.owner}")
-                if not acc.is_zero and np.max(np.abs(acc.probs - stored.probs)) > tol:
+                if not acc.is_zero and np.max(np.abs(acc.probs - stored.probs)) > RESIDUAL_TOL:
                     raise AssertionError(f"residual drifted at position {state.owner}")

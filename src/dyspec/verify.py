@@ -18,11 +18,14 @@ token per verification pass and is counted in the accepted-per-step metric
 shifts that metric by one).
 
 Only the uniforms are random: a position's thresholds, folds and bonus row
-are fixed by its target row and draft chain.  :func:`verify_tree` keeps them
-and the bonus row's CDF, keyed by the identity of the row they came from, so
-a tree verified many times (the expectation oracle) folds each position and
-cumsums each bonus row once.  :func:`true_branch_acceptance` and
-:func:`replay_trace` fold and sample from scratch and never read those memos.
+are fixed by its target row and draft chain.  So :func:`verify_tree` keeps
+``tree.verify_memo[owner] = [target row, [(threshold, draft prob) per tested
+branch], [target fold after each rejection], (bonus row, its CDF) or None]``,
+filled only as far as walks reach, and replaces it whole when the row read
+there is another object (``is``, not ``==``); the bonus entry checks its own
+row, which may be the target row or a fold.  A tree verified many times (the
+expectation oracle) folds each position and cumsums each bonus row once.
+:func:`true_branch_acceptance` and :func:`replay_trace` never read the memo.
 """
 
 from __future__ import annotations
@@ -82,12 +85,8 @@ def verify_tree(
     prompt position and the position of every node (accepted leaves sample
     their bonus there); only visited ones are read, once each, and a missing
     one raises the mapping's own ``KeyError``.  Uniform draws are keyed by
-    ``seed`` in visit order, so results are reproducible.
-
-    Thresholds and target folds are kept on the position
-    (``PositionState.verdicts``) for the target row object read there
-    (``is``, not ``==``), filled only as far as rejections reach; so is the
-    CDF of the bonus row where a walk stops (``tree.bonus_cdfs``).
+    ``seed`` in visit order, so results are reproducible.  Each visited
+    position reads and fills its memo (see the module docstring).
     """
     if uniform_fn is None:
         uniform_fn = map(keyed_uniforms(seed, "verify", ()), count()).__next__
@@ -99,14 +98,14 @@ def verify_tree(
 
     while True:
         target = target_dists[owner]
+        memo = tree.verify_memo.get(owner)
+        if memo is None or memo[0] is not target:
+            memo = tree.verify_memo[owner] = [target, [], [], None]
         state = tree.positions.get(owner)
         if state is None or not state.node_ids:
             row, from_residual = target, False
             break
-        memo = state.verdicts
-        if memo is None or memo[0] is not target:
-            memo = state.verdicts = (target, [], [])
-        _, tests, folds = memo
+        _, tests, folds, _ = memo
         residual = target
         for k, node_id in enumerate(state.node_ids):
             if k == len(tests):
@@ -139,9 +138,9 @@ def verify_tree(
             row, from_residual = residual, True
             break
     u = uniform_fn()
-    kept = tree.bonus_cdfs.get(owner)
+    kept = memo[3]
     if kept is None or kept[0] is not row:
-        kept = tree.bonus_cdfs[owner] = (row, _cumsum(row.probs).tolist())
+        kept = memo[3] = (row, _cumsum(row.probs).tolist())
     bonus = sample(row, u, kept[1])
     accepted_tokens.append(bonus)
     return VerifyResult(accepted_tokens, accepted_ids, bonus, from_residual, trace, u)
@@ -168,9 +167,9 @@ def true_branch_acceptance(
             probs[node_id] = min(1.0, residual[token] / d_prob) if d_prob > 0 else 1.0
             residual = residual_target(residual, draft)
             draft = remove_and_renorm(draft, token)
-            if residual.is_zero or draft.is_zero:
-                # Remaining branches (none exist in well-formed trees) would
-                # never be tested.
+            if residual.is_zero:
+                # R <= D, so R == D: branch k passes and later siblings, which
+                # the greedy walk samples when draft equals target, go untested.
                 for later in state.node_ids[k + 1 :]:
                     probs[later] = 0.0
                 break

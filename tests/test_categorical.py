@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,14 @@ class TestSoftmaxWithTemperature:
         for _ in range(20):
             out = softmax_with_temperature(rng.normal(size=8), 0.0)
             assert out.support_size == 1
+
+    @pytest.mark.parametrize("temp", [1e-320, 5e-324])
+    def test_tiny_temperature_splits_the_tied_maxima_without_warning(self, temp):
+        # Logit gaps over such a temperature overflow to -inf, and exp gives 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = softmax_with_temperature([0.0, -1.0, 2.0, 2.0], temp)
+        np.testing.assert_array_equal(out.probs, [0.0, 0.0, 0.5, 0.5])
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,24 @@ class TestGenConfig:
     def test_static_tree_branching_entries_at_least_one(self, branching):
         with pytest.raises(ValueError, match="branching entries must be >= 1"):
             GenConfig(budget=16, structure="static_tree", branching=branching)
+
+    @pytest.mark.parametrize("name, bad, good", [
+        ("budget", dict(budget=2.5), dict(budget=2)),
+        ("budget", dict(budget=True), dict(budget=np.int64(1))),
+        ("size_cap", dict(threshold=0.5, size_cap=4.0), dict(threshold=0.5, size_cap=4)),
+        ("k", dict(budget=8, structure="k_chains", k=2.5),
+         dict(budget=8, structure="k_chains", k=2)),
+        ("branching[0]", dict(budget=4, structure="static_tree", branching=(2.5,)),
+         dict(budget=4, structure="static_tree", branching=(2,))),
+        ("branching[0]", dict(budget=4, structure="static_tree", branching=(True, 2)),
+         dict(budget=4, structure="static_tree", branching=(1, 2))),
+    ], ids=["budget-float", "budget-bool", "size_cap", "k", "branching-float", "branching-bool"])
+    def test_shape_counts_must_be_integers(self, name, bad, good):
+        # A fractional count grows another shape (branching 2.5 allows 3
+        # samplings), and a bool is no count.
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
+            GenConfig(**bad)
+        GenConfig(**good)
 
     def test_latency_mode(self):
         assert GenConfig(budget=8).latency_mode == "greedy"

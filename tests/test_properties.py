@@ -353,7 +353,7 @@ class TestVerifyProperties:
         self, vocab, order, budget, sigma, draft_temp, seed, data
     ):
         # One tree is verified again and again, which fills and reuses the
-        # memo on its positions; each walk must equal the same walk on a
+        # memo of its positions; each walk must equal the same walk on a
         # tree rebuilt from scratch, which has no memo.  Between walks a
         # target row is swapped for an equal-valued copy or a new row, or a
         # position gains a sampling.
@@ -420,7 +420,7 @@ class TestVerifyProperties:
                 grown.append((owner, opening, token))
                 node_id = tree.add_node(owner, token, 0.5)
                 rows[node_id] = Categorical(normalized(data.draw(row_weights)))
-        assert tree.positions[ROOT].verdicts is not None  # the walks kept a memo
+        assert tree.verify_memo[ROOT][1]  # the walks kept thresholds at ROOT
 
 
 # Logit vectors over up to 16 tokens.  Integer-valued logits make tied

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dyspec.categorical import Categorical
-from dyspec.construct import build_tree_fixed
+from dyspec.construct import build_tree_fixed, expected_accepted
 from dyspec.lm import ModelPairSpec, TargetRows, make_model_pair, target_distributions_for_tree
 from dyspec.rng import keyed_uniform
 from dyspec.token_tree import ROOT, TokenTree
@@ -51,14 +51,14 @@ class TestInvariantErrors:
             verify_tree(tree, dists, 0, uniform_fn=lambda: 1.5)
 
     def test_memoized_zero_fold_raises_on_every_walk(self):
-        # The first walk keeps the zero fold on the position; the second
-        # reads it from there and must raise as well.
+        # The first walk keeps the zero fold in the position's memo; the
+        # second reads it from there and must raise as well.
         tree = single_branch_tree([0.6, 0.4], 0)
         dists = {ROOT: Categorical([0.6, 0.4])}
         for _ in range(2):
             with pytest.raises(VerificationError, match="residual vanished"):
                 verify_tree(tree, dists, 0, uniform_fn=lambda: 1.5)
-        assert tree.positions[ROOT].verdicts[2][0].is_zero
+        assert tree.verify_memo[ROOT][2][0].is_zero
 
 
 class TestSingleBranch:
@@ -235,7 +235,7 @@ class TestVerifyTreeOnBuiltTrees:
             tree, dists = built_case(seed)
             before = true_branch_acceptance(tree, dists)
             assert replay_trace(tree, dists, verify_tree(tree, dists, seed))
-            tests = tree.positions[ROOT].verdicts[1]
+            tests = tree.verify_memo[ROOT][1]
             threshold, d_prob = tests[0]
             tests[0] = ((threshold + 0.5) % 1.0, d_prob)
             try:
@@ -260,7 +260,7 @@ class TestVerifyTreeOnBuiltTrees:
             res.bonus_from_residual = not res.bonus_from_residual
             assert not replay_trace(tree, dists, res)
             owner = res.accepted_node_ids[-1] if res.accepted_node_ids else ROOT
-            row, cdf = tree.bonus_cdfs[owner]
+            row, cdf = tree.verify_memo[owner][3]
             others = [int(t) for t in np.flatnonzero(row.probs > 0.0) if t != res.bonus_token]
             if not others:
                 continue
@@ -320,13 +320,14 @@ class TestBonusMemo:
         tree = TokenTree()
         dists = {ROOT: Categorical([0.25, 0.75])}
         verify_tree(tree, dists, 0)
-        row, cdf = tree.bonus_cdfs[ROOT]
+        row, cdf = tree.verify_memo[ROOT][3]
         dists[ROOT] = Categorical(row.probs.copy())
         for seed in range(3):
             verify_tree(tree, dists, seed)
         assert len(cumsums) == 2
-        assert tree.bonus_cdfs[ROOT][0] is dists[ROOT]
-        assert tree.bonus_cdfs[ROOT][1] == cdf and tree.bonus_cdfs[ROOT][1] is not cdf
+        memo = tree.verify_memo[ROOT]
+        assert memo[0] is dists[ROOT] and memo[3][0] is dists[ROOT]
+        assert memo[3][1] == cdf and memo[3][1] is not cdf
 
 
 class TestTrueBranchAcceptance:
@@ -359,3 +360,29 @@ class TestTrueBranchAcceptance:
             tree, dists = built_case(seed)
             for p in true_branch_acceptance(tree, dists).values():
                 assert 0.0 <= p <= 1.0
+
+    def test_a_draft_equal_to_the_target_accepts_the_first_child_chain(self):
+        # With noise 0 and equal temperatures every first branch passes and
+        # leaves a zero fold, yet the greedy walk samples later siblings,
+        # which are never tested.
+        spec = ModelPairSpec(vocab_size=16, target_seed=3, noise_sigma=0.0)
+        target, draft = make_model_pair(spec)
+        later_siblings = 0
+        for seed in range(20):
+            prompt = [seed % 16, 7 * seed % 16]
+            tree = build_tree_fixed(draft, prompt, 16, seed=seed)
+            dists = target_distributions_for_tree(target, prompt, tree)
+            probs = true_branch_acceptance(tree, dists)
+            for state in tree.positions.values():
+                first, *later = state.node_ids
+                assert probs[first] == 1.0
+                assert [probs[n] for n in later] == [0.0] * len(later)
+                later_siblings += len(later)
+            chain, owner = [], ROOT
+            while owner in tree.positions:
+                owner = tree.positions[owner].node_ids[0]
+                chain.append(owner)
+            assert expected_accepted(tree, probs) == len(chain)
+            for walk_seed in range(5):
+                assert verify_tree(tree, dists, walk_seed).accepted_node_ids == chain
+        assert later_siblings > 0
