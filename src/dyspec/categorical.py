@@ -35,7 +35,8 @@ class Categorical:
             raise ValueError("probs must be a non-empty 1-D vector")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be non-negative")
-        total = float(p.sum())
+        with np.errstate(over="ignore"):  # a sum past the float range fails below
+            total = float(p.sum())
         if total != 0.0 and not abs(total - 1.0) <= SUM_TOL:  # NaN fails too
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.probs = p

@@ -1,11 +1,11 @@
 """Dynamic token-tree construction.
 
-Every tree is grown by one step, :func:`sample_at`: draw the next token at a
-position from its residual, keyed by (seed, position path, sibling index),
-and append it as a node.  A position is opened from the draft model the
-first time it is sampled, so positions that are never sampled cost no draft
-query.  One walk, :func:`grow_tree`, repeats the step in priority order; the
-order is the tree's shape:
+Every tree is grown by one walk, :func:`grow_tree`, which takes samplings in
+priority order: each draws the next token at a position from its residual,
+keyed by (seed, position path, sibling index), and appends it as a node.  A
+position is opened from the draft model the first time it is sampled, so
+positions that are never sampled cost no draft query.  The order is the
+tree's shape:
 
 * Greedy (:func:`build_tree_fixed`): always the pending sampling with the
   highest estimated reach probability.  Each sampling makes two pending
@@ -34,12 +34,15 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .categorical import sample
+import numpy as np
+
+from .categorical import Categorical, _cumsum, _total
 from .lm import LanguageModel
 from .rng import keyed_uniforms
-from .token_tree import ROOT, TokenTree
+from .token_tree import ROOT, TokenTree, TreeNode
 
 UniformFn = Callable[[Tuple[int, ...], int], float]
 # A layered walk's shape: keep(value, depth, count) is True when a position
@@ -82,34 +85,6 @@ def construction_uniform(seed: int) -> UniformFn:
     return fn
 
 
-def sample_at(
-    tree: TokenTree,
-    draft: LanguageModel,
-    prefix: List[int],
-    owner: int,
-    value: float,
-    uniform: UniformFn,
-) -> Optional[Tuple[int, float]]:
-    """Draw the next token at ``owner``'s position and append it as a node.
-
-    The position is opened from the draft the first time it is sampled.
-    Returns the new node id and the residual probability its token was drawn
-    with, or None when the position's support is exhausted.  ``value`` is
-    the estimated probability that this sampling is reached.  Exhaustion is
-    checked once, here: a token drawn from the residual's positive mass is
-    new at its position, so it skips :meth:`TokenTree.add_node`'s checks.
-    """
-    state = tree.positions.get(owner)
-    if state is None:
-        path = tree.position_path(owner)
-        state = tree.open_position(owner, draft.dist(prefix + list(path)), path)
-    residual = state.residual
-    if residual.is_zero:
-        return None
-    token = sample(residual, uniform(state.path, len(state.sampled)))
-    return tree.append_sampled(state, token, value), float(residual.probs[token])
-
-
 def grow_tree(
     draft: LanguageModel,
     prefix: Sequence[int],
@@ -118,33 +93,69 @@ def grow_tree(
     keep: Optional[KeepRule] = None,
     uniform_fn: Optional[UniformFn] = None,
 ) -> TokenTree:
-    """Repeat :func:`sample_at` in priority order until ``size_cap`` nodes exist.
+    """Take samplings in priority order until ``size_cap`` nodes exist.
+
+    The k-th sampling at a position folds the residual the previous token
+    left and draws from it with the uniform ``uniform_fn(path, k)`` (by
+    default ``keyed_uniform(seed, "construct", path, k)``), bit for bit as
+    ``categorical.remove_and_renorm`` and ``categorical.sample`` do, then
+    appends the token as a node; an exhausted position yields nothing.  A
+    position is opened from the draft on its first sampling; the fold after
+    its last is left to :attr:`PositionState.residual`.
 
     Each sampling of value v and rate r queues the new node's position at
-    value ``v * r`` and makes the next sibling ``v * (1 - r)``; exhausted
-    positions yield nothing.  Without ``keep`` the walk is greedy: the
-    highest value goes first, ties by queue order with the sibling queued
-    before the child.  With a rule the walk goes layer by layer: positions
-    in ``(depth, -value of the first sampling, owner id)`` order, each
-    sampled while ``keep`` allows, and a new position is queued only when
-    ``keep`` would take its first sampling, so the draft is queried only
-    for positions that get sampled.  A position's next sibling is then the
-    queue's minimum, so it is taken without queueing it.
+    value ``v * r`` and makes the next sibling ``v * (1 - r)``.  Without
+    ``keep`` the walk is greedy: the highest value goes first, ties by queue
+    order with the sibling queued before the child.  With a rule the walk
+    goes layer by layer: positions in ``(depth, -value of the first
+    sampling, owner id)`` order, each sampled while ``keep`` allows, and a
+    new position is queued only when ``keep`` would take its first
+    sampling, so the draft is queried only for positions that get sampled.
+    A position's next sibling is then the queue's minimum, so it is taken
+    without queueing it.
     """
-    uniform = uniform_fn or construction_uniform(seed)
     prefix = list(prefix)
     tree = TokenTree()
+    nodes = tree.nodes
     if keep is not None and not keep(1.0, 0, 0):
         return tree
+    # owner -> (sampled, node_ids, chain of its PositionState, its uniform of
+    # the sibling index, the depth of its nodes)
+    opened: Dict[int, tuple] = {}
     # Queue entries: greedy (-value, queue counter, owner), layered (depth,
     # -value of the first sampling, owner).  ``depth`` and ``count`` (samplings
     # drawn so far) belong to the position the layered walk is sampling.
     heap: List[Tuple[float, float, int]] = []
     owner, value, counter, depth, count = ROOT, 1.0, 0, 0, 0
-    while len(tree.nodes) < size_cap:
-        got = sample_at(tree, draft, prefix, owner, value, uniform)
-        if got is not None:
-            node_id, rate = got
+    while len(nodes) < size_cap:
+        entry = opened.get(owner)
+        if entry is None:
+            path = tree.position_path(owner)
+            state = tree.open_position(owner, draft.dist(prefix + list(path)), path)
+            uniform = (keyed_uniforms(seed, "construct", path) if uniform_fn is None
+                       else partial(uniform_fn, path))
+            entry = opened[owner] = (state.sampled, state.node_ids, state.chain, uniform,
+                                     1 if owner == ROOT else nodes[owner].depth + 1)
+        sampled, node_ids, chain, uniform, node_depth = entry
+        k = len(sampled)
+        if len(chain) == k:
+            # remove_and_renorm of the latest residual and token
+            p = chain[-1].probs.copy()
+            p[sampled[-1]] = 0.0
+            total = float(_total(p))
+            chain.append(Categorical.zero(p.size) if total <= 0.0
+                         else Categorical._wrap(np.divide(p, total, out=p)))
+        residual = chain[-1]
+        if not residual.is_zero:
+            probs = residual.probs
+            token = int(_cumsum(probs).searchsorted(uniform(k), "right"))
+            if token == probs.size or (rate := probs.item(token)) == 0.0:
+                token = int(np.flatnonzero(probs > 0.0)[-1])  # sample's clamp
+                rate = probs.item(token)
+            node_id = len(nodes)
+            nodes.append(TreeNode(node_id, owner, token, k, node_depth, value))
+            sampled.append(token)
+            node_ids.append(node_id)
             child = value * rate
             value *= 1.0 - rate
             if keep is None:
@@ -187,6 +198,8 @@ def tree_shape(
     for name, value in counts:
         if isinstance(value, bool) or not isinstance(value, (numbers.Integral, type(None))):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+    if isinstance(threshold, bool) or not isinstance(threshold, (numbers.Real, type(None))):
+        raise ValueError(f"threshold must be a real number, not {threshold!r}")
     if (budget is None) == (threshold is None):
         raise ValueError("exactly one of budget/threshold must be set")
     if budget is not None and budget < 1:

@@ -16,6 +16,7 @@ re-keys it per row, at about a tenth of the cost of building one.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import threading
 from dataclasses import dataclass, field, replace
@@ -296,7 +297,7 @@ class TargetRows(Mapping):
         self._target, self._prefix, self._tree = target, list(prefix), tree
 
     def __getitem__(self, owner: int) -> Categorical:
-        if owner not in range(ROOT, len(self._tree.nodes)):
+        if not isinstance(owner, numbers.Integral) or not ROOT <= owner < len(self._tree.nodes):
             raise KeyError(owner)
         return self._target.dist(self._prefix + list(self._tree.position_path(owner)))
 

@@ -106,20 +106,15 @@ class TokenTree:
 
         The position must be open and not exhausted, and a token may be
         sampled at most once per position, otherwise the residual bookkeeping
-        (and verification) would break.  Construction draws from the
-        residual's positive mass and appends through :meth:`append_sampled`.
+        (and verification) would break.  Construction appends in its own
+        walk, unchecked, since it draws from the residual's positive mass.
         """
         state = self.positions[owner]
         if token in state.sampled:
             raise ValueError(f"token {token} already sampled at position {owner}")
         if state.residual.is_zero:
             raise ValueError(f"position {owner} is exhausted")
-        return self.append_sampled(state, token, value)
-
-    def append_sampled(self, state: PositionState, token: int, value: float) -> int:
-        """:meth:`add_node` unchecked, for a token drawn from the residual."""
         node_id = len(self.nodes)
-        owner = state.owner
         depth = 1 if owner == ROOT else self.nodes[owner].depth + 1
         self.nodes.append(TreeNode(node_id, owner, token, len(state.sampled), depth, value))
         state.sampled.append(token)

@@ -155,6 +155,13 @@ class TestCategoricalInvariants:
         with pytest.raises(ValueError):
             Categorical([0.5, 0.6])
 
+    @pytest.mark.parametrize("row", [[1e308, 1e308], [0.0, 9e307, 9e307, float("nan")]])
+    def test_sum_past_the_float_range_is_a_bad_sum(self, row):
+        # The sum overflows to inf (or NaN): a ValueError, not numpy's
+        # overflow warning, which the test run raises as an error.
+        with pytest.raises(ValueError, match="sum to"):
+            Categorical(row)
+
     def test_all_zero_is_flagged(self):
         assert Categorical([0.0, 0.0]).is_zero
 

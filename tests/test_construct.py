@@ -12,9 +12,9 @@ from dyspec.construct import (
     draft_conditional_probs,
     estimate_latency,
     expected_accepted,
+    grow_tree,
     node_sampling_keys,
     path_weight_sum,
-    sample_at,
 )
 from dyspec.engine import ConfigError, GenConfig, generate, make_prompt
 from dyspec.lm import LanguageModel, ModelPairSpec, make_model_pair
@@ -62,6 +62,8 @@ def model_draft(seed, vocab=8, sigma=1.0):
 
 
 class TestSampleAt:
+    """The sampling step of :func:`grow_tree`'s walk at one position."""
+
     def test_positions_open_on_first_sampling(self):
         # only sampled positions are opened, each with one draft query on
         # the prefix plus the position's path
@@ -82,35 +84,36 @@ class TestSampleAt:
             )
 
     def test_exhausted_position_returns_none(self):
+        # All draft mass on token 0: the prompt position is exhausted after
+        # its first sampling, and so is every position below it, so each
+        # position yields exactly one node however wide the walk may go.
         draft = point_mass_draft(2)
-        tree = TokenTree()
-        uniform = lambda tag, k: 0.5
-        node_id, rate = sample_at(tree, draft, [], ROOT, 1.0, uniform)
-        assert (tree.nodes[node_id].token, rate) == (0, 1.0)
-        assert sample_at(tree, draft, [], ROOT, 0.0, uniform) is None
-        assert len(tree) == 1
-
+        greedy = build_tree_fixed(draft, [], 4, seed=0)
+        layered = grow_tree(draft, [], 0, 4, lambda value, depth, count: count < 2)
+        # The layered walk asked the prompt position for a second sampling
+        # and found its residual zero.
+        assert len(layered.positions[ROOT].chain) == 2
+        assert layered.positions[ROOT].chain[1].is_zero
+        for tree in (greedy, layered):
+            assert [(n.parent, n.token, n.sibling_index) for n in tree.nodes] == [
+                (-1, 0, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0)
+            ]
+            assert draft_conditional_probs(tree) == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
+            assert all(len(state.sampled) == 1 for state in tree.positions.values())
 
     @pytest.mark.parametrize("draft_temp", [0.0, 0.6])
-    def test_folds_only_positions_sampled_again(self, draft_temp, monkeypatch):
+    def test_folds_only_positions_sampled_again(self, draft_temp):
         # A position folds once before each sampling after its first; the
-        # fold after its last sampling waits for a read that never comes.
+        # fold after its last sampling waits for a read that never comes,
+        # so each chain holds one entry per sampling.
         # (The greedy walk never revisits an exhausted position: its sibling
         # entry has value 0 while its child's is positive.)
-        import dyspec.token_tree as token_tree
-
-        folds = []
-        real_fold = token_tree.remove_and_renorm
-
-        def fold(dist, token):
-            folds.append(token)
-            return real_fold(dist, token)
-
-        monkeypatch.setattr(token_tree, "remove_and_renorm", fold)
         draft = model_draft(4, vocab=16).with_temperature(draft_temp)
         tree = build_tree_fixed(draft, [0, 1], 40, seed=2)
         assert len(tree) == 40
-        assert len(folds) == len(tree.nodes) - len(tree.positions)
+        chains = [len(state.chain) for state in tree.positions.values()]
+        assert chains == [len(state.sampled) for state in tree.positions.values()]
+        assert sum(chains) == len(tree.nodes)
         tree.check_residuals()
 
 

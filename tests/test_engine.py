@@ -15,6 +15,7 @@ from dyspec.construct import (
     build_tree_fixed,
     build_tree_threshold,
     estimate_latency,
+    tree_shape,
 )
 from dyspec.engine import (
     GenConfig,
@@ -103,6 +104,15 @@ class TestGenConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
             GenConfig(**bad)
         GenConfig(**good)
+
+    @pytest.mark.parametrize("threshold", [True, "0.5"], ids=["bool", "str"])
+    def test_threshold_must_be_a_real_number(self, threshold):
+        # True would grow a tree at threshold 1.0; a string raised TypeError.
+        with pytest.raises(ValueError, match="^threshold must be a real number"):
+            GenConfig(threshold=threshold, size_cap=4, budget=None)
+        with pytest.raises(ValueError, match="^threshold must be a real number"):
+            tree_shape(threshold=threshold, size_cap=4)
+        GenConfig(threshold=np.float32(0.5), size_cap=4)
 
     def test_latency_mode(self):
         assert GenConfig(budget=8).latency_mode == "greedy"

@@ -15,6 +15,7 @@ from dyspec.lm import (
     _ROW_GENERATOR,
     MarkovModel,
     ModelPairSpec,
+    TargetRows,
     derive_draft,
     make_model_pair,
     target_distributions_for_tree,
@@ -340,6 +341,18 @@ class TestTargetDistributionsForTree:
             np.testing.assert_array_equal(
                 dists[node.node_id].probs, target.dist(ctx).probs
             )
+
+    @pytest.mark.parametrize("key", [1.0, 2.5, "0"])
+    def test_key_that_is_no_node_id_is_missing(self, key):
+        # 1.0 equals node id 1, yet is no node id: Mapping's contract is a
+        # False from ``in`` and a KeyError from ``[]``, not a TypeError.
+        spec = ModelPairSpec(vocab_size=16, markov_order=1, target_seed=3)
+        target, draft = make_model_pair(spec)
+        rows = TargetRows(target, [1], build_tree_fixed(draft, [1], 4, seed=5))
+        assert 1 in rows
+        assert key not in rows
+        with pytest.raises(KeyError):
+            rows[key]
 
 
 class TestModelPairSpec:

@@ -20,7 +20,7 @@ from dyspec.categorical import (
     sample,
     softmax_with_temperature,
 )
-from dyspec.construct import build_tree_fixed, construction_uniform, grow_tree
+from dyspec.construct import build_tree_fixed, construction_uniform, grow_tree, tree_shape
 from dyspec.lm import (
     MarkovModel,
     ModelPairSpec,
@@ -217,7 +217,7 @@ class TestConstructionStep:
     def test_every_token_drawn_from_positive_residual_mass(
         self, vocab, order, budget, sigma, draft_temp, seed, width
     ):
-        # sample_at appends without add_node's checks: a token must come from
+        # The walk appends without add_node's checks: a token must come from
         # the positive mass of its residual, so it can neither repeat at its
         # position nor be drawn at an exhausted one.
         spec = ModelPairSpec(
@@ -243,6 +243,60 @@ class TestConstructionStep:
                 owner = state.owner
                 assert list(state.path) == ([] if owner == ROOT else tree.token_path(owner))
             tree.check_residuals()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.integers(1, 2),
+        st.integers(1, 24),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.integers(0, 2**16),
+        st.sampled_from(["greedy", "threshold", "chain", "k_chains", "static_tree"]),
+        st.data(),
+    )
+    def test_walk_folds_and_draws_as_the_reference_functions(
+        self, vocab, order, budget, sigma, draft_temp, seed, shape, data
+    ):
+        # grow_tree folds and draws inline; every residual it keeps and every
+        # token it draws must be, bit for bit, what remove_and_renorm and
+        # sample give, and an injected construction_uniform must change nothing.
+        if shape == "greedy":
+            fields = dict(budget=budget)
+        elif shape == "threshold":
+            fields = dict(threshold=data.draw(st.floats(1e-4, 1.0)), size_cap=budget)
+        elif shape == "k_chains":
+            fields = dict(structure=shape, budget=budget, k=data.draw(st.integers(1, budget)))
+        elif shape == "static_tree":
+            branching = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+            assume(sum(np.prod(branching[:d]) for d in range(1, len(branching) + 1)) <= budget)
+            fields = dict(structure=shape, budget=budget, branching=branching)
+        else:
+            fields = dict(structure=shape, budget=budget)
+        spec = ModelPairSpec(
+            vocab_size=vocab, markov_order=order, target_seed=seed,
+            noise_sigma=sigma, draft_temp=draft_temp,
+        )
+        _, draft = make_model_pair(spec)
+        prompt = [seed % vocab]
+        size_cap, keep = tree_shape(**fields)
+        tree = grow_tree(draft, prompt, seed, size_cap, keep)
+        for state in tree.positions.values():
+            assert len(state.chain) in (len(state.sampled), len(state.sampled) + 1)
+            for k, (before, after) in enumerate(zip(state.chain, state.chain[1:])):
+                folded = remove_and_renorm(before, state.sampled[k])
+                assert after.is_zero == folded.is_zero
+                assert np.array_equal(after.probs, folded.probs)
+            for k, (token, drawn_from) in enumerate(zip(state.sampled, state.chain)):
+                u = keyed_uniform(seed, "construct", state.path, k)
+                assert token == sample(drawn_from, u)
+        injected = grow_tree(draft, prompt, seed, size_cap, keep, construction_uniform(seed))
+        assert injected.nodes == tree.nodes
+        assert injected.positions.keys() == tree.positions.keys()
+        for owner, state in tree.positions.items():
+            other = injected.positions[owner]
+            assert (other.path, other.sampled, other.node_ids) == (state.path, state.sampled, state.node_ids)
+            assert other.chain == state.chain
 
 
 class TestExactVerifyNearEqual:
