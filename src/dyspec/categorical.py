@@ -9,15 +9,17 @@ position.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
 
 SUM_TOL = 1e-9
 
-# ndarray.cumsum and .sum without their Python-level wrappers: the same
-# loops, so the same bits, at about half the cost per call on short rows.
+# ndarray.cumsum, .sum, .max and .min without their Python-level wrappers:
+# the same loops, so the same bits, at about half the cost per call on short rows.
 _cumsum, _total = np.add.accumulate, np.add.reduce
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 class Categorical:
@@ -86,7 +88,8 @@ def softmax_with_temperature(logits, temp: float) -> Categorical:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size < 1:
         raise ValueError("logits must be a non-empty 1-D vector")
-    if not np.isfinite(z).all():
+    hi = _max(z)
+    if not (-math.inf < _min(z) and hi < math.inf):  # NaN propagates to both
         raise ValueError("logits must be finite")
     if not temp >= 0.0:  # NaN fails too
         raise ValueError("temperature must be non-negative")
@@ -95,7 +98,7 @@ def softmax_with_temperature(logits, temp: float) -> Categorical:
         probs[int(np.argmax(z))] = 1.0
         return Categorical._wrap(probs)
     # exp is 0 below -745.2; the clip keeps gaps / temp finite at tiny temperatures.
-    e = np.exp(np.maximum(z - z.max(), -746.0 * temp) / temp)
+    e = np.exp(np.maximum(z - hi, -746.0 * temp) / temp)
     return Categorical._wrap(np.divide(e, _total(e), out=e))
 
 

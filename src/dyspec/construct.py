@@ -41,7 +41,7 @@ import numpy as np
 
 from .categorical import Categorical, _cumsum, _total
 from .lm import LanguageModel
-from .rng import keyed_uniforms
+from .rng import check_integer, keyed_uniforms
 from .token_tree import ROOT, TokenTree, TreeNode
 
 UniformFn = Callable[[Tuple[int, ...], int], float]
@@ -114,7 +114,7 @@ def grow_tree(
     A position's next sibling is then the queue's minimum, so it is taken
     without queueing it.
     """
-    prefix = list(prefix)
+    prefix = tuple(prefix)
     tree = TokenTree()
     nodes = tree.nodes
     if keep is not None and not keep(1.0, 0, 0):
@@ -131,7 +131,7 @@ def grow_tree(
         entry = opened.get(owner)
         if entry is None:
             path = tree.position_path(owner)
-            state = tree.open_position(owner, draft.dist(prefix + list(path)), path)
+            state = tree.open_position(owner, draft.dist(prefix + path), path)
             uniform = (keyed_uniforms(seed, "construct", path) if uniform_fn is None
                        else partial(uniform_fn, path))
             entry = opened[owner] = (state.sampled, state.node_ids, state.chain, uniform,
@@ -196,8 +196,8 @@ def tree_shape(
     counts = [("budget", budget), ("size_cap", size_cap), ("k", k)]
     counts += [(f"branching[{i}]", b) for i, b in enumerate(branching or ())]
     for name, value in counts:
-        if isinstance(value, bool) or not isinstance(value, (numbers.Integral, type(None))):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value is not None:
+            check_integer(value, name)
     if isinstance(threshold, bool) or not isinstance(threshold, (numbers.Real, type(None))):
         raise ValueError(f"threshold must be a real number, not {threshold!r}")
     if (budget is None) == (threshold is None):

@@ -33,7 +33,7 @@ from .construct import (
     tree_shape,
 )
 from .lm import LanguageModel, TargetRows
-from .rng import check_seed, derive_seed, keyed_uniform
+from .rng import check_integer, check_seed, derive_seed, keyed_uniform
 from .token_tree import TokenTree
 from .verify import BranchTrace, VerificationError, VerifyResult, verify_tree
 
@@ -48,7 +48,8 @@ class GenConfig:
 
     :func:`dyspec.construct.tree_shape` checks the shape fields, rejecting
     ``size_cap`` outside threshold mode, ``k`` outside ``k_chains`` and
-    ``branching`` outside ``static_tree``.  ``seed`` must fit in int64.
+    ``branching`` outside ``static_tree``.  Counts and ``seed`` are integers
+    (not bools), and ``seed`` fits in int64.
     """
 
     prefix_len: int = 128
@@ -64,8 +65,10 @@ class GenConfig:
     branching: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
+        check_integer(self.prefix_len, "prefix_len")
         if self.prefix_len < 0:
             raise ValueError("prefix_len must be >= 0")
+        check_integer(self.gen_len, "gen_len")
         if self.gen_len < 1:
             raise ValueError("gen_len must be >= 1")
         if not (0 <= self.draft_temp < math.inf and 0 <= self.target_temp < math.inf):

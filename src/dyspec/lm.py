@@ -10,7 +10,10 @@ Each Markov or draft-noise row draws from a Philox counter-based generator
 (Salmon et al., SC 2011) keyed by ``derive_seed(seed, domain, *row key)`` at
 counter 0, so a row depends only on (seed, domain, row key), not on the rows,
 model instance or thread before it.  Each thread keeps one generator and
-re-keys it per row, at about a tenth of the cost of building one.
+re-keys it per row, at about a tenth of the cost of building one.  The
+order of a row's draws and of its floating-point operations is part of the
+stream contract too: an algebraically equal rewrite can round differently,
+so a rewrite must reproduce the old expression bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .categorical import Categorical, softmax_with_temperature
-from .rng import check_seed, derive_seed
+from .categorical import Categorical, _max, _total, softmax_with_temperature
+from .rng import check_integer, check_seed, derive_seed
 from .token_tree import ROOT
 
 TokenSeq = Sequence[int]
@@ -55,11 +58,12 @@ class LanguageModel:
 
     def dist(self, context: TokenSeq) -> Categorical:
         key = self.context_key(context)
-        cache = self.__dict__.setdefault("_dists", {})  # frozen dataclasses bar setattr
+        cache = self.__dict__.get("_dists")
+        if cache is None:
+            cache = self.__dict__["_dists"] = {}  # frozen dataclasses bar setattr
         hit = cache.get(key)
         if hit is None:
-            hit = softmax_with_temperature(self.next_logits(context), self.temperature)
-            cache[key] = hit
+            hit = cache[key] = softmax_with_temperature(self.next_logits(context), self.temperature)
         return hit
 
     def with_temperature(self, temp: float) -> "LanguageModel":
@@ -95,9 +99,10 @@ class _RowGenerator(threading.local):
         """The generator keyed by ``derive_seed(seed, domain, *key)`` at
         counter 0, the same stream as a new ``Philox`` of that key.  Draw a
         row's values before keying another row in the same thread."""
-        self._state["state"]["key"] = (derive_seed(seed, domain, *key), 0)
-        self._generator.bit_generator.state = self._state
-        return self._generator
+        state, generator = self._state, self._generator
+        state["state"]["key"] = (derive_seed(seed, domain, *key), 0)
+        generator.bit_generator.state = state
+        return generator
 
 
 _ROW_GENERATOR = _RowGenerator()
@@ -123,7 +128,8 @@ class ModelPairSpec:
     by ``exp(u)``, ``|u| <= entropy_spread``, so the spread and
     ``log(concentration) + entropy_spread`` are at most log(float max) ~ 709.78.
     Draft noise is sigma times normal draws, which numpy keeps below 13.71 in
-    size, so ``noise_sigma`` is at most float max / 16.  Seeds fit in int64.
+    size, so ``noise_sigma`` is at most float max / 16.  Counts and seeds are
+    integers (not bools), and seeds fit in int64.
     """
 
     vocab_size: int = 64
@@ -136,8 +142,10 @@ class ModelPairSpec:
     target_temp: float = 0.6
 
     def __post_init__(self):
+        check_integer(self.vocab_size, "vocab_size")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
+        check_integer(self.markov_order, "markov_order")
         if self.markov_order < 1:
             raise ValueError("markov_order must be >= 1")
         check_seed(self.target_seed, "target_seed")
@@ -188,13 +196,11 @@ class MarkovModel(LanguageModel):
         row = self._rows.get(key)
         if row is None:
             rng = _ROW_GENERATOR.keyed(self.seed, "markov-row", key)
-            alpha = self.concentration * math.exp(
-                rng.uniform(-self.entropy_spread, self.entropy_spread)
-            )
+            s = self.entropy_spread  # numpy's uniform(-s, s): low + (high - low) * double
+            alpha = self.concentration * math.exp(-s + (s - -s) * rng.random())
             gammas = rng.standard_gamma(alpha, size=self.vocab_size)
             # log of the unnormalized Dirichlet sample; softmax normalizes.
-            row = np.log(np.maximum(gammas, 1e-300))
-            self._rows[key] = row
+            row = self._rows[key] = np.log(np.maximum(gammas, 1e-300))
         return row
 
 
@@ -246,14 +252,12 @@ class NoisyDraftModel(LanguageModel):
             base_logits = self.base.next_logits(context)
             # Keyed only now: making the base row re-keys this thread's generator.
             rng = _ROW_GENERATOR.keyed(self.seed, "draft-noise", key)
-            shifted = base_logits - base_logits.max()
+            sigma = self.sigma
+            shifted = base_logits - _max(base_logits)
             base_probs = np.exp(shifted)
-            base_probs /= base_probs.sum()
-            scale = self.sigma * (1.0 - base_probs)
-            noise = rng.standard_normal(self.base.vocab_size) * scale
-            flatten = 1.0 + _FLATTEN_PER_SIGMA * self.sigma
-            perturbed = shifted / flatten + noise
-            self._noise[key] = perturbed
+            base_probs /= _total(base_probs)
+            noise = rng.standard_normal(base_logits.size) * (sigma * (1.0 - base_probs))
+            perturbed = self._noise[key] = shifted / (1.0 + _FLATTEN_PER_SIGMA * sigma) + noise
         return perturbed
 
 

@@ -16,6 +16,7 @@ rounds the largest digests up to 1.0).
 from __future__ import annotations
 
 import hashlib
+import numbers
 import struct
 from functools import lru_cache
 from typing import Callable, Iterable, Tuple
@@ -35,28 +36,30 @@ def _int64s(n: int):
     return struct.Struct(f"<{n}q").pack
 
 
-def _digest(seed: int, domain: str, ints: Iterable[int], index: int) -> int:
-    ints = tuple(ints)
-    h = _domain_hash(domain).copy()
-    h.update(_int64s(len(ints) + 2)(seed, *ints, index))
-    return int.from_bytes(h.digest(), "little")
+def check_integer(value: int, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def check_seed(seed: int, name: str) -> None:
-    """Raise ValueError unless ``seed`` fits the signed 64 bits it is packed in."""
+    """Raise ValueError unless ``seed`` is an integer that fits the signed 64
+    bits it is packed in; every seed a caller passes in is checked here."""
+    check_integer(seed, name)
     if not -2**63 <= seed < 2**63:
         raise ValueError(f"{name} must be in [-2**63, 2**63)")
 
 
 def keyed_uniform(seed: int, domain: str, tag: Iterable[int], index: int) -> float:
-    """Uniform in [0, 1) fully determined by (seed, domain, tag, index)."""
-    return (_digest(seed, domain, tag, index) >> 11) * _SCALE
+    """Uniform in [0, 1) fully determined by (seed, domain, tag, index); one
+    draw of :func:`keyed_uniforms`."""
+    return keyed_uniforms(seed, domain, tuple(tag))(index)
 
 
 def keyed_uniforms(seed: int, domain: str, tag: Tuple[int, ...]) -> Callable[[int], float]:
-    """``fn(index) == keyed_uniform(seed, domain, tag, index)``, bit for bit:
-    blake2b streams, so (seed, domain, tag) is absorbed once and each call
-    copies that state and absorbs only ``index``."""
+    """``fn(index) == keyed_uniform(seed, domain, tag, index)``: blake2b
+    streams, so (seed, domain, tag) is absorbed once and each call copies
+    that state and absorbs only ``index``."""
     prefix = _domain_hash(domain).copy()
     prefix.update(_int64s(len(tag) + 1)(seed, *tag))
 
@@ -70,7 +73,9 @@ def keyed_uniforms(seed: int, domain: str, tag: Tuple[int, ...]) -> Callable[[in
 
 def derive_seed(seed: int, domain: str, *ints: int) -> int:
     """Derive an independent 63-bit child seed from a parent seed."""
-    return _digest(seed, domain, ints, 0) >> 1
+    h = _domain_hash(domain).copy()
+    h.update(_int64s(len(ints) + 2)(seed, *ints, 0))
+    return int.from_bytes(h.digest(), "little") >> 1
 
 
 class UniformStream:

@@ -9,7 +9,7 @@ all operate on this structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +38,6 @@ class TreeNode:
     value: float
 
 
-@dataclass(slots=True)
 class PositionState:
     """Sampling state at one tree position (owned by a node or ROOT).
 
@@ -48,15 +47,13 @@ class PositionState:
     the chain one entry longer than ``sampled``.
     """
 
-    owner: int
-    draft_full: Categorical
-    path: Tuple[int, ...]
-    sampled: List[int] = field(default_factory=list)
-    node_ids: List[int] = field(default_factory=list)
-    chain: List[Categorical] = field(init=False)
+    __slots__ = ("owner", "draft_full", "path", "sampled", "node_ids", "chain")
 
-    def __post_init__(self):
-        self.chain = [self.draft_full]
+    def __init__(self, owner: int, draft_full: Categorical, path: Tuple[int, ...]):
+        self.owner, self.draft_full, self.path = owner, draft_full, path
+        self.sampled: List[int] = []
+        self.node_ids: List[int] = []
+        self.chain: List[Categorical] = [draft_full]
 
     @property
     def residual(self) -> Categorical:

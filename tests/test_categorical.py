@@ -52,6 +52,17 @@ class TestSoftmaxWithTemperature:
         with pytest.raises(ValueError):
             softmax_with_temperature([0.0, float("nan")], 0.0)
 
+    @pytest.mark.parametrize("temp", [0.0, 0.6])
+    @pytest.mark.parametrize("where", [0, 3, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_every_non_finite_logit_raises(self, bad, where, temp):
+        # The check reads the max and min reductions: NaN reaches both, +inf
+        # only the max and -inf only the min.
+        logits = np.linspace(-1.0, 1.0, 7)
+        logits[where] = bad
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            softmax_with_temperature(logits, temp)
+
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             softmax_with_temperature([0.0, 1.0], -0.5)

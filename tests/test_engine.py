@@ -82,6 +82,18 @@ class TestGenConfig:
             GenConfig(prefix_len=-1, budget=8)
         GenConfig(prefix_len=0, budget=8)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("prefix_len", 4.0), ("prefix_len", True), ("gen_len", 4.0), ("gen_len", True),
+        ("seed", 2.0), ("seed", True),
+    ], ids=["prefix_len-float", "prefix_len-bool", "gen_len-float", "gen_len-bool",
+            "seed-float", "seed-bool"])
+    def test_integer_fields_reject_floats_and_bools(self, name, bad):
+        # gen_len 4.0 failed only after every step had run, seed 2.0 in
+        # derive_seed's packing, and True was read as 1.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {bad!r}$"):
+            GenConfig(budget=8, **{name: bad})
+        GenConfig(budget=8, **{name: np.int64(1)})
+
     @pytest.mark.parametrize("branching", [(-1,), (2, 0, 3)])
     def test_static_tree_branching_entries_at_least_one(self, branching):
         with pytest.raises(ValueError, match="branching entries must be >= 1"):

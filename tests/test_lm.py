@@ -10,11 +10,14 @@ import pytest
 
 from dyspec.categorical import Categorical, softmax_with_temperature
 from dyspec.construct import build_tree_fixed
+from dyspec import lm
 from dyspec.lm import (
     _NOISE_SIGMA_MAX,
     _ROW_GENERATOR,
+    LanguageModel,
     MarkovModel,
     ModelPairSpec,
+    NoisyDraftModel,
     TargetRows,
     derive_draft,
     make_model_pair,
@@ -284,6 +287,64 @@ def test_row_streams_are_philox_keyed_by_domain():
     assert not np.array_equal(markov, noise)
 
 
+class TestTracerRowContract:
+    """perfbench's tracer counts a ``dist`` miss as a ``next_logits`` call
+    inside ``dist``, and a generated Markov or noise row as an
+    ``rng.derive_seed`` call made inside ``next_logits``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(caller, callee) of every dist, next_logits and derive_seed call."""
+        stack, log = ["outside"], []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                log.append((stack[-1], name))
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapper
+
+        for owner, attr, name in ((LanguageModel, "dist", "dist"),
+                                  (MarkovModel, "next_logits", "markov"),
+                                  (NoisyDraftModel, "next_logits", "noise"),
+                                  (lm, "derive_seed", "derive_seed")):
+            monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+        return log
+
+    def test_each_row_derives_one_seed_inside_its_next_logits(self, calls):
+        target, draft = make_model_pair(ModelPairSpec(vocab_size=8))
+        calls.clear()
+        draft.dist([3, 5])
+        assert calls == [("outside", "dist"), ("dist", "noise"), ("noise", "markov"),
+                         ("markov", "derive_seed"), ("noise", "derive_seed")]
+        calls.clear()
+        target.dist([4])  # key (0, 4): a cold Markov row
+        assert calls == [("outside", "dist"), ("dist", "markov"), ("markov", "derive_seed")]
+        calls.clear()
+        draft.dist([0, 4])  # warm Markov row, cold noise row
+        assert calls == [("outside", "dist"), ("dist", "noise"), ("noise", "markov"),
+                         ("noise", "derive_seed")]
+
+    def test_warm_dist_calls_neither(self, calls):
+        target, draft = make_model_pair(ModelPairSpec(vocab_size=8))
+        draft.dist([3, 5])
+        target.dist([3, 5])
+        calls.clear()
+        for model in (draft, target):
+            model.dist([1, 3, 5])  # the same context key
+        assert calls == [("outside", "dist")] * 2
+
+    def test_noiseless_draft_generates_only_the_markov_row(self, calls):
+        _, draft = make_model_pair(ModelPairSpec(vocab_size=8, noise_sigma=0.0))
+        calls.clear()
+        draft.dist([2])
+        assert calls == [("outside", "dist"), ("dist", "noise"), ("noise", "markov"),
+                         ("markov", "derive_seed")]
+
+
 class TestKLDivergence:
     def test_identity_is_zero(self):
         d = Categorical([0.3, 0.7])
@@ -365,6 +426,19 @@ class TestModelPairSpec:
             ModelPairSpec(noise_sigma=-1.0)
         with pytest.raises(ValueError):
             ModelPairSpec(concentration=0.0)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("vocab_size", 8.0), ("vocab_size", True), ("markov_order", 1.5),
+        ("markov_order", True), ("target_seed", 1.5), ("target_seed", True),
+    ], ids=["vocab_size-float", "vocab_size-bool", "markov_order-float",
+            "markov_order-bool", "target_seed-float", "target_seed-bool"])
+    def test_integer_fields_reject_floats_and_bools(self, name, bad):
+        # A float failed only at the first row or in derive_seed, and True
+        # was read as 1.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {bad!r}$"):
+            ModelPairSpec(**{name: bad})
+        target, draft = make_model_pair(ModelPairSpec(**{name: np.int64(2)}))
+        assert draft.dist([1, 0]) == make_model_pair(ModelPairSpec(**{name: 2}))[1].dist([1, 0])
 
     def test_round_trips_through_dict(self):
         spec = ModelPairSpec(vocab_size=32, noise_sigma=0.25)

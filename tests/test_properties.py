@@ -2,6 +2,7 @@
 target rows of a tree, verification and exact verification."""
 
 import itertools
+import math
 import subprocess
 import sys
 import textwrap
@@ -22,6 +23,8 @@ from dyspec.categorical import (
 )
 from dyspec.construct import build_tree_fixed, construction_uniform, grow_tree, tree_shape
 from dyspec.lm import (
+    _LOG_FLOAT_MAX,
+    _NOISE_SIGMA_MAX,
     MarkovModel,
     ModelPairSpec,
     TargetRows,
@@ -29,7 +32,7 @@ from dyspec.lm import (
     target_distributions_for_tree,
 )
 from dyspec.oracle import exact_verify_distribution, fixed_chain_emission
-from dyspec.rng import keyed_uniform
+from dyspec.rng import derive_seed, keyed_uniform
 from dyspec.token_tree import ROOT
 from dyspec.verify import VerificationError, replay_trace, verify_tree
 
@@ -511,6 +514,76 @@ class TestSoftmax:
         logits[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         with pytest.raises(ValueError, match="finite"):
             softmax_with_temperature(logits, temp)
+
+
+def reference_markov_row(seed, vocab, concentration, spread, key):
+    """A Markov row by its reference expressions, from a new Philox of its key:
+    ``rng.uniform(-s, s)`` jitter, then the gammas."""
+    rng = np.random.Generator(np.random.Philox(key=[derive_seed(seed, "markov-row", *key), 0]))
+    alpha = concentration * math.exp(rng.uniform(-spread, spread))
+    gammas = rng.standard_gamma(alpha, size=vocab)
+    return np.log(np.maximum(gammas, 1e-300))
+
+
+def reference_noise_row(seed, sigma, base_logits, key):
+    """A draft-noise row by its reference expressions."""
+    rng = np.random.Generator(np.random.Philox(key=[derive_seed(seed, "draft-noise", *key), 0]))
+    shifted = base_logits - base_logits.max()
+    base_probs = np.exp(shifted)
+    base_probs /= base_probs.sum()
+    scale = sigma * (1.0 - base_probs)
+    noise = rng.standard_normal(base_logits.size) * scale
+    flatten = 1.0 + 1.5 * sigma
+    return shifted / flatten + noise
+
+
+def reference_softmax(logits, temp):
+    """softmax_with_temperature's probabilities by the reference expressions."""
+    z = np.asarray(logits, dtype=np.float64)
+    if temp == 0.0:
+        probs = np.zeros(z.size, dtype=np.float64)
+        probs[int(np.argmax(z))] = 1.0
+        return probs
+    e = np.exp(np.maximum(z - z.max(), -746.0 * temp) / temp)
+    return np.divide(e, e.sum(), out=e)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestColdRows:
+    """Every generated row and ``dist`` equals its reference expressions bit
+    for bit: a row's operation order is part of the stream contract."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 64),
+        st.integers(1, 3),
+        st.integers(-(2**63), 2**63 - 1),
+        st.one_of(st.just(0.0), st.floats(0.0, _LOG_FLOAT_MAX), st.just(_LOG_FLOAT_MAX)),
+        st.sampled_from([0.0, 0.5, _NOISE_SIGMA_MAX]),
+        st.sampled_from([0.0, 5e-324, 1e-3, 0.6, 1.0]),
+        st.sampled_from([0.0, 5e-324, 1e-3, 0.6, 1.0]),
+        st.lists(st.lists(st.integers(0, 63), max_size=4), min_size=1, max_size=4),
+    )
+    def test_rows_and_dists_equal_the_seed_expressions(
+        self, vocab, order, seed, spread, sigma, draft_temp, target_temp, contexts
+    ):
+        spec = ModelPairSpec(vocab_size=vocab, markov_order=order, target_seed=seed,
+                             entropy_spread=spread, noise_sigma=sigma,
+                             draft_temp=draft_temp, target_temp=target_temp)
+        target, draft = make_model_pair(spec)
+        draft_seed = derive_seed(seed, "draft")
+        for context in contexts:
+            context = [t % vocab for t in context]
+            key = target.context_key(context)
+            markov = reference_markov_row(seed, vocab, spec.concentration, spread, key)
+            noisy = reference_noise_row(draft_seed, sigma, markov, key) if sigma else markov
+            assert same_bits(draft.next_logits(context), noisy)
+            assert same_bits(target.next_logits(context), markov)
+            assert same_bits(draft.dist(context).probs, reference_softmax(noisy, draft_temp))
+            assert same_bits(target.dist(context).probs, reference_softmax(markov, target_temp))
 
 
 class CountingMarkov(MarkovModel):
