@@ -10,10 +10,10 @@ Each Markov or draft-noise row draws from a Philox counter-based generator
 (Salmon et al., SC 2011) keyed by ``derive_seed(seed, domain, *row key)`` at
 counter 0, so a row depends only on (seed, domain, row key), not on the rows,
 model instance or thread before it.  Each thread keeps one generator and
-re-keys it per row, at about a tenth of the cost of building one.  The
-order of a row's draws and of its floating-point operations is part of the
-stream contract too: an algebraically equal rewrite can round differently,
-so a rewrite must reproduce the old expression bit for bit.
+re-keys it per row, at about a tenth of the cost of building one.  A row's
+draw and operation order is part of the stream contract: a rewrite must give
+the old bits.  The Markov jitter spells out numpy's ``uniform``, assuming no
+FMA fusion there; ``TestColdRows`` guards it, else use ``rng.uniform(-s, s)``.
 """
 
 from __future__ import annotations

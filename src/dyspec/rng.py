@@ -51,15 +51,17 @@ def check_seed(seed: int, name: str) -> None:
 
 
 def keyed_uniform(seed: int, domain: str, tag: Iterable[int], index: int) -> float:
-    """Uniform in [0, 1) fully determined by (seed, domain, tag, index); one
-    draw of :func:`keyed_uniforms`."""
-    return keyed_uniforms(seed, domain, tuple(tag))(index)
+    """Uniform in [0, 1) fully determined by (seed, domain, tag, index)."""
+    tag = tuple(tag)
+    h = _domain_hash(domain).copy()
+    h.update(_int64s(len(tag) + 2)(seed, *tag, index))
+    return (int.from_bytes(h.digest(), "little") >> 11) * _SCALE
 
 
 def keyed_uniforms(seed: int, domain: str, tag: Tuple[int, ...]) -> Callable[[int], float]:
-    """``fn(index) == keyed_uniform(seed, domain, tag, index)``: blake2b
-    streams, so (seed, domain, tag) is absorbed once and each call copies
-    that state and absorbs only ``index``."""
+    """``fn(index) == keyed_uniform(seed, domain, tag, index)``, bit for bit:
+    blake2b streams, so (seed, domain, tag) is absorbed once and each call
+    copies that state and absorbs only ``index``."""
     prefix = _domain_hash(domain).copy()
     prefix.update(_int64s(len(tag) + 1)(seed, *tag))
 
