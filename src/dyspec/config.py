@@ -1,19 +1,21 @@
-"""Run-configuration file: schema validation and assembly.
+"""Run-configuration file: key checks and assembly.
 
 The config is a JSON document with four sections (``models``,
 ``generation``, ``costs``, ``output``).  Unknown sections or keys are
 rejected with a message naming the offender, so typos fail loudly instead
 of silently running defaults.  A command may declare the keys it reads;
 every other key is then rejected too, so a config never looks as if it
-set something the run ignores.  Temperatures are generation keys only; the
-model pair takes them from the validated ``generation`` section.
+set something the run ignores.  The dataclasses that hold the settings
+check every value and its type; this module checks key names, that no key
+is null, and the two types no dataclass sees.  Temperatures are generation
+keys only; the model pair takes them from the validated ``generation``
+section.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
@@ -22,37 +24,19 @@ from .construct import CostParams
 from .engine import ConfigError, GenConfig
 from .lm import ModelPairSpec
 
-
-def _json_types(cls, skip=()) -> Dict[str, Any]:
-    """Key -> accepted JSON type(s) for the fields of a config dataclass.
-
-    ``Optional[X]`` accepts X, a float also accepts an int, and a tuple is
-    written as a JSON list.
-    """
-    hints = typing.get_type_hints(cls)
-    schema: Dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if f.name in skip:
-            continue
-        hint = hints[f.name]
-        if typing.get_origin(hint) is typing.Union:
-            (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
-        hint = typing.get_origin(hint) or hint
-        schema[f.name] = {float: (int, float), tuple: list}.get(hint, hint)
-    return schema
-
-
-# Section -> key -> accepted JSON type(s).  The model pair's temperatures
-# are generation keys.
+# Section -> its keys.  The model pair's temperatures are generation keys.
 _SCHEMA = {
-    "models": _json_types(ModelPairSpec, skip=("draft_temp", "target_temp")),
-    "generation": _json_types(GenConfig),
-    "costs": _json_types(CostParams),
-    "output": {"dir": str},
+    "models": [f.name for f in dataclasses.fields(ModelPairSpec)
+               if f.name not in ("draft_temp", "target_temp")],
+    "generation": [f.name for f in dataclasses.fields(GenConfig)],
+    "costs": [f.name for f in dataclasses.fields(CostParams)],
+    "output": ["dir"],
 }
+# The JSON types of the keys no dataclass sees.
+_JSON_TYPES = {"generation.branching": list, "output.dir": str}
 
 
-def _check_keys(section: str, data: Dict[str, Any], allowed: Dict[str, Any]) -> None:
+def _check_keys(section: str, data: Dict[str, Any], allowed: Sequence[str]) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
     for key, value in data.items():
@@ -61,11 +45,8 @@ def _check_keys(section: str, data: Dict[str, Any], allowed: Dict[str, Any]) -> 
                 f"unknown key {key!r} in section {section!r} "
                 f"(allowed: {', '.join(sorted(allowed))})"
             )
-        expected = allowed[key]
-        if not isinstance(value, expected) or isinstance(value, bool):
-            raise ConfigError(
-                f"key {section}.{key} has wrong type {type(value).__name__}"
-            )
+        if value is None or not isinstance(value, _JSON_TYPES.get(f"{section}.{key}", object)):
+            raise ConfigError(f"key {section}.{key} has wrong type {type(value).__name__}")
 
 
 @dataclass
@@ -120,11 +101,6 @@ class RunConfig:
         if "budget" not in gen_raw and "threshold" not in gen_raw:
             gen_raw["budget"] = 64
         if "branching" in gen_raw:
-            for i, b in enumerate(gen_raw["branching"]):
-                if not isinstance(b, int) or isinstance(b, bool):
-                    raise ConfigError(
-                        f"key generation.branching[{i}] has wrong type {type(b).__name__}"
-                    )
             gen_raw["branching"] = tuple(gen_raw["branching"])
 
         try:

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .categorical import Categorical, _cumsum, _total
 from .lm import LanguageModel
-from .rng import check_integer, keyed_uniforms
+from .rng import check_integer, check_real, keyed_uniforms
 from .token_tree import ROOT, TokenTree, TreeNode
 
 UniformFn = Callable[[Tuple[int, ...], int], float]
@@ -63,26 +62,13 @@ class CostParams:
     per_node_overhead: float = 0.0
 
     def __post_init__(self):
-        if not all(0 <= c < math.inf
-                   for c in (self.draft_cost, self.target_cost, self.per_node_overhead)):
-            raise ValueError("cost parameters must be non-negative and finite")
+        for f in fields(self):
+            check_real(cost := getattr(self, f.name), f.name)
+            if not 0 <= cost < math.inf:
+                raise ValueError("cost parameters must be non-negative and finite")
         # Every step has at least one draft unit, so every step costs > 0.
         if self.draft_cost == self.target_cost == 0:
             raise ValueError("draft_cost and target_cost must not both be 0")
-
-
-def construction_uniform(seed: int) -> UniformFn:
-    """``fn(tag, k) == keyed_uniform(seed, "construct", tag, k)``, the uniform of
-    the k-th sampling at position path ``tag``, with one hash prefix per tag."""
-    by_tag: Dict[Tuple[int, ...], Callable[[int], float]] = {}
-
-    def fn(tag: Tuple[int, ...], index: int) -> float:
-        uniforms = by_tag.get(tag)
-        if uniforms is None:
-            uniforms = by_tag[tag] = keyed_uniforms(seed, "construct", tag)
-        return uniforms(index)
-
-    return fn
 
 
 def grow_tree(
@@ -198,8 +184,8 @@ def tree_shape(
     for name, value in counts:
         if value is not None:
             check_integer(value, name)
-    if isinstance(threshold, bool) or not isinstance(threshold, (numbers.Real, type(None))):
-        raise ValueError(f"threshold must be a real number, not {threshold!r}")
+    if threshold is not None:
+        check_real(threshold, "threshold")
     if (budget is None) == (threshold is None):
         raise ValueError("exactly one of budget/threshold must be set")
     if budget is not None and budget < 1:
@@ -224,22 +210,22 @@ def tree_shape(
     if budget is None:
         raise ValueError("baseline structures require a budget")
     if structure == "chain":
-        return budget, lambda value, depth, count: count < 1 and depth < budget
-    if structure == "k_chains":
+        levels = (1,) * budget
+    elif structure == "k_chains":
         if not k or k < 1:
             raise ValueError("k_chains requires k >= 1")
         if budget < k:
             raise ValueError("budget too small for the requested chain count")
-        length = budget // k
-        return budget, lambda value, depth, count: count < (1 if depth else k) and depth < length
-    if not branching:
-        raise ValueError("static_tree requires a branching vector")
-    if min(branching) < 1:
-        raise ValueError("static_tree branching entries must be >= 1")
-    total = sum(math.prod(branching[:d]) for d in range(1, len(branching) + 1))
-    if total > budget:
-        raise ValueError(f"branching vector yields {total} nodes, exceeding budget {budget}")
-    levels = tuple(branching)
+        levels = (k,) + (1,) * (budget // k - 1)
+    else:
+        if not branching:
+            raise ValueError("static_tree requires a branching vector")
+        if min(branching) < 1:
+            raise ValueError("static_tree branching entries must be >= 1")
+        total = sum(math.prod(branching[:d]) for d in range(1, len(branching) + 1))
+        if total > budget:
+            raise ValueError(f"branching vector yields {total} nodes, exceeding budget {budget}")
+        levels = tuple(branching)
     return budget, lambda value, depth, count: depth < len(levels) and count < levels[depth]
 
 
@@ -248,12 +234,10 @@ def build_tree_fixed(
     prefix: Sequence[int],
     budget: int,
     seed: int,
-    *,
-    uniform_fn: Optional[UniformFn] = None,
 ) -> TokenTree:
     """Greedy best-first construction up to ``budget`` nodes, fewer only when
     every position ran out of support (see :func:`grow_tree`)."""
-    return grow_tree(draft, prefix, seed, *tree_shape(budget=budget), uniform_fn=uniform_fn)
+    return grow_tree(draft, prefix, seed, *tree_shape(budget=budget))
 
 
 def build_tree_threshold(

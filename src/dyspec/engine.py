@@ -32,7 +32,7 @@ from .construct import (
     grow_tree,
     tree_shape,
 )
-from .lm import LanguageModel, TargetRows
+from .lm import LanguageModel, TargetRows, check_temperatures
 from .rng import check_integer, check_seed, derive_seed, keyed_uniform
 from .token_tree import TokenTree
 from .verify import BranchTrace, VerificationError, VerifyResult, verify_tree
@@ -49,7 +49,8 @@ class GenConfig:
     :func:`dyspec.construct.tree_shape` checks the shape fields, rejecting
     ``size_cap`` outside threshold mode, ``k`` outside ``k_chains`` and
     ``branching`` outside ``static_tree``.  Counts and ``seed`` are integers
-    (not bools), and ``seed`` fits in int64.
+    (not bools), ``seed`` fits in int64, and the temperatures and
+    ``threshold`` are real numbers.
     """
 
     prefix_len: int = 128
@@ -71,8 +72,7 @@ class GenConfig:
         check_integer(self.gen_len, "gen_len")
         if self.gen_len < 1:
             raise ValueError("gen_len must be >= 1")
-        if not (0 <= self.draft_temp < math.inf and 0 <= self.target_temp < math.inf):
-            raise ValueError("temperatures must be >= 0 and finite")
+        check_temperatures(self.draft_temp, self.target_temp)
         check_seed(self.seed, "seed")
         tree_shape(self.structure, self.budget, self.threshold, self.size_cap,
                    self.k, self.branching)

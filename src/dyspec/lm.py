@@ -28,7 +28,7 @@ from typing import Dict, Iterator, Mapping, Sequence, Tuple
 import numpy as np
 
 from .categorical import Categorical, _max, _total, softmax_with_temperature
-from .rng import check_integer, check_seed, derive_seed
+from .rng import check_integer, check_real, check_seed, derive_seed
 from .token_tree import ROOT
 
 TokenSeq = Sequence[int]
@@ -38,7 +38,8 @@ class LanguageModel:
     """Conditional next-token distribution, deterministic given its seed.
 
     Subclasses are frozen dataclasses with a ``temperature`` field and
-    implement :meth:`next_logits` as a pure function of the context.
+    implement :meth:`next_logits` as a pure function of the context.  Every
+    model keys on its last ``order`` tokens (:meth:`context_key`).
     ``temperature`` is applied at query time by :meth:`dist`, the one place
     a next-token distribution is computed, draft and target alike.  It
     caches one distribution per context key (at most V^order) for the
@@ -47,14 +48,16 @@ class LanguageModel:
     """
 
     vocab_size: int
+    order: int
     temperature: float
 
     def next_logits(self, context: TokenSeq) -> np.ndarray:
         raise NotImplementedError
 
     def context_key(self, context: TokenSeq) -> Tuple[int, ...]:
-        """Reduce a context to the key the model actually conditions on."""
-        return tuple(context)
+        """The last ``order`` tokens of ``context``, left-padded with token 0."""
+        ctx = tuple(context[-self.order:])
+        return (0,) * (self.order - len(ctx)) + ctx
 
     def dist(self, context: TokenSeq) -> Categorical:
         key = self.context_key(context)
@@ -63,7 +66,7 @@ class LanguageModel:
             cache = self.__dict__["_dists"] = {}  # frozen dataclasses bar setattr
         hit = cache.get(key)
         if hit is None:
-            hit = cache[key] = softmax_with_temperature(self.next_logits(context), self.temperature)
+            hit = cache[key] = softmax_with_temperature(self.next_logits(key), self.temperature)
         return hit
 
     def with_temperature(self, temp: float) -> "LanguageModel":
@@ -114,10 +117,19 @@ _NOISE_SIGMA_MAX = sys.float_info.max / 16
 
 def check_noise_sigma(noise_sigma: float) -> None:
     """ValueError unless draft noise of scale ``noise_sigma`` keeps rows finite."""
+    check_real(noise_sigma, "noise_sigma")
     if not 0 <= noise_sigma < math.inf:
         raise ValueError("noise_sigma must be >= 0 and finite")
     if noise_sigma > _NOISE_SIGMA_MAX:
         raise ValueError(f"noise_sigma must be <= {_NOISE_SIGMA_MAX!r}")
+
+
+def check_temperatures(draft_temp: float, target_temp: float) -> None:
+    """ValueError unless both temperatures are real numbers >= 0 and finite."""
+    check_real(draft_temp, "draft_temp")
+    check_real(target_temp, "target_temp")
+    if not (0 <= draft_temp < math.inf and 0 <= target_temp < math.inf):
+        raise ValueError("temperatures must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,8 @@ class ModelPairSpec:
     ``log(concentration) + entropy_spread`` are at most log(float max) ~ 709.78.
     Draft noise is sigma times normal draws, which numpy keeps below 13.71 in
     size, so ``noise_sigma`` is at most float max / 16.  Counts and seeds are
-    integers (not bools), and seeds fit in int64.
+    integers (not bools), and seeds fit in int64; the other fields are real
+    numbers, and temperatures are >= 0 and finite.
     """
 
     vocab_size: int = 64
@@ -150,6 +163,9 @@ class ModelPairSpec:
             raise ValueError("markov_order must be >= 1")
         check_seed(self.target_seed, "target_seed")
         check_noise_sigma(self.noise_sigma)
+        check_real(self.concentration, "concentration")
+        check_real(self.entropy_spread, "entropy_spread")
+        check_temperatures(self.draft_temp, self.target_temp)
         if not 0 < self.concentration < math.inf:
             raise ValueError("concentration must be > 0 and finite")
         if not 0 <= self.entropy_spread < math.inf:
@@ -164,17 +180,15 @@ class ModelPairSpec:
 class MarkovModel(LanguageModel):
     """Order-n table model with Dirichlet-drawn logit rows.
 
-    A row is keyed by the last ``order`` context tokens (short contexts are
-    left-padded with token 0) and generated lazily: logits are the log of a
-    symmetric-Dirichlet sample, so temperature-1 softmax recovers the
-    Dirichlet row exactly.  The per-row concentration is the configured
+    A row is keyed by the context key and generated lazily: logits are the
+    log of a symmetric-Dirichlet sample, so temperature-1 softmax recovers
+    the Dirichlet row exactly.  The per-row concentration is the configured
     value jittered on a log scale, so one model mixes near-deterministic
     contexts with flat ones the way natural text does; ``entropy_spread = 0``
     disables the jitter.  A row draws the jitter uniform, then ``vocab_size``
-    gammas, from the Philox stream keyed by ``(seed, "markov-row", row
-    key)``, so it is the same whenever and wherever it is made.  Rows are
-    cached; the cache is an implementation detail and does not affect
-    determinism.
+    gammas, from the Philox stream keyed by ``(seed, "markov-row", key)``,
+    so it is the same whenever and wherever it is made.  Rows are cached;
+    the cache is an implementation detail and does not affect determinism.
     """
 
     vocab_size: int
@@ -186,10 +200,6 @@ class MarkovModel(LanguageModel):
     _rows: Dict[Tuple[int, ...], np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    def context_key(self, context: TokenSeq) -> Tuple[int, ...]:
-        ctx = tuple(context[-self.order:])
-        return (0,) * (self.order - len(ctx)) + ctx
 
     def next_logits(self, context: TokenSeq) -> np.ndarray:
         key = self.context_key(context)
@@ -240,16 +250,17 @@ class NoisyDraftModel(LanguageModel):
     def vocab_size(self) -> int:  # type: ignore[override]
         return self.base.vocab_size
 
-    def context_key(self, context: TokenSeq) -> Tuple[int, ...]:
-        return self.base.context_key(context)
+    @property
+    def order(self) -> int:  # type: ignore[override]
+        return self.base.order
 
     def next_logits(self, context: TokenSeq) -> np.ndarray:
-        if self.sigma == 0.0:
-            return self.base.next_logits(context)
         key = self.context_key(context)
+        if self.sigma == 0.0:
+            return self.base.next_logits(key)
         perturbed = self._noise.get(key)
         if perturbed is None:
-            base_logits = self.base.next_logits(context)
+            base_logits = self.base.next_logits(key)
             # Keyed only now: making the base row re-keys this thread's generator.
             rng = _ROW_GENERATOR.keyed(self.seed, "draft-noise", key)
             sigma = self.sigma

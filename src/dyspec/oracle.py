@@ -19,7 +19,6 @@ from .categorical import Categorical, remove_and_renorm, residual_target, sample
 from .construct import (
     build_tree_fixed,
     build_tree_threshold,
-    construction_uniform,
     expected_accepted,
     node_sampling_keys,
 )
@@ -30,7 +29,7 @@ from .lm import (
     make_model_pair,
     target_distributions_for_tree,
 )
-from .rng import derive_seed
+from .rng import derive_seed, keyed_uniform
 from .token_tree import TokenTree
 from .verify import true_branch_acceptance, verify_tree
 
@@ -203,7 +202,6 @@ def realized_slot_tree(
     slot subtrees is a valid optimality oracle for them.
     """
     prefix = list(prefix)
-    uniform = construction_uniform(seed)
     children: List[List[int]] = [[]]
     weights: List[float] = [1.0]
     # slot id -> (path, sibling index, residual, lcrs depth)
@@ -212,7 +210,7 @@ def realized_slot_tree(
         slot_id, path, k, residual, depth = pending.pop()
         if depth >= max_depth:
             continue
-        token = sample(residual, uniform(path, k))
+        token = sample(residual, keyed_uniform(seed, "construct", path, k))
         rate = residual[token]
         value = weights[slot_id]
 

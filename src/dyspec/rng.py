@@ -42,6 +42,12 @@ def check_integer(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def check_real(value: float, name: str) -> None:
+    """Raise ValueError unless ``value`` is a real number; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
 def check_seed(seed: int, name: str) -> None:
     """Raise ValueError unless ``seed`` is an integer that fits the signed 64
     bits it is packed in; every seed a caller passes in is checked here."""

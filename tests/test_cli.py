@@ -107,18 +107,18 @@ class TestConfig:
     @pytest.mark.parametrize(
         "raw, message",
         [
-            ({"models": {"vocab_size": 8.5}}, "key models.vocab_size has wrong type float"),
+            ({"models": {"vocab_size": 8.5}}, "vocab_size must be an integer, not 8.5"),
             ({"models": {}, "generation": {"threshold": "x"}},
-             "key generation.threshold has wrong type str"),
-            ({"models": {}, "generation": {"budget": True}}, "key generation.budget has wrong type bool"),
+             "threshold must be a real number, not 'x'"),
+            ({"models": {}, "generation": {"budget": True}}, "budget must be an integer, not True"),
             ({"models": {}, "generation": {"branching": (2,)}},
              "key generation.branching has wrong type tuple"),
             ({"models": {}, "generation": {"branching": ["x"]}},
-             "key generation.branching[0] has wrong type str"),
+             "branching[0] must be an integer, not 'x'"),
             ({"models": {}, "generation": {"branching": [2.7, 2]}},
-             "key generation.branching[0] has wrong type float"),
+             "branching[0] must be an integer, not 2.7"),
             ({"models": {}, "generation": {"branching": [True, 2]}},
-             "key generation.branching[0] has wrong type bool"),
+             "branching[0] must be an integer, not True"),
             ({"models": {}, "costs": {"target_cost": None}}, "key costs.target_cost has wrong type NoneType"),
             ({"models": {}, "output": {"dir": 3}}, "key output.dir has wrong type int"),
             ({"models": []}, "section 'models' must be an object"),

@@ -132,9 +132,7 @@ class TestBuildTreeFixed:
         # another sampling at the root position drawn from [0, 0.6, 0.4].
         draft = TableDraft(3, {(): [0.5, 0.3, 0.2]})
         forced = {((), 0): 0.3, ((), 1): 0.5}
-        tree = build_tree_fixed(
-            draft, [], 2, seed=0, uniform_fn=lambda tag, k: forced[(tag, k)]
-        )
+        tree = grow_tree(draft, [], 0, 2, uniform_fn=lambda tag, k: forced[(tag, k)])
         first, second = tree.nodes
         assert (first.token, first.value) == (0, 1.0)
         assert second.parent == ROOT

@@ -139,6 +139,36 @@ class TestGenConfig:
         )
 
 
+# Every real-valued setting, by the call that checks it.
+REAL_FIELDS = [
+    ("GenConfig", functools.partial(GenConfig, budget=8), ("draft_temp", "target_temp")),
+    ("ModelPairSpec", ModelPairSpec,
+     ("noise_sigma", "concentration", "entropy_spread", "draft_temp", "target_temp")),
+    ("CostParams", CostParams, ("draft_cost", "target_cost", "per_node_overhead")),
+    ("tree_shape", functools.partial(tree_shape, size_cap=4), ("threshold",)),
+]
+NOT_REALS = {"str": "0.5", "None": None, "bool": True, "list": [0.5]}
+
+
+@pytest.mark.parametrize("make, fields, message", [
+    pytest.param(make, {name: bad}, f"{name} must be a real number, not {bad!r}",
+                 id=f"{owner}-{name}-{kind}")
+    for owner, make, names in REAL_FIELDS for name in names
+    for kind, bad in NOT_REALS.items()
+    if (name, bad) != ("threshold", None)  # None leaves the threshold unset
+] + [
+    # ModelPairSpec took any temperature and failed only at its first dist.
+    pytest.param(ModelPairSpec, {"draft_temp": -1.0}, "temperatures must be >= 0 and finite",
+                 id="ModelPairSpec-draft_temp-negative"),
+    pytest.param(ModelPairSpec, {"target_temp": math.nan}, "temperatures must be >= 0 and finite",
+                 id="ModelPairSpec-target_temp-nan"),
+])
+def test_real_fields_are_checked_at_construction(make, fields, message):
+    # A string or None raised a bare TypeError from a comparison, and True was read as 1.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(**fields)
+
+
 SHAPE_FIELDS = ("budget", "threshold", "size_cap", "k", "branching")
 # Every structure with every set or unset combination of the shape fields,
 # then the misfits: values that a field takes but the shape cannot.

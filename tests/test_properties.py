@@ -21,7 +21,7 @@ from dyspec.categorical import (
     sample,
     softmax_with_temperature,
 )
-from dyspec.construct import build_tree_fixed, construction_uniform, grow_tree, tree_shape
+from dyspec.construct import build_tree_fixed, grow_tree, tree_shape
 from dyspec.lm import (
     _LOG_FLOAT_MAX,
     _NOISE_SIGMA_MAX,
@@ -32,7 +32,7 @@ from dyspec.lm import (
     target_distributions_for_tree,
 )
 from dyspec.oracle import exact_verify_distribution, fixed_chain_emission
-from dyspec.rng import derive_seed, keyed_uniform
+from dyspec.rng import derive_seed, keyed_uniform, keyed_uniforms
 from dyspec.token_tree import ROOT
 from dyspec.verify import VerificationError, replay_trace, verify_tree
 
@@ -203,9 +203,9 @@ class TestConstructionStep:
         # queries of other tags.
         queries = [(tag, k) for k in (0, 1) for tag in tags]
         queries += data.draw(st.lists(st.tuples(st.sampled_from(tags), st.integers(0, 2**40)), max_size=16))
-        uniform = construction_uniform(seed)
+        streams = {tag: keyed_uniforms(seed, "construct", tag) for tag in tags}
         for tag, k in queries:
-            assert uniform(tag, k) == keyed_uniform(seed, "construct", tag, k)
+            assert streams[tag](k) == keyed_uniform(seed, "construct", tag, k)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -263,7 +263,7 @@ class TestConstructionStep:
     ):
         # grow_tree folds and draws inline; every residual it keeps and every
         # token it draws must be, bit for bit, what remove_and_renorm and
-        # sample give, and an injected construction_uniform must change nothing.
+        # sample give, and injecting keyed_uniform must change nothing.
         if shape == "greedy":
             fields = dict(budget=budget)
         elif shape == "threshold":
@@ -293,7 +293,8 @@ class TestConstructionStep:
             for k, (token, drawn_from) in enumerate(zip(state.sampled, state.chain)):
                 u = keyed_uniform(seed, "construct", state.path, k)
                 assert token == sample(drawn_from, u)
-        injected = grow_tree(draft, prompt, seed, size_cap, keep, construction_uniform(seed))
+        injected = grow_tree(draft, prompt, seed, size_cap, keep,
+                             lambda tag, k: keyed_uniform(seed, "construct", tag, k))
         assert injected.nodes == tree.nodes
         assert injected.positions.keys() == tree.positions.keys()
         for owner, state in tree.positions.items():
