@@ -90,11 +90,7 @@ class RunConfig:
             for key in raw.get(section, {}):
                 if section not in reads and f"{section}.{key}" not in reads:
                     raise ConfigError(f"{command} does not read config key {section}.{key}")
-        models_raw = dict(raw.get("models", {}))
         gen_raw = dict(raw.get("generation", {}))
-        costs_raw = dict(raw.get("costs", {}))
-        out_raw = dict(raw.get("output", {}))
-
         # Command-line flags override generation keys of the file.
         gen_raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
 
@@ -105,20 +101,12 @@ class RunConfig:
 
         try:
             generation = GenConfig(**gen_raw)
-            models = ModelPairSpec(
-                **models_raw,
-                draft_temp=generation.draft_temp,
-                target_temp=generation.target_temp,
-            )
-            costs = CostParams(**costs_raw)
+            models = ModelPairSpec(**raw.get("models", {}), draft_temp=generation.draft_temp,
+                                   target_temp=generation.target_temp)
+            costs = CostParams(**raw.get("costs", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        return cls(
-            models=models,
-            generation=generation,
-            costs=costs,
-            output_dir=out_raw.get("dir"),
-        )
+        return cls(models, generation, costs, raw.get("output", {}).get("dir"))
 
     @classmethod
     def load(

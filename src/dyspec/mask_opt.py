@@ -32,7 +32,13 @@ import numpy as np
 
 
 def _ids(values: Sequence[int]) -> np.ndarray:
-    """Node ids as int64; float or bool entries raise instead of truncating."""
+    """Node ids as int64; float entries, or only bools, raise instead of truncating.
+
+    A bool among ints reads as 0 or 1 (``dfs_order([-1, 0, True])`` is
+    ``[0, 1, 2]``): numpy makes that list int.  It goes unchecked because a
+    per-entry scan costs about 45 us per 2,048 ids; a mask-2048 op would run
+    it 7 times, about 10 % of the op, past the 5 % such a check may cost.
+    """
     arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"node ids must be integers, got {arr.dtype}")

@@ -43,9 +43,13 @@ def check_integer(value: int, name: str) -> None:
 
 
 def check_real(value: float, name: str) -> None:
-    """Raise ValueError unless ``value`` is a real number; a bool is none."""
+    """Raise ValueError unless ``value`` is a real number that ``float()`` takes; a bool is none."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the float range") from None
 
 
 def check_seed(seed: int, name: str) -> None:
@@ -62,6 +66,15 @@ def keyed_uniform(seed: int, domain: str, tag: Iterable[int], index: int) -> flo
     h = _domain_hash(domain).copy()
     h.update(_int64s(len(tag) + 2)(seed, *tag, index))
     return (int.from_bytes(h.digest(), "little") >> 11) * _SCALE
+
+
+def verify_uniform(seed: int, index: int, _copy=_domain_hash("verify").copy,
+                   _pack=_int64s(2), _from_bytes=int.from_bytes) -> float:
+    """``keyed_uniform(seed, "verify", (), index)``, bit for bit, in one pass: the
+    hasher copy, packer and ``int.from_bytes`` are bound defaults, not looked up."""
+    h = _copy()
+    h.update(_pack(seed, index))
+    return (_from_bytes(h.digest(), "little") >> 11) * _SCALE
 
 
 def keyed_uniforms(seed: int, domain: str, tag: Tuple[int, ...]) -> Callable[[int], float]:
@@ -89,9 +102,9 @@ def derive_seed(seed: int, domain: str, *ints: int) -> int:
 class UniformStream:
     """Sequential uniforms keyed by a seed; draw order defines the stream.
 
-    Nothing in the package draws from it any more (``verify_tree`` maps
-    :func:`keyed_uniforms` over a counter, the same stream); it stays while
-    ``perfbench/tracer.py`` wraps ``UniformStream.next``.
+    Nothing in the package draws from it any more (``verify_tree`` draws the
+    same stream, domain ``"verify"``, through :func:`verify_uniform`); it
+    stays while ``perfbench/tracer.py`` wraps ``UniformStream.next``.
     """
 
     def __init__(self, seed: int, domain: str = "stream"):

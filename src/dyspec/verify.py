@@ -17,14 +17,17 @@ token per verification pass and is counted in the accepted-per-step metric
 (recorded as ``accepted_includes_bonus`` in all run outputs, since it
 shifts that metric by one).
 
-Only the uniforms are random: a position's thresholds, folds and bonus row
-are fixed by its target row and draft chain.  So :func:`verify_tree` keeps
-``tree.verify_memo[owner] = [target row, [(threshold, draft prob) per tested
-branch], [target fold after each rejection], (bonus row, its CDF) or None]``,
-filled only as far as walks reach, and replaces it whole when the row read
-there is another object (``is``, not ``==``); the bonus entry checks its own
-row, which may be the target row or a fold.  A tree verified many times (the
-expectation oracle) folds each position and cumsums each bonus row once.
+Only the uniforms are random: a walk's i-th draw, one per tested branch
+and then the bonus, is ``keyed_uniform(seed, "verify", (), i)``, hashed in
+one pass by :func:`dyspec.rng.verify_uniform`.  A position's thresholds,
+folds and bonus row are fixed by its target row and draft chain, so
+:func:`verify_tree` keeps ``tree.verify_memo[owner] = [target row,
+[(threshold, draft prob) per tested branch], [target fold after each
+rejection], (bonus row, its CDF) or None]``, filled only as far as walks
+reach, and replaces it whole when the row read there is another object
+(``is``, not ``==``); the bonus entry checks its own row, which may be the
+target row or a fold.  A tree verified many times (the expectation oracle)
+folds each position and cumsums each bonus row once.
 :func:`true_branch_acceptance` and :func:`replay_trace` never read the memo.
 """
 
@@ -32,11 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .categorical import Categorical, _cumsum, remove_and_renorm, residual_target, sample
-from .rng import keyed_uniforms
+from .rng import verify_uniform
 from .token_tree import ROOT, TokenTree
 
 
@@ -84,24 +86,24 @@ def verify_tree(
     ``target_dists`` must cover every position the walk can visit: the
     prompt position and the position of every node (accepted leaves sample
     their bonus there); only visited ones are read, once each, and a missing
-    one raises the mapping's own ``KeyError``.  Uniform draws are keyed by
-    ``seed`` in visit order, so results are reproducible.  Each visited
-    position reads and fills its memo (see the module docstring).
+    one raises the mapping's own ``KeyError``.  Draw i in visit order is
+    ``verify_uniform(seed, i)``, or the next ``uniform_fn()`` when one is
+    given; a walk makes ``len(trace) + 1`` draws.  Each visited position
+    reads and fills its memo (see the module docstring).
     """
-    if uniform_fn is None:
-        uniform_fn = map(keyed_uniforms(seed, "verify", ()), count()).__next__
-
+    draw = verify_uniform if uniform_fn is None else lambda _seed, _index: uniform_fn()
     accepted_tokens: List[int] = []
     accepted_ids: List[int] = []
     trace: List[BranchTrace] = []
+    record, memos, positions = trace.append, tree.verify_memo, tree.positions
     owner = ROOT
 
     while True:
         target = target_dists[owner]
-        memo = tree.verify_memo.get(owner)
+        memo = memos.get(owner)
         if memo is None or memo[0] is not target:
-            memo = tree.verify_memo[owner] = [target, [], [], None]
-        state = tree.positions.get(owner)
+            memo = memos[owner] = [target, [], [], None]
+        state = positions.get(owner)
         if state is None or not state.node_ids:
             row, from_residual = target, False
             break
@@ -118,9 +120,9 @@ def verify_tree(
                 tests.append((threshold, d_prob))
             else:
                 threshold, d_prob = tests[k]
-            u = uniform_fn()
+            u = draw(seed, len(trace))
             ok = u < threshold
-            trace.append(BranchTrace(node_id, ok, u, threshold, d_prob))
+            record(BranchTrace(node_id, ok, u, threshold, d_prob))
             if ok:
                 accepted_tokens.append(state.sampled[k])
                 accepted_ids.append(node_id)
@@ -137,7 +139,7 @@ def verify_tree(
         else:
             row, from_residual = residual, True
             break
-    u = uniform_fn()
+    u = draw(seed, len(trace))
     kept = memo[3]
     if kept is None or kept[0] is not row:
         kept = memo[3] = (row, _cumsum(row.probs).tolist())

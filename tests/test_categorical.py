@@ -67,6 +67,15 @@ class TestSoftmaxWithTemperature:
         with pytest.raises(ValueError):
             softmax_with_temperature([0.0, 1.0], -0.5)
 
+    @pytest.mark.parametrize("temp", [0.0, 0.6])
+    @pytest.mark.parametrize("logits", [[[0.0, 1.0]], np.zeros((2, 2)), [], np.zeros((0, 3))],
+                             ids=["2-D", "2-D-square", "empty", "empty-2-D"])
+    def test_logits_must_be_a_non_empty_vector(self, logits, temp):
+        # numpy raises its own ValueError on some of these further on, so
+        # the message pins the check.
+        with pytest.raises(ValueError, match="^logits must be a non-empty 1-D vector$"):
+            softmax_with_temperature(logits, temp)
+
 
 class TestSample:
     def test_point_mass(self):
@@ -172,6 +181,27 @@ class TestCategoricalInvariants:
         # overflow warning, which the test run raises as an error.
         with pytest.raises(ValueError, match="sum to"):
             Categorical(row)
+
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5]], [[1.0], [0.0]], [], np.zeros((0, 2))],
+                             ids=["2-D", "column", "empty", "empty-2-D"])
+    def test_probs_must_be_a_non_empty_vector(self, probs):
+        with pytest.raises(ValueError, match="^probs must be a non-empty 1-D vector$"):
+            Categorical(probs)
+
+    def test_equality_compares_the_flag_and_every_entry(self):
+        row = Categorical([0.25, 0.75])
+        assert row == Categorical([0.25, 0.75])
+        assert row != Categorical([0.75, 0.25])
+        assert Categorical([1.0, 0.0]) != Categorical([0.0, 1.0])
+        assert Categorical.zero(2) != Categorical([1.0, 0.0])
+        assert Categorical([1.0, 0.0]) != Categorical.zero(2)
+        assert Categorical.zero(2) == Categorical([0.0, 0.0])
+
+    @pytest.mark.parametrize("other", [[0.25, 0.75], np.array([0.25, 0.75]), None, "row"],
+                             ids=["list", "array", "None", "str"])
+    def test_a_non_categorical_compares_unequal(self, other):
+        row = Categorical([0.25, 0.75])
+        assert (row == other) is False
 
     def test_all_zero_is_flagged(self):
         assert Categorical([0.0, 0.0]).is_zero

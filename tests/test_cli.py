@@ -132,6 +132,20 @@ class TestConfig:
             RunConfig.from_dict(raw)
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("section, key", [
+        ("models", "concentration"), ("generation", "draft_temp"), ("generation", "target_temp"),
+        ("costs", "draft_cost"), ("costs", "target_cost"), ("costs", "per_node_overhead"),
+    ])
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys, section, key):
+        # JSON reads a 401-digit literal as an int; these keys let it through
+        # to an OverflowError traceback (exit 1).
+        with pytest.raises(ConfigError, match=f"^{key} must be within the float range$"):
+            RunConfig.from_dict({"models": {}, section: {key: 10**400}})
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"models": {{}}, "{section}": {{"{key}": {10**400}}}}}')
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{key} must be within the float range" in capsys.readouterr().err
+
     def test_json_types_accepted(self):
         cfg = RunConfig.from_dict({
             "models": {"noise_sigma": 1, "vocab_size": 8},

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,6 +168,19 @@ def test_real_fields_are_checked_at_construction(make, fields, message):
     # A string or None raised a bare TypeError from a comparison, and True was read as 1.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make(**fields)
+
+
+@pytest.mark.parametrize("make, name", [
+    pytest.param(make, name, id=f"{owner}-{name}")
+    for owner, make, names in REAL_FIELDS for name in names
+])
+@pytest.mark.parametrize("huge", [10**400, -10**400, Fraction(10**400, 3), 10**5000],
+                         ids=["1e400", "-1e400", "fraction", "1e5000"])
+def test_real_fields_past_the_float_range_are_rejected(make, name, huge):
+    # float() of these raises OverflowError; CostParams(target_cost=10**400)
+    # and GenConfig(draft_temp=10**400) passed their checks and raised it later.
+    with pytest.raises(ValueError, match=f"^{name} must be within the float range$"):
+        make(**{name: huge})
 
 
 SHAPE_FIELDS = ("budget", "threshold", "size_cap", "k", "branching")

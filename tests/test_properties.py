@@ -32,7 +32,7 @@ from dyspec.lm import (
     target_distributions_for_tree,
 )
 from dyspec.oracle import exact_verify_distribution, fixed_chain_emission
-from dyspec.rng import derive_seed, keyed_uniform, keyed_uniforms
+from dyspec.rng import derive_seed, keyed_uniform, keyed_uniforms, verify_uniform
 from dyspec.token_tree import ROOT
 from dyspec.verify import VerificationError, replay_trace, verify_tree
 
@@ -193,6 +193,14 @@ class TestCategoricalProperties:
 int64s = st.integers(-(2**63), 2**63 - 1)
 key_seeds = st.one_of(st.sampled_from([0, -1, 2**62, -(2**62)]), int64s)
 key_tags = st.lists(st.one_of(st.just(-1), st.integers(0, 63), int64s), max_size=12).map(tuple)
+
+
+@given(st.one_of(st.sampled_from([-(2**63), 2**63 - 1]), int64s),
+       st.lists(st.integers(0, 2**63 - 1), max_size=8))
+def test_verify_uniform_equals_keyed_uniform(seed, indices):
+    # verify_tree's one-pass draw is the "verify" stream of keyed_uniform.
+    for index in [0, 1] + indices:
+        assert verify_uniform(seed, index) == keyed_uniform(seed, "verify", (), index)
 
 
 class TestConstructionStep:

@@ -1,7 +1,7 @@
-from itertools import count
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyspec.categorical import Categorical
 from dyspec.construct import build_tree_fixed, expected_accepted
@@ -28,13 +28,13 @@ def uniforms(*values):
     return lambda: next(seq)
 
 
-def built_case(seed, budget=10, vocab=8, temp=0.6):
+def built_case(seed, budget=10, vocab=8, temp=0.6, draft_temp=None):
     spec = ModelPairSpec(
         vocab_size=vocab, markov_order=1, target_seed=seed, noise_sigma=1.0
     )
     target, draft = make_model_pair(spec)
     target = target.with_temperature(temp)
-    draft = draft.with_temperature(temp)
+    draft = draft.with_temperature(temp if draft_temp is None else draft_temp)
     prompt = [seed % vocab, (seed + 1) % vocab]
     tree = build_tree_fixed(draft, prompt, budget, seed=seed)
     dists = target_distributions_for_tree(target, prompt, tree)
@@ -217,13 +217,26 @@ class TestVerifyTreeOnBuiltTrees:
             monkeypatch.undo()
             assert replay_trace(tree, dists, res)
 
-    def test_default_uniforms_are_keyed_by_seed_in_visit_order(self):
-        for seed in range(10):
-            tree, dists = built_case(seed)
-            keyed = (keyed_uniform(seed, "verify", (), i) for i in count())
-            assert verify_tree(tree, dists, seed) == verify_tree(
-                built_case(seed)[0], dists, 0, uniform_fn=keyed.__next__
-            )
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(-2**63, 2**63 - 1), case=st.integers(0, 2**20),
+           budget=st.integers(1, 16), temp=st.sampled_from([0.0, 0.6]))
+    @example(seed=-2**63, case=0, budget=10, temp=0.6)
+    @example(seed=2**63 - 1, case=1, budget=10, temp=0.0)
+    def test_default_uniforms_are_keyed_by_seed_in_visit_order(self, seed, case, budget, temp):
+        # The default draws are keyed_uniform(seed, "verify", (), i) in visit
+        # order, one per tested branch and one for the bonus.  The target
+        # runs at temp and the draft at 0.6, so both accepts and rejects occur.
+        tree, dists = built_case(case, budget, temp=temp, draft_temp=0.6)
+        drawn = []
+
+        def keyed():
+            drawn.append(keyed_uniform(seed, "verify", (), len(drawn)))
+            return drawn[-1]
+
+        default = verify_tree(tree, dists, seed)
+        injected = verify_tree(tree, dists, 0, uniform_fn=keyed)  # reads the memo the first walk filled
+        assert default == injected
+        assert len(drawn) == len(injected.trace) + 1
 
     def test_replay_does_not_read_the_memo(self):
         # A corrupted memoized threshold steers the next walk, and the
